@@ -36,7 +36,6 @@ from .fusion import PRESET_NAMES
 from .pipeline import (
     PipelineConfig,
     extract_features,
-    load_extractors,
     load_split,
     run_experiment,
     save_extractors,
@@ -144,7 +143,7 @@ def _cmd_train_components(args) -> int:
     comp_dir.mkdir(parents=True, exist_ok=True)
     models, manifest = train_components(features, corpus.labels(), split.train,
                                         split.validation, corpus.family_count,
-                                        config, jobs=args.jobs)
+                                        config)
     paths = {}
     for name, model in models.items():
         path = comp_dir / f"component-{name}.mfc"
@@ -166,7 +165,7 @@ def _cmd_train_fusion(args) -> int:
     preset_name = PRESET_FLAGS[args.preset]
     out = Path(args.out)
     result = run_experiment(corpus, split, config, preset_name=preset_name,
-                            feature_set=args.features, jobs=args.jobs)
+                            feature_set=args.features)
     report = make_report(result.test_probs, result.test_labels,
                          corpus.family_count)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,12 +188,12 @@ def _cmd_eval(args) -> int:
     if args.cv:
         report = cross_validate(config, corpus, k=args.cv, seed=args.seed,
                                 preset_name=preset_name,
-                                feature_set=args.features, jobs=args.jobs)
+                                feature_set=args.features)
         protocol = f"{args.cv}-fold cross-validation"
     else:
         split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=args.seed)
         result = run_experiment(corpus, split, config, preset_name=preset_name,
-                                feature_set=args.features, jobs=args.jobs)
+                                feature_set=args.features)
         report = make_report(result.test_probs, result.test_labels,
                              corpus.family_count)
         protocol = "fixed holdout split"
@@ -244,8 +243,7 @@ def _cmd_explain(args) -> int:
                                             split.validation, config)
     components, manifest = train_components(features, labels, split.train,
                                             split.validation,
-                                            corpus.family_count, config,
-                                            jobs=args.jobs)
+                                            corpus.family_count, config)
     fusions = {fset: train_preset("EF1", fset, features, labels, split.train,
                                   split.validation, corpus.family_count,
                                   components, manifest, config)
@@ -287,8 +285,6 @@ def _add_common(p: argparse.ArgumentParser, corpus: bool = True) -> None:
         p.add_argument("--profile", choices=("desk", "full"), default="desk",
                        help="capacity profile for feature models")
         p.add_argument("--config", help="JSON file overriding config fields")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads; results merge deterministically")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import substrate as S
-from .features import FEATURE_NAMES, FeatureVector
+from .features import FEATURE_NAMES
 from .seeding import derive_seed
 
 COMPONENT_HIDDEN = (256, 128)
@@ -34,8 +34,11 @@ def check_probability_vector(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
 
 
 class ComponentModel(S.Module):
+    kind = "component"
+
     def __init__(self, feature_name: str, input_width: int, family_count: int,
                  hyper: S.Hyperparams, *, hidden: tuple[int, ...] = COMPONENT_HIDDEN,
+                 val_accuracy: float | None = None,
                  rng: np.random.Generator, dtype=np.float64):
         if feature_name not in FEATURE_NAMES:
             raise ComponentError(f"unknown feature name {feature_name!r}")
@@ -44,7 +47,7 @@ class ComponentModel(S.Module):
         self.family_count = family_count
         self.hyper = hyper
         self.hidden = hidden
-        self.val_accuracy: float | None = None
+        self.val_accuracy = val_accuracy
         self.mlp = S.MLP(input_width, hidden, family_count,
                          activation=hyper.activation, dropout=hyper.dropout,
                          batchnorm=hyper.batchnorm, rng=rng, dtype=dtype)
@@ -59,26 +62,19 @@ class ComponentModel(S.Module):
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         return self.forward(np.asarray(rows, dtype=np.float64)).data
 
-    def save(self, path: str | Path) -> None:
-        meta = {"kind": "component", "feature_name": self.feature_name,
-                "input_width": self.input_width, "family_count": self.family_count,
-                "hidden": list(self.hidden), "hyper": self.hyper.to_dict(),
-                "val_accuracy": self.val_accuracy}
-        arrays = {f"p{i}": p.data for i, p in enumerate(self.parameters())}
-        S.save_container(path, meta, arrays)
+    def buffers(self):
+        return self.mlp.buffers()
+
+    def config(self):
+        return {"feature_name": self.feature_name, "input_width": self.input_width,
+                "family_count": self.family_count, "hyper": self.hyper.to_dict(),
+                "hidden": list(self.hidden), "val_accuracy": self.val_accuracy}
 
     @classmethod
-    def load(cls, path: str | Path) -> "ComponentModel":
-        meta, arrays = S.load_container(path)
-        if meta.get("kind") != "component":
-            raise S.ContainerError(f"{path}: not a component classifier")
-        model = cls(meta["feature_name"], meta["input_width"], meta["family_count"],
-                    S.Hyperparams.from_dict(meta["hyper"]),
-                    hidden=tuple(meta["hidden"]), rng=np.random.default_rng(0))
-        model.val_accuracy = meta["val_accuracy"]
-        for i, p in enumerate(model.parameters()):
-            p.data = arrays[f"p{i}"]
-        return model
+    def from_config(cls, config):
+        return cls(**config | {"hyper": S.Hyperparams.from_dict(config["hyper"]),
+                               "hidden": tuple(config["hidden"])},
+                   rng=np.random.default_rng(0))
 
 
 def train_component(feature_name: str, features: np.ndarray, labels: np.ndarray,
@@ -98,17 +94,6 @@ def train_component(feature_name: str, features: np.ndarray, labels: np.ndarray,
                    (features[val_idx], labels[val_idx]), hyper)
     model.val_accuracy = float(hist.val_accuracy[hist.best_epoch])
     return model, hist
-
-
-def predict(model: ComponentModel, feature: FeatureVector) -> np.ndarray:
-    if feature.feature_name != model.feature_name:
-        raise ComponentError(f"component expects {model.feature_name}, "
-                             f"got {feature.feature_name}")
-    if feature.values.shape != (model.input_width,):
-        raise ComponentError(f"{model.feature_name} feature has length "
-                             f"{feature.values.shape}, model expects {model.input_width}")
-    probs = model.predict_batch(feature.values[None])[0]
-    return check_probability_vector(probs)
 
 
 # one-vs-rest linear baseline ---------------------------------------------------

@@ -124,6 +124,11 @@ class Vocabulary:
             ordered[i] = name
         return ordered
 
+    @classmethod
+    def from_names(cls, names: list[str]) -> "Vocabulary":
+        """Inverse of ``names()``."""
+        return cls({name: i for i, name in enumerate(names)})
+
 
 @dataclass(frozen=True)
 class CorpusSample:
@@ -153,9 +158,6 @@ class Corpus:
 
     def labels(self) -> np.ndarray:
         return np.array([s.family for s in self.samples], dtype=np.int64)
-
-    def subset(self, indices) -> "Corpus":
-        return Corpus([self.samples[i] for i in indices], self.family_count)
 
 
 @dataclass

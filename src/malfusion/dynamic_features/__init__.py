@@ -26,7 +26,6 @@ from .statements import (
     DEFAULT_TOKEN_VOCAB,
     STATEMENT_TOKEN_CAP,
     StatementEncoderModel,
-    attention_pool,
     build_token_vocabulary,
     statement_embed,
     statement_tokens,
@@ -54,7 +53,6 @@ __all__ = [
     "STATEMENT_TOKEN_CAP",
     "StatementEncoderModel",
     "api_call_frequency",
-    "attention_pool",
     "build_token_vocabulary",
     "cooc_features",
     "cooccurrence_matrix",
@@ -66,4 +64,5 @@ __all__ = [
     "train_call_sequence_encoder",
     "train_cooc_cnn",
     "train_pv",
+    "train_statement_encoder",
 ]

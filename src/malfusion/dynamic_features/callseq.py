@@ -3,8 +3,6 @@ recurrence -> softmax head. Consumes the first m API names, no parameters."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .. import substrate as S
@@ -16,6 +14,8 @@ DEFAULT_CALLSEQ_LEN = 200
 
 
 class CallSequenceModel(S.Module):
+    kind = "call-sequence"
+
     def __init__(self, vocab: Vocabulary, family_count: int, *,
                  seq_len: int = DEFAULT_CALLSEQ_LEN, embed_dim: int = 16,
                  hidden: int = 32, rng: np.random.Generator, dtype=np.float64):
@@ -42,37 +42,27 @@ class CallSequenceModel(S.Module):
         return out
 
     def forward(self, tokens: np.ndarray, train: bool = False) -> S.Tensor:
-        emb = self.embed(tokens)
-        final = self.rnn.final_state(emb)
+        bsz, steps = tokens.shape
+        states = self.rnn.run(self.embed(tokens))
+        final = S.reshape(S.slice_axis(states, 1, steps - 1, steps), (bsz, self.hidden))
         return self.head(final)
 
-    def save(self, path: str | Path) -> None:
-        meta = {"kind": "call-sequence", "family_count": self.family_count,
-                "seq_len": self.seq_len, "embed_dim": self.embed_dim,
-                "hidden": self.hidden, "vocab": self.vocab.names()}
-        arrays = {f"p{i}": p.data for i, p in enumerate(self.parameters())}
-        S.save_container(path, meta, arrays)
+    def config(self):
+        return {"vocab": self.vocab.names(), "family_count": self.family_count,
+                "seq_len": self.seq_len, "embed_dim": self.embed_dim, "hidden": self.hidden}
 
     @classmethod
-    def load(cls, path: str | Path) -> "CallSequenceModel":
-        meta, arrays = S.load_container(path)
-        if meta.get("kind") != "call-sequence":
-            raise S.ContainerError(f"{path}: not a call-sequence encoder")
-        vocab = Vocabulary({name: i for i, name in enumerate(meta["vocab"])})
-        model = cls(vocab, meta["family_count"], seq_len=meta["seq_len"],
-                    embed_dim=meta["embed_dim"], hidden=meta["hidden"],
-                    rng=np.random.default_rng(0))
-        for i, p in enumerate(model.parameters()):
-            p.data = arrays[f"p{i}"]
-        return model
+    def from_config(cls, config):
+        c = dict(config)
+        return cls(Vocabulary.from_names(c.pop("vocab")), **c, rng=np.random.default_rng(0))
 
 
 def train_call_sequence_encoder(traces: list[TraceFile], labels: np.ndarray,
                                 family_count: int,
                                 seq_len: int = DEFAULT_CALLSEQ_LEN,
-                                hyper: S.Hyperparams | None = None,
-                                val: tuple[list[TraceFile], np.ndarray] | None = None,
-                                *, embed_dim: int = 16, hidden: int = 32,
+                                hyper: S.Hyperparams | None = None, *,
+                                val: tuple[list[TraceFile], np.ndarray],
+                                embed_dim: int = 16, hidden: int = 32,
                                 name_vocab: int = 286,
                                 ) -> tuple[CallSequenceModel, S.TrainHistory]:
     if not traces:
@@ -82,15 +72,10 @@ def train_call_sequence_encoder(traces: list[TraceFile], labels: np.ndarray,
     model = CallSequenceModel(
         vocab, family_count, seq_len=seq_len, embed_dim=embed_dim, hidden=hidden,
         rng=np.random.default_rng(derive_seed(hyper.seed, "callseq-init")))
-    encoded = np.stack([model.tokenize(t) for t in traces])
-    labels = np.asarray(labels, dtype=np.int64)
-    if val is None:
-        n_val = max(1, len(traces) // 10)
-        val_data = (encoded[:n_val], labels[:n_val])
-        train_data = (encoded[n_val:], labels[n_val:])
-    else:
-        val_data = (np.stack([model.tokenize(t) for t in val[0]]),
-                    np.asarray(val[1], dtype=np.int64))
-        train_data = (encoded, labels)
-    hist = S.train(model, train_data, val_data, hyper)
+
+    def encode(batch):
+        return np.stack([model.tokenize(t) for t in batch])
+
+    hist = S.train(model, (encode(traces), np.asarray(labels, dtype=np.int64)),
+                   (encode(val[0]), np.asarray(val[1], dtype=np.int64)), hyper)
     return model, hist

@@ -8,7 +8,6 @@ network, whose layer order is max-pool -> conv -> flatten -> dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +70,8 @@ class CoocCnnModel(S.Module):
     """Max-pool(P) -> conv(K, 3x3, relu) -> flatten -> dense(f, relu) ->
     softmax head; the dense layer's activations are the feature output."""
 
+    kind = "cooc-cnn"
+
     def __init__(self, vocab_size: int, family_count: int, pool: int = DEFAULT_POOL,
                  kernels: int = 4, feature_width: int = DEFAULT_FEATURE_WIDTH, *,
                  rng: np.random.Generator, dtype=np.float64):
@@ -102,29 +103,10 @@ class CoocCnnModel(S.Module):
     def forward(self, matrices: np.ndarray, train: bool = False) -> S.Tensor:
         return self.head(self.features_t(matrices))
 
-    def save(self, path: str | Path) -> None:
-        meta = {"kind": "cooc-cnn", "vocab_size": self.vocab_size,
-                "family_count": self.family_count, "pool": self.pool_size,
-                "kernels": self.kernels, "feature_width": self.feature_width}
-        S.save_container(path, meta, {
-            "conv.w": self.conv.w.data, "conv.b": self.conv.b.data,
-            "dense.w": self.dense.w.data, "dense.b": self.dense.b.data,
-            "head.w": self.head.w.data, "head.b": self.head.b.data})
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CoocCnnModel":
-        meta, arrays = S.load_container(path)
-        if meta.get("kind") != "cooc-cnn":
-            raise S.ContainerError(f"{path}: not a co-occurrence network")
-        model = cls(meta["vocab_size"], meta["family_count"], meta["pool"],
-                    meta["kernels"], meta["feature_width"], rng=np.random.default_rng(0))
-        model.conv.w.data = arrays["conv.w"]
-        model.conv.b.data = arrays["conv.b"]
-        model.dense.w.data = arrays["dense.w"]
-        model.dense.b.data = arrays["dense.b"]
-        model.head.w.data = arrays["head.w"]
-        model.head.b.data = arrays["head.b"]
-        return model
+    def config(self):
+        return {"vocab_size": self.vocab_size, "family_count": self.family_count,
+                "pool": self.pool_size, "kernels": self.kernels,
+                "feature_width": self.feature_width}
 
 
 def train_cooc_cnn(matrices: np.ndarray, labels: np.ndarray, family_count: int,

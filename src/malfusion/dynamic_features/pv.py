@@ -10,15 +10,16 @@ on a fresh document vector under a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .. import substrate as S
 from ..corpus.types import EmptyTraceError, TraceFile, Vocabulary
 from ..corpus.vocab import build_vocabulary
 from ..features import FeatureVector
 from ..seeding import rng_for
-from ..substrate import ContainerError, TrainingDiverged, load_container, save_container
+# the container functions stay importable from this module for code that hooks them here
+from ..substrate import TrainingDiverged, load_container, save_container  # noqa: F401
 
 DEFAULT_PV_DIM = 400
 DEFAULT_TRACE_VOCAB = 286
@@ -26,7 +27,9 @@ NOISE_POWER = 0.75
 
 
 @dataclass
-class PvModel:
+class PvModel(S.Module):
+    kind = "pv"
+
     vocab: Vocabulary
     word_vecs: np.ndarray     # (V, D) input-side table
     out_vecs: np.ndarray      # (V, D) output-side table
@@ -38,24 +41,20 @@ class PvModel:
     dim: int
     train_loss: list[float] = field(default_factory=list)
 
-    def save(self, path: str | Path) -> None:
-        names = self.vocab.names()
-        meta = {"kind": "pv", "window": self.window, "neg_samples": self.neg_samples,
-                "infer_steps": self.infer_steps, "infer_lr": self.infer_lr,
-                "dim": self.dim, "vocab": names}
-        save_container(path, meta, {"word_vecs": self.word_vecs,
-                                    "out_vecs": self.out_vecs,
-                                    "noise_cum": self.noise_cum})
+    def buffers(self):
+        return [self.word_vecs, self.out_vecs, self.noise_cum]
+
+    def config(self):
+        return {"vocab": self.vocab.names(), "window": self.window,
+                "neg_samples": self.neg_samples, "infer_steps": self.infer_steps,
+                "infer_lr": self.infer_lr, "dim": self.dim}
 
     @classmethod
-    def load(cls, path: str | Path) -> "PvModel":
-        meta, arrays = load_container(path)
-        if meta.get("kind") != "pv":
-            raise ContainerError(f"{path}: not a paragraph-vector model")
-        vocab = Vocabulary({name: i for i, name in enumerate(meta["vocab"])})
-        return cls(vocab, arrays["word_vecs"], arrays["out_vecs"], arrays["noise_cum"],
-                   meta["window"], meta["neg_samples"], meta["infer_steps"],
-                   meta["infer_lr"], meta["dim"])
+    def from_config(cls, config):
+        c = dict(config)
+        vocab = Vocabulary.from_names(c.pop("vocab"))
+        table = (vocab.size, c["dim"])
+        return cls(vocab, np.zeros(table), np.zeros(table), np.zeros(vocab.size), **c)
 
 
 def _doc_tokens(trace: TraceFile, vocab: Vocabulary) -> np.ndarray:

@@ -10,8 +10,6 @@ group; padding is masked out of both pooling levels.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .. import substrate as S
@@ -23,21 +21,6 @@ from ..seeding import derive_seed
 DEFAULT_SEQ_LEN = 200
 STATEMENT_TOKEN_CAP = 16
 DEFAULT_TOKEN_VOCAB = 500
-
-
-def attention_pool(hidden, context) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax of inner products; pooled = convex combination of hidden rows."""
-    h = np.asarray(hidden, dtype=np.float64)
-    c = np.asarray(context, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] == 0:
-        raise ValueError(f"hidden must be a nonempty (T, D) stack, got shape {h.shape}")
-    if c.shape != (h.shape[1],):
-        raise ValueError(f"context dim {c.shape} does not match hidden dim {h.shape[1]}")
-    scores = h @ c
-    scores -= scores.max()
-    e = np.exp(scores)
-    weights = e / e.sum()
-    return weights, weights @ h
 
 
 def statement_tokens(trace: TraceFile, vocab: Vocabulary, max_statements: int,
@@ -66,6 +49,8 @@ def build_token_vocabulary(traces: list[TraceFile],
 
 
 class StatementEncoderModel(S.Module):
+    kind = "statement-encoder"
+
     def __init__(self, vocab: Vocabulary, family_count: int, *,
                  embed_dim: int = 16, hidden: int = 16,
                  max_statements: int = DEFAULT_SEQ_LEN,
@@ -113,36 +98,26 @@ class StatementEncoderModel(S.Module):
     def forward(self, tokens: np.ndarray, train: bool = False) -> S.Tensor:
         return self.head(self.encode(tokens))
 
-    def save(self, path: str | Path) -> None:
-        meta = {"kind": "statement-encoder", "family_count": self.family_count,
+    def config(self):
+        return {"vocab": self.vocab.names(), "family_count": self.family_count,
                 "embed_dim": self.embed_dim, "hidden": self.hidden,
-                "max_statements": self.max_statements, "max_tokens": self.max_tokens,
-                "vocab": self.vocab.names()}
-        arrays = {f"p{i}": p.data for i, p in enumerate(self.parameters())}
-        S.save_container(path, meta, arrays)
+                "max_statements": self.max_statements, "max_tokens": self.max_tokens}
 
     @classmethod
-    def load(cls, path: str | Path) -> "StatementEncoderModel":
-        meta, arrays = S.load_container(path)
-        if meta.get("kind") != "statement-encoder":
-            raise S.ContainerError(f"{path}: not a statement encoder")
-        vocab = Vocabulary({name: i for i, name in enumerate(meta["vocab"])})
-        model = cls(vocab, meta["family_count"], embed_dim=meta["embed_dim"],
-                    hidden=meta["hidden"], max_statements=meta["max_statements"],
-                    max_tokens=meta["max_tokens"], rng=np.random.default_rng(0))
-        for i, p in enumerate(model.parameters()):
-            p.data = arrays[f"p{i}"]
-        return model
+    def from_config(cls, config):
+        c = dict(config)
+        return cls(Vocabulary.from_names(c.pop("vocab")), **c, rng=np.random.default_rng(0))
 
 
 def train_statement_encoder(traces: list[TraceFile], labels: np.ndarray,
                             family_count: int, seq_len: int = DEFAULT_SEQ_LEN,
-                            hyper: S.Hyperparams | None = None,
-                            val: tuple[list[TraceFile], np.ndarray] | None = None,
-                            *, embed_dim: int = 16, hidden: int = 16,
+                            hyper: S.Hyperparams | None = None, *,
+                            val: tuple[list[TraceFile], np.ndarray],
+                            embed_dim: int = 16, hidden: int = 16,
                             token_vocab: int = DEFAULT_TOKEN_VOCAB,
                             ) -> tuple[StatementEncoderModel, S.TrainHistory]:
-    """Vocabulary and weights are built from the given (training) traces only."""
+    """Vocabulary and weights are built from the given (training) traces
+    only; the ``val`` traces and labels steer early stopping."""
     if not traces:
         raise ValueError("cannot train on an empty trace list")
     hyper = hyper or S.Hyperparams(epochs=12, batch_size=16)
@@ -151,17 +126,12 @@ def train_statement_encoder(traces: list[TraceFile], labels: np.ndarray,
         vocab, family_count, embed_dim=embed_dim, hidden=hidden,
         max_statements=seq_len,
         rng=np.random.default_rng(derive_seed(hyper.seed, "stmt-init")))
-    encoded = np.stack([model.tokenize(t) for t in traces])
-    labels = np.asarray(labels, dtype=np.int64)
-    if val is None:
-        n_val = max(1, len(traces) // 10)
-        val_data = (encoded[:n_val], labels[:n_val])
-        train_data = (encoded[n_val:], labels[n_val:])
-    else:
-        val_data = (np.stack([model.tokenize(t) for t in val[0]]),
-                    np.asarray(val[1], dtype=np.int64))
-        train_data = (encoded, labels)
-    hist = S.train(model, train_data, val_data, hyper)
+
+    def encode(batch):
+        return np.stack([model.tokenize(t) for t in batch])
+
+    hist = S.train(model, (encode(traces), np.asarray(labels, dtype=np.int64)),
+                   (encode(val[0]), np.asarray(val[1], dtype=np.int64)), hyper)
     return model, hist
 
 

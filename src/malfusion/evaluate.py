@@ -6,8 +6,6 @@ identical bytes. Top-k rank ties resolve toward the lowest family index.
 
 from __future__ import annotations
 
-import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,21 +13,18 @@ import numpy as np
 from . import substrate as S
 from .components import check_probability_vector
 from .corpus import DEFAULT_HOLDOUT, Corpus, DatasetSplit, make_splits
-from .dynamic_features import (
-    normalized_cooc,
-    cooc_features,
-    pv_embed,
-    statement_embed,
-    train_call_sequence_encoder,
-    train_cooc_cnn,
-    train_pv,
-    train_statement_encoder,
-)
+from .dynamic_features import train_call_sequence_encoder
 from .features import FeatureVector
 from .fusion import FusionModel, predict_fusion
-from .pipeline import PipelineConfig, run_experiment
+from .pipeline import (
+    LEARNED_FEATURES,
+    FeatureExtractors,
+    PipelineConfig,
+    fit_feature,
+    fit_vocabularies,
+    run_experiment,
+)
 from .seeding import derive_seed
-from .static_features import cg_embed, extract_lowfreq, train_cafc
 
 
 class EvaluationError(ValueError):
@@ -145,7 +140,7 @@ def make_report(predictions, labels, family_count: int,
 
 def cross_validate(config: PipelineConfig, corpus: Corpus, k: int = 10,
                    seed: int = 0, preset_name: str = "EF1",
-                   feature_set: str = "integrated", jobs: int = 1) -> EvalReport:
+                   feature_set: str = "integrated") -> EvalReport:
     """Per fold: rebuild vocabularies, feature models, components, and the
     fusion head from the training folds only, then score the held-out fold."""
     if k < 2:
@@ -153,23 +148,17 @@ def cross_validate(config: PipelineConfig, corpus: Corpus, k: int = 10,
     split = make_splits(corpus, k=k, seed=seed)
     folds = [np.asarray(f, dtype=np.int64) for f in split.folds]
 
-    def one(i: int):
-        test = folds[i]
+    outcomes = []
+    for i in range(k):
         val = folds[(i + 1) % k]
         train = np.concatenate([folds[j] for j in range(k)
                                 if j != i and j != (i + 1) % k])
         fold_split = DatasetSplit(train=list(train), validation=list(val),
-                                  test=list(test))
+                                  test=list(folds[i]))
         fold_config = config.replace(seed=derive_seed(config.seed, "cv", i))
         result = run_experiment(corpus, fold_split, fold_config,
                                 preset_name=preset_name, feature_set=feature_set)
-        return result.test_probs, result.test_labels
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, range(k)))
-    else:
-        outcomes = [one(i) for i in range(k)]
+        outcomes.append((result.test_probs, result.test_labels))
     all_probs = np.concatenate([p for p, _ in outcomes])
     all_labels = np.concatenate([l for _, l in outcomes])
     fold_accs = [float((p.argmax(axis=1) == l).mean()) for p, l in outcomes]
@@ -188,29 +177,14 @@ SWEEP_GRIDS: dict[str, list[int]] = {
 }
 
 
-class _Probe(S.Module):
-    """Single fully connected softmax layer over one feature."""
-
-    def __init__(self, in_dim: int, family_count: int, *, rng):
-        self.dense = S.Dense(in_dim, family_count, "softmax", rng=rng)
-
-    def parameters(self):
-        return self.dense.parameters()
-
-    def forward(self, x, train: bool = False):
-        if not isinstance(x, S.Tensor):
-            x = S.Tensor(np.asarray(x, dtype=np.float64))
-        return self.dense(x)
-
-
 def probe_accuracy(matrix: np.ndarray, labels: np.ndarray, train_idx,
                    val_idx, family_count: int, seed: int,
                    epochs: int = 40) -> float:
     """Validation accuracy of the single-layer probe on one feature."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
-    model = _Probe(matrix.shape[1], family_count,
-                   rng=np.random.default_rng(derive_seed(seed, "probe-init")))
+    model = S.MLP(matrix.shape[1], (), family_count,  # one softmax layer
+                  rng=np.random.default_rng(derive_seed(seed, "probe-init")))
     hyper = S.Hyperparams(epochs=epochs, batch_size=32, seed=seed)
     hist = S.train(model, (matrix[train_idx], labels[train_idx]),
                    (matrix[val_idx], labels[val_idx]), hyper)
@@ -237,56 +211,28 @@ class SweepTable:
         return max(self.rows, key=lambda r: (r[1], -r[0]))
 
 
+# sweep parameter -> the feature it shapes
+SWEEP_FEATURES = {"cafc_kernels": "cg_embedding", "zigzag_len": "cg_lowfreq",
+                  "pv_dim": "pv_trace", "cooc_pool": "cooc_feat",
+                  "stmt_seqlen": "stmt_embed"}
+
+
 def _sweep_feature(parameter: str, value: int, corpus: Corpus,
                    train_idx: np.ndarray, val_idx: np.ndarray,
                    config: PipelineConfig) -> np.ndarray:
     """Extract the swept feature for every sample at one knob value."""
-    from .corpus import build_vocabulary
-
-    samples = corpus.samples
-    labels = corpus.labels()
-    train_samples = [samples[i] for i in train_idx]
-    c = config
-    stage_seed = derive_seed(c.seed, "sweep", parameter, value)
-    if parameter == "cafc_kernels":
-        model, _ = train_cafc([s.callgraph for s in train_samples],
-                              kernels=value, embed_dim=c.cg_embed_dim,
-                              hyper=S.Hyperparams(epochs=c.cafc_epochs,
-                                                  batch_size=16, seed=stage_seed))
-        return np.stack([cg_embed(model, s.callgraph).values for s in samples])
-    if parameter == "zigzag_len":
-        return np.stack([extract_lowfreq(s.callgraph, value).values
-                         for s in samples])
-    if parameter == "pv_dim":
-        model = train_pv([s.trace for s in train_samples], dim=value,
-                         window=c.pv_window, neg_samples=c.pv_neg,
-                         epochs=c.pv_epochs, seed=stage_seed,
-                         infer_steps=c.pv_infer_steps, infer_lr=c.pv_infer_lr)
-        return np.stack([pv_embed(model, s.trace).values for s in samples])
-    if parameter == "cooc_pool":
-        vocab = build_vocabulary(
-            (n for s in train_samples for n in s.trace.api_names()), c.api_vocab)
-        mats = np.stack([normalized_cooc(s.trace, vocab, c.cooc_window)
-                         for s in samples])
-        model, _ = train_cooc_cnn(
-            mats[train_idx], labels[train_idx], corpus.family_count, pool=value,
-            hyper=S.Hyperparams(epochs=c.cooc_epochs, batch_size=16,
-                                seed=stage_seed),
-            val=(mats[val_idx], labels[val_idx]))
-        return np.stack([cooc_features(model, m).values for m in mats])
-    if parameter == "stmt_seqlen":
-        model, _ = train_statement_encoder(
-            [s.trace for s in train_samples], labels[train_idx],
-            corpus.family_count, seq_len=value,
-            hyper=S.Hyperparams(epochs=c.stmt_epochs, batch_size=16,
-                                seed=stage_seed),
-            val=([samples[i].trace for i in val_idx], labels[val_idx]),
-            embed_dim=c.stmt_embed_dim, hidden=c.stmt_hidden,
-            token_vocab=c.stmt_token_vocab)
-        return np.stack([statement_embed(model, s.trace).values
-                         for s in samples])
-    raise EvaluationError(f"unknown sweep parameter {parameter!r}; "
-                          f"choose from {sorted(SWEEP_GRIDS)}")
+    c = config.replace(**{parameter: value})
+    name = SWEEP_FEATURES[parameter]
+    import_vocab, api_vocab = fit_vocabularies([corpus.samples[i] for i in train_idx], c)
+    # only the swept feature's model is fitted; the others stay None
+    models = dict.fromkeys(field for field, *_ in LEARNED_FEATURES.values())
+    if name in LEARNED_FEATURES:
+        seed = derive_seed(c.seed, "sweep", parameter, value)
+        models[LEARNED_FEATURES[name][0]], _ = fit_feature(
+            name, corpus, train_idx, val_idx, c, seed, api_vocab)
+    extractors = FeatureExtractors(c, import_vocab, api_vocab, **models)
+    return np.stack([extractors.featurize(s, (name,))[name].values
+                     for s in corpus.samples])
 
 
 def sweep(parameter: str, values, corpus: Corpus,
@@ -351,8 +297,7 @@ def compare_encoders(corpus: Corpus, lengths,
     val_idx = np.asarray(split.validation, dtype=np.int64)
     labels = corpus.labels()
     train_traces = [corpus.samples[i].trace for i in train_idx]
-    val_traces = [corpus.samples[i].trace for i in val_idx]
-    val_pair = (val_traces, labels[val_idx])
+    val_pair = ([corpus.samples[i].trace for i in val_idx], labels[val_idx])
     rows = []
     for length in lengths:
         length = int(length)
@@ -363,13 +308,8 @@ def compare_encoders(corpus: Corpus, lengths,
             hyper=S.Hyperparams(epochs=config.callseq_epochs, batch_size=16,
                                 seed=seed),
             val=val_pair, hidden=config.callseq_hidden)
-        _, stmt_hist = train_statement_encoder(
-            train_traces, labels[train_idx], corpus.family_count,
-            seq_len=length,
-            hyper=S.Hyperparams(epochs=config.stmt_epochs, batch_size=16,
-                                seed=seed),
-            val=val_pair, embed_dim=config.stmt_embed_dim,
-            hidden=config.stmt_hidden, token_vocab=config.stmt_token_vocab)
+        _, stmt_hist = fit_feature("stmt_embed", corpus, train_idx, val_idx,
+                                   config.replace(stmt_seqlen=length), seed)
         rows.append((length,
                      float(call_hist.val_accuracy[call_hist.best_epoch]),
                      float(stmt_hist.val_accuracy[stmt_hist.best_epoch])))

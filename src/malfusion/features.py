@@ -44,10 +44,6 @@ class FeatureVector:
             raise FeatureError(f"{self.feature_name}: non-finite values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def length(self) -> int:
-        return len(self.values)
-
 
 @dataclass
 class FeatureTable:
@@ -69,20 +65,6 @@ class FeatureTable:
     @property
     def length(self) -> int:
         return self.matrix.shape[1]
-
-    def row(self, sample_id: str) -> np.ndarray:
-        return self.matrix[self.sample_ids.index(sample_id)]
-
-
-def from_vectors(feature_name: str, items: list[tuple[str, FeatureVector]]) -> FeatureTable:
-    ids = [sid for sid, _ in items]
-    lengths = {fv.length for _, fv in items}
-    if len(lengths) > 1:
-        raise FeatureError(f"{feature_name}: inconsistent lengths {sorted(lengths)}")
-    for _, fv in items:
-        if fv.feature_name != feature_name:
-            raise FeatureError(f"expected {feature_name}, got {fv.feature_name}")
-    return FeatureTable(feature_name, ids, np.stack([fv.values for _, fv in items]))
 
 
 def save_features(table: FeatureTable, path: str | Path) -> None:

@@ -26,4 +26,5 @@ __all__ = [
     "parse_topology",
     "predict_fusion",
     "preset",
+    "train_fusion",
 ]

@@ -11,16 +11,13 @@ bit-identical through later phases.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .. import substrate as S
 from ..components import ComponentModel, check_probability_vector
 from ..features import FeatureVector
 from ..seeding import derive_seed
-from .topology import DEFAULT_DENSE_WIDTH, FusionTopology, TopologyError, emit_topology, parse_topology
+from .topology import DEFAULT_DENSE_WIDTH, FusionTopology, emit_topology, parse_topology
 
 
 class FusionError(ValueError):
@@ -59,6 +56,8 @@ def _renormalize(scores: S.Tensor) -> S.Tensor:
 
 
 class FusionModel(S.Module):
+    kind = "fusion"
+
     def __init__(self, topology: FusionTopology, feature_lengths: dict[str, int],
                  family_count: int, hyper: S.Hyperparams,
                  components: dict[str, ComponentModel] | None = None,
@@ -186,54 +185,26 @@ class FusionModel(S.Module):
 
     # -- persistence ---------------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        node_meta: dict[str, dict] = {}
-        arrays: dict[str, np.ndarray] = {}
-        for nid, module in self.modules.items():
-            for i, p in enumerate(module.parameters()):
-                arrays[f"{nid}/p{i}"] = p.data
-        for nid, comp in self.components.items():
-            node_meta[nid] = {"feature_name": comp.feature_name,
-                              "input_width": comp.input_width,
-                              "hidden": list(comp.hidden),
-                              "hyper": comp.hyper.to_dict(),
-                              "val_accuracy": comp.val_accuracy}
-            for i, p in enumerate(comp.parameters()):
-                arrays[f"{nid}/p{i}"] = p.data
-        meta = {"kind": "fusion", "topology": emit_topology(self.topology),
+    def buffers(self):
+        return [b for m in [*self.modules.values(), *self.components.values()]
+                for b in m.buffers()]
+
+    def config(self):
+        return {"topology": emit_topology(self.topology),
                 "feature_lengths": self.feature_lengths,
                 "family_count": self.family_count,
                 "dense_width": self.dense_width,
                 "hyper": self.hyper.to_dict(),
-                "components": node_meta}
-        S.save_container(path, meta, arrays)
+                "components": {c.feature_name: c.config()
+                               for c in self.components.values()}}
 
     @classmethod
-    def load(cls, path: str | Path) -> "FusionModel":
-        meta, arrays = S.load_container(path)
-        if meta.get("kind") != "fusion":
-            raise S.ContainerError(f"{path}: not a fusion model")
-        topology = parse_topology(meta["topology"])
-        components: dict[str, ComponentModel] = {}
-        for nid, cm in meta["components"].items():
-            comp = ComponentModel(cm["feature_name"], cm["input_width"],
-                                  meta["family_count"],
-                                  S.Hyperparams.from_dict(cm["hyper"]),
-                                  hidden=tuple(cm["hidden"]),
-                                  rng=np.random.default_rng(0))
-            comp.val_accuracy = cm["val_accuracy"]
-            for i, p in enumerate(comp.parameters()):
-                p.data = arrays[f"{nid}/p{i}"]
-            components[cm["feature_name"]] = comp
-        model = cls(topology, meta["feature_lengths"], meta["family_count"],
-                    S.Hyperparams.from_dict(meta["hyper"]), components or None,
-                    meta["dense_width"])
-        for nid, module in model.modules.items():
-            for i, p in enumerate(module.parameters()):
-                p.data = arrays[f"{nid}/p{i}"]
-        for comp in model.components.values():
-            comp.set_trainable(False)
-        return model
+    def from_config(cls, config):
+        components = {name: ComponentModel.from_config(c)
+                      for name, c in config["components"].items()}
+        return cls(parse_topology(config["topology"]), config["feature_lengths"],
+                   config["family_count"], S.Hyperparams.from_dict(config["hyper"]),
+                   components or None, config["dense_width"])
 
 
 # -- training ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import substrate as S
 from .components import ComponentManifest, ComponentModel, train_component
-from .corpus import Corpus, CorpusSample, Vocabulary, build_vocabulary
+from .corpus import Corpus, CorpusSample, DatasetSplit, Vocabulary, build_vocabulary
 from .dynamic_features import (
     CoocCnnModel,
     PvModel,
@@ -107,11 +106,13 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         return cls(**d)
 
-    def stage_hyper(self, stage: str, epochs: int, batch_size: int | None = None,
-                    ) -> S.Hyperparams:
-        return S.Hyperparams(epochs=epochs,
-                             batch_size=batch_size or self.batch_size,
-                             seed=derive_seed(self.seed, stage))
+
+# learned feature -> (FeatureExtractors field holding its model, stage name,
+# model class); the stage name tags the fit's seed and names the saved file
+LEARNED_FEATURES = {"cg_embedding": ("cafc", "cafc", CafcModel),
+                    "pv_trace": ("pv", "pv", PvModel),
+                    "cooc_feat": ("cooc_cnn", "cooc", CoocCnnModel),
+                    "stmt_embed": ("stmt_encoder", "stmt", StatementEncoderModel)}
 
 
 @dataclass
@@ -126,19 +127,22 @@ class FeatureExtractors:
     cooc_cnn: CoocCnnModel
     stmt_encoder: StatementEncoderModel
 
-    def featurize(self, sample: CorpusSample) -> dict[str, FeatureVector]:
+    def featurize(self, sample: CorpusSample, names=FEATURE_NAMES,
+                  ) -> dict[str, FeatureVector]:
+        """The named features of one sample (default: all seven)."""
         c = self.config
-        return {
-            "pe_onehot": pe_import_onehot(sample.imports, self.import_vocab),
-            "cg_embedding": cg_embed(self.cafc, sample.callgraph),
-            "cg_lowfreq": extract_lowfreq(sample.callgraph, c.zigzag_len),
-            "api_freq": api_call_frequency(sample.trace, self.api_vocab),
-            "pv_trace": pv_embed(self.pv, sample.trace),
-            "cooc_feat": cooc_features(
+        extract = {
+            "pe_onehot": lambda: pe_import_onehot(sample.imports, self.import_vocab),
+            "cg_embedding": lambda: cg_embed(self.cafc, sample.callgraph),
+            "cg_lowfreq": lambda: extract_lowfreq(sample.callgraph, c.zigzag_len),
+            "api_freq": lambda: api_call_frequency(sample.trace, self.api_vocab),
+            "pv_trace": lambda: pv_embed(self.pv, sample.trace),
+            "cooc_feat": lambda: cooc_features(
                 self.cooc_cnn,
                 normalized_cooc(sample.trace, self.api_vocab, c.cooc_window)),
-            "stmt_embed": statement_embed(self.stmt_encoder, sample.trace),
+            "stmt_embed": lambda: statement_embed(self.stmt_encoder, sample.trace),
         }
+        return {name: extract[name]() for name in names}
 
 
 def save_extractors(directory, extractors: FeatureExtractors) -> None:
@@ -148,10 +152,8 @@ def save_extractors(directory, extractors: FeatureExtractors) -> None:
             "import_vocab": extractors.import_vocab.names(),
             "api_vocab": extractors.api_vocab.names()}
     (d / "extractors.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    extractors.cafc.save(d / "cafc.mfc")
-    extractors.pv.save(d / "pv.mfc")
-    extractors.cooc_cnn.save(d / "cooc.mfc")
-    extractors.stmt_encoder.save(d / "stmt.mfc")
+    for field, stage, _ in LEARNED_FEATURES.values():
+        getattr(extractors, field).save(d / f"{stage}.mfc")
 
 
 def load_extractors(directory) -> FeatureExtractors:
@@ -159,12 +161,10 @@ def load_extractors(directory) -> FeatureExtractors:
     meta = json.loads((d / "extractors.json").read_text())
     return FeatureExtractors(
         config=PipelineConfig.from_dict(meta["config"]),
-        import_vocab=Vocabulary({n: i for i, n in enumerate(meta["import_vocab"])}),
-        api_vocab=Vocabulary({n: i for i, n in enumerate(meta["api_vocab"])}),
-        cafc=CafcModel.load(d / "cafc.mfc"),
-        pv=PvModel.load(d / "pv.mfc"),
-        cooc_cnn=CoocCnnModel.load(d / "cooc.mfc"),
-        stmt_encoder=StatementEncoderModel.load(d / "stmt.mfc"))
+        import_vocab=Vocabulary.from_names(meta["import_vocab"]),
+        api_vocab=Vocabulary.from_names(meta["api_vocab"]),
+        **{field: cls.load(d / f"{stage}.mfc")
+           for field, stage, cls in LEARNED_FEATURES.values()})
 
 
 def save_split(path, split) -> None:
@@ -176,11 +176,67 @@ def save_split(path, split) -> None:
 
 
 def load_split(path):
-    from .corpus import DatasetSplit
-
     payload = json.loads(Path(path).read_text())
     return DatasetSplit(train=payload["train"], validation=payload["validation"],
                         test=payload["test"], folds=payload.get("folds", []))
+
+
+def fit_vocabularies(train_samples: list[CorpusSample], config: PipelineConfig,
+                     ) -> tuple[Vocabulary, Vocabulary]:
+    """Import-name and API-name vocabularies of the training samples."""
+    imports = build_vocabulary(
+        (name for s in train_samples for name in sorted(s.imports.imports)),
+        config.pe_vocab)
+    apis = build_vocabulary(
+        (name for s in train_samples for name in s.trace.api_names()),
+        config.api_vocab)
+    return imports, apis
+
+
+def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
+                config: PipelineConfig, seed: int,
+                api_vocab: Vocabulary | None = None):
+    """Fit the model behind one learned feature on the training rows.
+
+    ``seed`` seeds this fit alone, so every caller keeps its own stream;
+    validation rows steer early stopping of the supervised models.
+    ``api_vocab`` indexes the co-occurrence matrices (``cooc_feat`` only).
+    Returns the model and its training history (None for the paragraph
+    vector, which has no validation pass).
+    """
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    val_idx = np.asarray(val_idx, dtype=np.int64)
+    c = config
+    labels = corpus.labels()
+    train = [corpus.samples[i] for i in train_idx]
+    val = [corpus.samples[i] for i in val_idx]
+
+    def hyper(epochs: int) -> S.Hyperparams:
+        return S.Hyperparams(epochs=epochs, batch_size=16, seed=seed)
+
+    if name == "cg_embedding":
+        return train_cafc([s.callgraph for s in train], kernels=c.cafc_kernels,
+                          embed_dim=c.cg_embed_dim, hyper=hyper(c.cafc_epochs))
+    if name == "pv_trace":
+        return train_pv([s.trace for s in train], dim=c.pv_dim, window=c.pv_window,
+                        neg_samples=c.pv_neg, epochs=c.pv_epochs, seed=seed,
+                        infer_steps=c.pv_infer_steps, infer_lr=c.pv_infer_lr), None
+    if name == "cooc_feat":
+        def cooc(rows):
+            return np.stack([normalized_cooc(s.trace, api_vocab, c.cooc_window)
+                             for s in rows])
+        return train_cooc_cnn(cooc(train), labels[train_idx], corpus.family_count,
+                              pool=c.cooc_pool, hyper=hyper(c.cooc_epochs),
+                              val=(cooc(val), labels[val_idx]))
+    if name == "stmt_embed":
+        return train_statement_encoder(
+            [s.trace for s in train], labels[train_idx], corpus.family_count,
+            seq_len=c.stmt_seqlen, hyper=hyper(c.stmt_epochs),
+            val=([s.trace for s in val], labels[val_idx]),
+            embed_dim=c.stmt_embed_dim, hidden=c.stmt_hidden,
+            token_vocab=c.stmt_token_vocab)
+    raise ValueError(f"{name!r} is not a learned feature; "
+                     f"choose from {sorted(LEARNED_FEATURES)}")
 
 
 def extract_features(corpus: Corpus, train_idx, val_idx, config: PipelineConfig,
@@ -190,72 +246,36 @@ def extract_features(corpus: Corpus, train_idx, val_idx, config: PipelineConfig,
     Returns per-feature matrices aligned with corpus order, plus the fitted
     extractor bundle for featurizing new samples the same way.
     """
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    val_idx = np.asarray(val_idx, dtype=np.int64)
-    samples = corpus.samples
-    labels = corpus.labels()
-    train_samples = [samples[i] for i in train_idx]
     c = config
-
-    import_vocab = build_vocabulary(
-        (name for s in train_samples for name in sorted(s.imports.imports)),
-        c.pe_vocab)
-    api_vocab = build_vocabulary(
-        (name for s in train_samples for name in s.trace.api_names()),
-        c.api_vocab)
-
-    cafc, _ = train_cafc([s.callgraph for s in train_samples],
-                         kernels=c.cafc_kernels, embed_dim=c.cg_embed_dim,
-                         hyper=c.stage_hyper("cafc", c.cafc_epochs, 16))
-
-    pv = train_pv([s.trace for s in train_samples], dim=c.pv_dim,
-                  window=c.pv_window, neg_samples=c.pv_neg, epochs=c.pv_epochs,
-                  seed=derive_seed(c.seed, "pv"),
-                  infer_steps=c.pv_infer_steps, infer_lr=c.pv_infer_lr)
-
-    cooc_all = np.stack([normalized_cooc(s.trace, api_vocab, c.cooc_window)
-                         for s in samples])
-    cooc_cnn, _ = train_cooc_cnn(
-        cooc_all[train_idx], labels[train_idx], corpus.family_count,
-        pool=c.cooc_pool, hyper=c.stage_hyper("cooc", c.cooc_epochs, 16),
-        val=(cooc_all[val_idx], labels[val_idx]))
-
-    stmt_encoder, _ = train_statement_encoder(
-        [s.trace for s in train_samples], labels[train_idx],
-        corpus.family_count, seq_len=c.stmt_seqlen,
-        hyper=c.stage_hyper("stmt", c.stmt_epochs, 16),
-        val=([samples[i].trace for i in val_idx], labels[val_idx]),
-        embed_dim=c.stmt_embed_dim, hidden=c.stmt_hidden,
-        token_vocab=c.stmt_token_vocab)
-
-    extractors = FeatureExtractors(c, import_vocab, api_vocab, cafc, pv,
-                                   cooc_cnn, stmt_encoder)
-    features = {name: [] for name in FEATURE_NAMES}
-    for sample in samples:
-        for name, vec in extractors.featurize(sample).items():
-            features[name].append(vec.values)
-    return {name: np.stack(rows) for name, rows in features.items()}, extractors
+    import_vocab, api_vocab = fit_vocabularies(
+        [corpus.samples[i] for i in train_idx], c)
+    models = {field: fit_feature(name, corpus, train_idx, val_idx, c,
+                                 derive_seed(c.seed, stage), api_vocab)[0]
+              for name, (field, stage, _) in LEARNED_FEATURES.items()}
+    extractors = FeatureExtractors(c, import_vocab, api_vocab, **models)
+    rows = [extractors.featurize(sample) for sample in corpus.samples]
+    features = {name: np.stack([row[name].values for row in rows])
+                for name in FEATURE_NAMES}
+    return features, extractors
 
 
 def train_components(features: dict[str, np.ndarray], labels: np.ndarray,
                      train_idx, val_idx, family_count: int,
                      config: PipelineConfig, jobs: int = 1,
                      ) -> tuple[dict[str, ComponentModel], ComponentManifest]:
-    """Train the seven per-feature classifiers; order-stable under jobs."""
-
-    def one(name: str) -> tuple[str, ComponentModel]:
-        hyper = config.stage_hyper(f"component/{name}", config.component_epochs)
-        model, _ = train_component(name, features[name], labels,
-                                   train_idx, val_idx, family_count, hyper=hyper)
-        return name, model
-
-    names = [n for n in FEATURE_NAMES if n in features]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(one, names))
-    else:
-        pairs = [one(n) for n in names]
-    models = dict(pairs)
+    """Train the seven per-feature classifiers, one after another."""
+    # ``jobs`` stays only for callers that pass jobs=1: threads measured no
+    # faster than one, because the autograd tape holds the interpreter lock.
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs}: components train in one thread")
+    models = {}
+    for name in FEATURE_NAMES:
+        if name in features:
+            hyper = S.Hyperparams(epochs=config.component_epochs,
+                                  batch_size=config.batch_size,
+                                  seed=derive_seed(config.seed, f"component/{name}"))
+            models[name], _ = train_component(name, features[name], labels, train_idx,
+                                              val_idx, family_count, hyper=hyper)
     manifest = ComponentManifest.from_models(
         models, {name: f"component-{name}.mfc" for name in models})
     return models, manifest
@@ -298,15 +318,14 @@ class ExperimentResult:
 
 def run_experiment(corpus: Corpus, split, config: PipelineConfig,
                    preset_name: str = "EF1", feature_set: str = "integrated",
-                   jobs: int = 1) -> ExperimentResult:
+                   ) -> ExperimentResult:
     """Full train/evaluate pass for one preset on a prepared split."""
     labels = corpus.labels()
     features, extractors = extract_features(corpus, split.train,
                                             split.validation, config)
     components, manifest = train_components(features, labels, split.train,
                                             split.validation,
-                                            corpus.family_count, config,
-                                            jobs=jobs)
+                                            corpus.family_count, config)
     fusion = train_preset(preset_name, feature_set, features, labels,
                           split.train, split.validation, corpus.family_count,
                           components, manifest, config)

@@ -7,7 +7,6 @@ from ..features import (
     FeatureTable,
     FeatureVector,
     STATIC_FEATURES,
-    from_vectors,
     load_features,
     save_features,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "cg_embed",
     "dct2",
     "extract_lowfreq",
-    "from_vectors",
     "idct2",
     "load_features",
     "pe_import_onehot",

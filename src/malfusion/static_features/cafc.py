@@ -8,8 +8,6 @@ original matrix.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .. import substrate as S
@@ -22,6 +20,8 @@ DEFAULT_EMBED_DIM = 64
 
 
 class CafcModel(S.Module):
+    kind = "cafc"
+
     def __init__(self, size: int, kernels: int = DEFAULT_KERNELS,
                  embed_dim: int = DEFAULT_EMBED_DIM, *,
                  rng: np.random.Generator, dtype=np.float64):
@@ -47,28 +47,8 @@ class CafcModel(S.Module):
         """Reconstruction (B, S*S)."""
         return self.dec(self.encode(graphs))
 
-    def save(self, path: str | Path) -> None:
-        meta = {"kind": "cafc", "size": self.size, "kernels": self.kernels,
-                "embed_dim": self.embed_dim}
-        arrays = {"conv.w": self.conv.w.data, "conv.b": self.conv.b.data,
-                  "enc.w": self.enc.w.data, "enc.b": self.enc.b.data,
-                  "dec.w": self.dec.w.data, "dec.b": self.dec.b.data}
-        S.save_container(path, meta, arrays)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CafcModel":
-        meta, arrays = S.load_container(path)
-        if meta.get("kind") != "cafc":
-            raise S.ContainerError(f"{path}: not a call-graph autoencoder")
-        model = cls(meta["size"], meta["kernels"], meta["embed_dim"],
-                    rng=np.random.default_rng(0))
-        model.conv.w.data = arrays["conv.w"]
-        model.conv.b.data = arrays["conv.b"]
-        model.enc.w.data = arrays["enc.w"]
-        model.enc.b.data = arrays["enc.b"]
-        model.dec.w.data = arrays["dec.w"]
-        model.dec.b.data = arrays["dec.b"]
-        return model
+    def config(self):
+        return {"size": self.size, "kernels": self.kernels, "embed_dim": self.embed_dim}
 
 
 def train_cafc(callgraphs: list[CallGraph], kernels: int = DEFAULT_KERNELS,
@@ -87,7 +67,8 @@ def train_cafc(callgraphs: list[CallGraph], kernels: int = DEFAULT_KERNELS,
     n_val = max(1, len(callgraphs) // 10)
     hist = S.train(model, (stack[n_val:], targets[n_val:]),
                    (stack[:n_val], targets[:n_val]), hyper, loss="mse")
-    if hist.train_loss[-1] >= hist.train_loss[0] and len(hist.train_loss) > 1:
+    # no later epoch below the first: an epoch-to-epoch oscillation is not a failure
+    if len(hist.train_loss) > 1 and min(hist.train_loss[1:]) >= hist.train_loss[0]:
         raise S.TrainingDiverged("reconstruction loss failed to improve")
     return model, hist
 

@@ -2,14 +2,15 @@
 
 Initialization follows uniform fan-in scaling for dense/conv weights and a
 small uniform range for recurrent weights. Every layer exposes
-``parameters()`` and ``spec()``; models compose layers and inherit the same
-protocol through ``Module``.
+``parameters()``; models compose layers and inherit the same protocol
+through ``Module``, which also gives every model one ``save``/``load`` pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import serialize
 from . import tensor as T
 from .tensor import Tensor
 
@@ -23,12 +24,36 @@ RECURRENT_INIT_SCALE = 0.08
 
 
 class Module:
-    """Base for anything with trainable parameters and a forward pass."""
+    """Base for anything with trainable parameters and a forward pass.
+
+    A model that is saved declares its container ``kind`` and a JSON
+    ``config()`` of constructor arguments; ``from_config`` rebuilds it
+    (override it where an argument is not plain JSON).
+    """
 
     rng: np.random.Generator | None = None
+    kind: str = ""
 
     def parameters(self) -> list[Tensor]:
+        return []
+
+    def buffers(self) -> list[np.ndarray]:
+        """Non-parameter state that inference reads, updated in place."""
+        return []
+
+    def config(self) -> dict:
         raise NotImplementedError
+
+    @classmethod
+    def from_config(cls, config: dict) -> "Module":
+        return cls(**config, rng=np.random.default_rng(0))
+
+    def save(self, path) -> None:
+        serialize.save_model(path, self)
+
+    @classmethod
+    def load(cls, path):
+        return serialize.load_model(path, cls)
 
     def trainable_parameters(self) -> list[Tensor]:
         return [p for p in self.parameters() if p.requires_grad]
@@ -60,9 +85,6 @@ class Dense(Module):
     def parameters(self):
         return [self.w, self.b]
 
-    def spec(self):
-        return {"kind": "dense", "in": self.in_dim, "out": self.out_dim, "activation": self.activation}
-
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[-1] != self.in_dim:
             raise T.ShapeError(f"dense layer expects width {self.in_dim}, got {x.data.shape[-1]}")
@@ -86,10 +108,6 @@ class Conv2d(Module):
     def parameters(self):
         return [self.w, self.b]
 
-    def spec(self):
-        return {"kind": "conv2d", "in": self.in_channels, "out": self.out_channels,
-                "ksize": self.ksize, "activation": self.activation}
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.activate(T.conv2d(x, self.w, self.b), self.activation)
 
@@ -97,12 +115,6 @@ class Conv2d(Module):
 class MaxPool2d(Module):
     def __init__(self, pool: int):
         self.pool = pool
-
-    def parameters(self):
-        return []
-
-    def spec(self):
-        return {"kind": "maxpool", "pool": self.pool}
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.maxpool2d(x, self.pool)
@@ -118,9 +130,6 @@ class Embedding(Module):
     def parameters(self):
         return [self.table]
 
-    def spec(self):
-        return {"kind": "embedding", "num": self.num_embeddings, "dim": self.dim}
-
     def __call__(self, indices: np.ndarray) -> Tensor:
         return T.embedding(self.table, indices)
 
@@ -130,12 +139,6 @@ class Dropout(Module):
         if not 0.0 <= p <= 0.5:
             raise ValueError(f"dropout rate {p} outside [0, 0.5]")
         self.p = p
-
-    def parameters(self):
-        return []
-
-    def spec(self):
-        return {"kind": "dropout", "p": self.p}
 
     def __call__(self, x: Tensor, train: bool, rng: np.random.Generator | None) -> Tensor:
         if not train or self.p == 0.0:
@@ -157,8 +160,8 @@ class BatchNorm1d(Module):
     def parameters(self):
         return [self.gamma, self.beta]
 
-    def spec(self):
-        return {"kind": "batchnorm", "dim": self.dim}
+    def buffers(self):
+        return [self.running_mean, self.running_var]
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         if train:
@@ -166,8 +169,8 @@ class BatchNorm1d(Module):
             xc = T.sub(x, mu)
             var = T.tmean(T.mul(xc, xc), axis=0, keepdims=True)
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(-1)
-            self.running_var = (1 - m) * self.running_var + m * var.data.reshape(-1)
+            self.running_mean[...] = (1 - m) * self.running_mean + m * mu.data.reshape(-1)
+            self.running_var[...] = (1 - m) * self.running_var + m * var.data.reshape(-1)
             inv = T.pow_const(T.add(var, Tensor(np.asarray(self.eps, dtype=x.data.dtype))), -0.5)
             y = T.mul(xc, inv)
         else:
@@ -191,9 +194,6 @@ class LSTM(Module):
 
     def parameters(self):
         return [self.w, self.u, self.b]
-
-    def spec(self):
-        return {"kind": "unidirectional-recurrent", "in": self.in_dim, "hidden": self.hidden}
 
     def step(self, x_t: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         hd = self.hidden
@@ -222,17 +222,6 @@ class LSTM(Module):
             outs.reverse()
         return T.stack(outs, axis=1)
 
-    def final_state(self, xs: Tensor) -> Tensor:
-        """Hidden state after consuming the full sequence."""
-        bsz, steps, _ = xs.data.shape
-        dtype = xs.data.dtype
-        h = Tensor(np.zeros((bsz, self.hidden), dtype=dtype))
-        c = Tensor(np.zeros((bsz, self.hidden), dtype=dtype))
-        for t in range(steps):
-            x_t = T.reshape(T.slice_axis(xs, 1, t, t + 1), (bsz, self.in_dim))
-            h, c = self.step(x_t, h, c)
-        return h
-
 
 class BiLSTM(Module):
     """Forward and backward LSTM, hidden states concatenated per step."""
@@ -244,9 +233,6 @@ class BiLSTM(Module):
 
     def parameters(self):
         return self.fwd.parameters() + self.bwd.parameters()
-
-    def spec(self):
-        return {"kind": "bidirectional-recurrent", "in": self.fwd.in_dim, "hidden": self.hidden}
 
     def run(self, xs: Tensor) -> Tensor:
         """(B, T, in) -> (B, T, 2*hidden)."""
@@ -304,9 +290,8 @@ class MLP(Module):
         params.extend(self.head.parameters())
         return params
 
-    def spec(self):
-        return {"kind": "mlp", "layers": [l.spec() for l in self.layers] + [self.head.spec()],
-                "dropout": self.drop.p}
+    def buffers(self):
+        return [b for norm in self.norms if norm is not None for b in norm.buffers()]
 
     def forward(self, x, train: bool = False) -> Tensor:
         t = x if isinstance(x, Tensor) else Tensor(x)

@@ -1,9 +1,9 @@
-"""Optimization loop: Adam, early stopping, hyperparameter search, grad checks."""
+"""Optimization loop: Adam, early stopping, grad checks."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,58 +180,6 @@ def train(model: Module, train_data, val_data, hyper: Hyperparams,
                 break
     model.restore(best_state)
     return hist
-
-
-# ---------------------------------------------------------------------------
-# Random hyperparameter search
-# ---------------------------------------------------------------------------
-
-TUNING_RANGES: dict[str, object] = {
-    "activation": list(ACTIVATION_CHOICES),
-    "weight_decay": (0.0, 0.001),
-    "dropout": (0.0, 0.5),
-    "batchnorm": [False, True],
-    "weight_mode": list(WEIGHT_MODES),
-}
-
-
-def sample_hyperparams(rng: np.random.Generator, base: Hyperparams,
-                       space: dict[str, object] | None = None) -> Hyperparams:
-    space = dict(TUNING_RANGES if space is None else space)
-    draw: dict[str, object] = {}
-    for key in sorted(space):
-        rng_range = space[key]
-        if isinstance(rng_range, tuple):
-            lo, hi = rng_range
-            draw[key] = float(rng.uniform(lo, hi))
-        else:
-            draw[key] = rng_range[int(rng.integers(len(rng_range)))]
-    hp = replace(base, **draw)
-    hp.validate()
-    return hp
-
-
-def random_search(objective, trials: int, seed: int,
-                  base: Hyperparams | None = None,
-                  space: dict[str, object] | None = None,
-                  ) -> tuple[Hyperparams, list[tuple[Hyperparams, float]]]:
-    """Maximize ``objective(hyper) -> score`` over random draws.
-
-    The draw sequence depends only on ``seed``, so trial i is the same
-    configuration whatever the total trial count.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    base = base or Hyperparams()
-    rng = np.random.default_rng(seed)
-    results: list[tuple[Hyperparams, float]] = []
-    for i in range(trials):
-        hp = sample_hyperparams(rng, base, space)
-        score = float(objective(hp))
-        results.append((hp, score))
-        log.info("trial %d/%d score=%.4f %s", i + 1, trials, score, hp.to_dict())
-    best = max(range(len(results)), key=lambda i: results[i][1])
-    return results[best][0], results
 
 
 # ---------------------------------------------------------------------------

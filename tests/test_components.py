@@ -8,7 +8,7 @@ import malfusion.corpus as C
 import malfusion.dynamic_features as D
 import malfusion.static_features as ST
 import malfusion.substrate as S
-from malfusion.features import FEATURE_NAMES, FeatureVector
+from malfusion.features import FEATURE_NAMES
 
 # per-feature lengths at full-profile settings (d=64, f=64, u=16)
 FULL_LENGTHS = {
@@ -24,6 +24,10 @@ FULL_LENGTHS = {
 
 def _quick_hyper(epochs=10, seed=0):
     return S.Hyperparams(epochs=epochs, batch_size=16, seed=seed, patience=epochs)
+
+
+def _predict(model, row):
+    return CO.check_probability_vector(model.predict_batch(row[None])[0])
 
 
 class TestFeatureLengthContract:
@@ -47,8 +51,8 @@ class TestFeatureLengthContract:
         y = rng.integers(0, 2, size=12)
         model, _ = CO.train_component("api_freq", X, y, list(range(9)),
                                       list(range(9, 12)), 2, hyper=_quick_hyper(epochs=2))
-        with pytest.raises(CO.ComponentError):
-            CO.predict(model, FeatureVector("api_freq", np.zeros(9)))
+        with pytest.raises(S.ShapeError):
+            model.predict_batch(np.zeros((1, 9)))
 
 
 class TestPredict:
@@ -63,26 +67,21 @@ class TestPredict:
 
     def test_probability_vector_valid(self):
         model, X = self._memorizing_model()
-        p = CO.predict(model, FeatureVector("api_freq", X[0]))
+        p = _predict(model, X[0])
         assert p.shape == (4,)
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) < 1e-9
 
     def test_deterministic(self):
         model, X = self._memorizing_model()
-        a = CO.predict(model, FeatureVector("api_freq", X[0]))
-        b = CO.predict(model, FeatureVector("api_freq", X[0]))
+        a = _predict(model, X[0])
+        b = _predict(model, X[0])
         assert np.array_equal(a, b)
 
     def test_memorized_sample_recalled(self):
         model, X = self._memorizing_model()
-        p = CO.predict(model, FeatureVector("api_freq", X[0]))
+        p = _predict(model, X[0])
         assert int(np.argmax(p)) == 2
-
-    def test_feature_name_mismatch_rejected(self):
-        model, X = self._memorizing_model()
-        with pytest.raises(CO.ComponentError, match="api_freq"):
-            CO.predict(model, FeatureVector("pv_trace", X[0]))
 
 
 class TestNullSignal:
@@ -178,10 +177,30 @@ class TestModelContainer:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(20, 12))
         y = rng.integers(0, 3, size=20)
-        model, _ = CO.train_component("cg_lowfreq", X, y, list(range(15)),
-                                      list(range(15, 20)), 3, hyper=_quick_hyper(epochs=3))
-        path = tmp_path / "component-cg_lowfreq.mfc"
+        for batchnorm in (False, True):  # batchnorm: running statistics persist
+            hyper = S.Hyperparams(epochs=3, batch_size=16, patience=3, batchnorm=batchnorm)
+            model, _ = CO.train_component("cg_lowfreq", X, y, list(range(15)),
+                                          list(range(15, 20)), 3, hyper=hyper)
+            path = tmp_path / "component-cg_lowfreq.mfc"
+            model.save(path)
+            back = CO.ComponentModel.load(path)
+            assert back.val_accuracy == model.val_accuracy
+            assert np.array_equal(back.predict_batch(X), model.predict_batch(X)), batchnorm
+
+    def test_truncated_model_rejected_at_every_offset(self, tmp_path):
+        model = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(batchnorm=True),
+                                  hidden=(4,), rng=np.random.default_rng(6))
+        path = tmp_path / "component.mfc"
         model.save(path)
-        back = CO.ComponentModel.load(path)
-        fv = FeatureVector("cg_lowfreq", X[0])
-        assert np.array_equal(CO.predict(back, fv), CO.predict(model, fv))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(S.ContainerError):
+                CO.ComponentModel.load(path)
+
+    def test_other_kind_rejected(self, tmp_path):
+        model = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(), hidden=(4,),
+                                  rng=np.random.default_rng(7))
+        model.save(tmp_path / "component.mfc")
+        with pytest.raises(S.ContainerError, match="component"):
+            ST.CafcModel.load(tmp_path / "component.mfc")

@@ -191,23 +191,29 @@ class TestCoocCnn:
 
 
 class TestAttentionPool:
+    @staticmethod
+    def _pool(hidden, context):
+        """attention_pool_t over one unmasked (T, D) stack."""
+        h = np.asarray(hidden, dtype=np.float64)
+        w, pooled = S.attention_pool_t(S.Tensor(h[None]), S.Tensor(np.asarray(context, float)))
+        return w.data[0], pooled.data[0]
+
     def test_identical_vectors_split_evenly(self):
-        h = np.ones((2, 4))
-        w, pooled = D.attention_pool(h, np.ones(4))
+        w, pooled = self._pool(np.ones((2, 4)), np.ones(4))
         np.testing.assert_allclose(w, [0.5, 0.5])
         np.testing.assert_allclose(pooled, np.ones(4))
 
     def test_hand_computed_two_vector_case(self):
         # scores (1, 0) -> softmax (e/(e+1), 1/(e+1))
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        w, _ = D.attention_pool(h, np.array([1.0, 0.0]))
+        w, _ = self._pool(h, np.array([1.0, 0.0]))
         np.testing.assert_allclose(w, [np.e / (np.e + 1), 1 / (np.e + 1)], atol=1e-9)
         np.testing.assert_allclose(w, [0.7311, 0.2689], atol=1e-4)
 
     def test_weights_form_distribution(self):
         rng = np.random.default_rng(14)
         h = rng.normal(size=(7, 5))
-        w, pooled = D.attention_pool(h, rng.normal(size=5))
+        w, pooled = self._pool(h, rng.normal(size=5))
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w > 0) and np.all(w < 1)
         # pooled lies in the convex hull, so within per-coordinate bounds
@@ -216,7 +222,7 @@ class TestAttentionPool:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            D.attention_pool(np.ones((3, 4)), np.ones(5))
+            self._pool(np.ones((3, 4)), np.ones(5))
 
 
 class TestStatementEncoder:

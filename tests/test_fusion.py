@@ -167,8 +167,8 @@ class TestTraining:
             sample = {name: FeatureVector(name, mat[i])
                       for name, mat in features.items()}
             fused = FU.predict_fusion(model, sample)
-            stack = np.stack([CO.predict(components[name], sample[name])
-                              for name in features])
+            stack = np.stack([components[name].predict_batch(mat[i:i + 1])[0]
+                              for name, mat in features.items()])
             mean = stack.mean(axis=0)
             assert int(np.argmax(fused)) == int(np.argmax(mean))
             np.testing.assert_allclose(fused, mean / mean.sum(), atol=1e-12)
@@ -243,6 +243,13 @@ class TestPredict:
         sample = {n: FeatureVector(n, m[0]) for n, m in features.items()}
         del sample["cg_lowfreq"]
         with pytest.raises(FU.FusionError, match="cg_lowfreq"):
+            FU.predict_fusion(model, sample)
+
+    def test_feature_name_mismatch_rejected(self):
+        model, features = self._model()
+        sample = {n: FeatureVector(n, m[0]) for n, m in features.items()}
+        sample["cg_lowfreq"] = sample["pe_onehot"]
+        with pytest.raises(FU.FusionError, match="pe_onehot"):
             FU.predict_fusion(model, sample)
 
     def test_save_load_round_trip(self, tmp_path):

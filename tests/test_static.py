@@ -231,3 +231,15 @@ class TestCafc:
     def test_empty_training_set_rejected(self):
         with pytest.raises((ValueError, S.TrainingDiverged)):
             ST.train_cafc([], kernels=2, embed_dim=8)
+
+    def test_oscillating_loss_is_not_a_failure(self):
+        # one batch per epoch: the last epoch's loss ends above the first's,
+        # but a later epoch went below it and the best epoch is restored
+        corpus = C.generate_corpus(C.CorpusSpec(family_count=8, samples_per_family=2,
+                                                seed=0))
+        graphs = [s.callgraph for s in corpus.samples]
+        hyper = S.Hyperparams(epochs=15, batch_size=16, seed=36)
+        _, hist = ST.train_cafc(graphs, kernels=4, embed_dim=32, hyper=hyper)
+        assert hist.train_loss[-1] >= hist.train_loss[0]
+        assert min(hist.train_loss[1:]) < hist.train_loss[0]
+        assert hist.best_epoch == 6
