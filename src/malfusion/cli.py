@@ -48,6 +48,7 @@ log = logging.getLogger("malfusion")
 
 PRESET_FLAGS = {name.lower().replace("_", "-"): name for name in PRESET_NAMES}
 FEATURE_SET_FLAGS = ("integrated", "static", "dynamic")
+SPLIT_HELP = "reuse a saved split.json"
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -181,17 +182,16 @@ def _cmd_train_fusion(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _config_from_args(args)
-    corpus = load_corpus(args.corpus)
     preset_name = PRESET_FLAGS[args.preset]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.cv:
-        report = cross_validate(config, corpus, k=args.cv, seed=args.seed,
-                                preset_name=preset_name,
+        report = cross_validate(config, load_corpus(args.corpus), k=args.cv,
+                                seed=args.seed, preset_name=preset_name,
                                 feature_set=args.features)
         protocol = f"{args.cv}-fold cross-validation"
     else:
-        split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=args.seed)
+        corpus, split = _corpus_split(args)
         result = run_experiment(corpus, split, config, preset_name=preset_name,
                                 feature_set=args.features)
         report = make_report(result.test_probs, result.test_labels,
@@ -276,12 +276,14 @@ def _cmd_explain(args) -> int:
 # -- argument wiring -----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, corpus: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, corpus: bool = True,
+                split: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     if corpus:
         p.add_argument("--corpus", required=True, help="corpus directory")
-        p.add_argument("--split", help="reuse a saved split.json")
+        if split:
+            p.add_argument("--split", help=SPLIT_HELP)
         p.add_argument("--profile", choices=("desk", "full"), default="desk",
                        help="capacity profile for feature models")
         p.add_argument("--config", help="JSON file overriding config fields")
@@ -320,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-components",
                        help="train the per-feature classifiers")
     p.add_argument("--run", required=True,
-                   help="directory produced by extract")
-    _add_common(p)
+                   help="directory produced by extract (its split.json is used)")
+    _add_common(p, split=False)
     p.set_defaults(func=_cmd_train_components)
 
     p = sub.add_parser("train-fusion", help="train one fusion preset")
@@ -335,9 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(PRESET_FLAGS), default="ef1")
     p.add_argument("--features", choices=FEATURE_SET_FLAGS,
                    default="integrated")
-    p.add_argument("--cv", type=int, default=0,
-                   help="fold count; 0 uses the fixed holdout split")
-    _add_common(p)
+    protocol = p.add_mutually_exclusive_group()  # CV builds its own folds
+    protocol.add_argument("--cv", type=int, default=0,
+                          help="fold count; 0 uses the fixed holdout split")
+    protocol.add_argument("--split", help=SPLIT_HELP)
+    _add_common(p, split=False)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="feature-length/width tuning sweep")

@@ -1,5 +1,5 @@
-"""Per-feature family classifiers sharing one architecture, plus a linear
-one-vs-rest baseline and the manifest that records validation accuracies.
+"""Per-feature family classifiers sharing one architecture, and the manifest
+that records their validation accuracies.
 
 Every component is the same dense stack (hidden widths 256, 128, rectifier)
 ending in an F-way softmax; only the input width differs per feature. The
@@ -94,47 +94,6 @@ def train_component(feature_name: str, features: np.ndarray, labels: np.ndarray,
                    (features[val_idx], labels[val_idx]), hyper)
     model.val_accuracy = float(hist.val_accuracy[hist.best_epoch])
     return model, hist
-
-
-# one-vs-rest linear baseline ---------------------------------------------------
-
-
-class LinearBaseline(S.Module):
-    """F independent logistic units over one feature matrix."""
-
-    def __init__(self, input_width: int, family_count: int, *,
-                 rng: np.random.Generator, dtype=np.float64):
-        self.input_width = input_width
-        self.family_count = family_count
-        self.dense = S.Dense(input_width, family_count, "sigmoid", rng=rng, dtype=dtype)
-
-    def parameters(self):
-        return self.dense.parameters()
-
-    def forward(self, x, train: bool = False) -> S.Tensor:
-        t = x if isinstance(x, S.Tensor) else S.Tensor(np.asarray(x, dtype=np.float64))
-        return self.dense(t)
-
-    def scores(self, rows: np.ndarray) -> np.ndarray:
-        return self.forward(rows).data
-
-    def predict_labels(self, rows: np.ndarray) -> np.ndarray:
-        return np.argmax(self.scores(rows), axis=1)
-
-
-def train_linear_baseline(features: np.ndarray, labels: np.ndarray,
-                          family_count: int, epochs: int = 200,
-                          seed: int = 0) -> LinearBaseline:
-    """Full-batch logistic training of F binary one-vs-rest units."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    onehot = np.zeros((len(labels), family_count))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    model = LinearBaseline(features.shape[1], family_count,
-                           rng=np.random.default_rng(derive_seed(seed, "linear-init")))
-    hyper = S.Hyperparams(epochs=epochs, batch_size=len(labels), patience=0, seed=seed)
-    S.train(model, (features, onehot), (features, onehot), hyper, loss="bce")
-    return model
 
 
 # component manifest -------------------------------------------------------------

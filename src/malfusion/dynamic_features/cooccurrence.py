@@ -110,11 +110,12 @@ class CoocCnnModel(S.Module):
 
 
 def train_cooc_cnn(matrices: np.ndarray, labels: np.ndarray, family_count: int,
-                   pool: int = DEFAULT_POOL, hyper: S.Hyperparams | None = None,
-                   val: tuple[np.ndarray, np.ndarray] | None = None,
+                   pool: int = DEFAULT_POOL, hyper: S.Hyperparams | None = None, *,
+                   val: tuple[np.ndarray, np.ndarray],
                    feature_width: int = DEFAULT_FEATURE_WIDTH,
                    ) -> tuple[CoocCnnModel, S.TrainHistory]:
-    """Train the family classifier over normalized co-occurrence matrices."""
+    """Train the family classifier over normalized co-occurrence matrices;
+    the ``val`` matrices and labels steer early stopping."""
     matrices = np.asarray(matrices, dtype=np.float64)
     if matrices.min() < 0.0 or matrices.max() > 1.0:
         raise ValueError("matrices must be row-max normalized to [0, 1]")
@@ -122,10 +123,6 @@ def train_cooc_cnn(matrices: np.ndarray, labels: np.ndarray, family_count: int,
     model = CoocCnnModel(matrices.shape[1], family_count, pool,
                          feature_width=feature_width,
                          rng=np.random.default_rng(derive_seed(hyper.seed, "cooc-init")))
-    if val is None:
-        n_val = max(1, len(labels) // 10)
-        val = (matrices[:n_val], labels[:n_val])
-        matrices, labels = matrices[n_val:], labels[n_val:]
     hist = S.train(model, (matrices, labels), val, hyper)
     return model, hist
 

@@ -177,10 +177,11 @@ SWEEP_GRIDS: dict[str, list[int]] = {
 }
 
 
-def probe_accuracy(matrix: np.ndarray, labels: np.ndarray, train_idx,
-                   val_idx, family_count: int, seed: int,
-                   epochs: int = 40) -> float:
-    """Validation accuracy of the single-layer probe on one feature."""
+def train_probe(matrix: np.ndarray, labels: np.ndarray, train_idx, val_idx,
+                family_count: int, seed: int, epochs: int = 40,
+                ) -> tuple[S.MLP, S.TrainHistory]:
+    """The single-layer softmax probe over one feature matrix, trained on
+    the training rows and early-stopped on the validation rows."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
     model = S.MLP(matrix.shape[1], (), family_count,  # one softmax layer
@@ -188,7 +189,7 @@ def probe_accuracy(matrix: np.ndarray, labels: np.ndarray, train_idx,
     hyper = S.Hyperparams(epochs=epochs, batch_size=32, seed=seed)
     hist = S.train(model, (matrix[train_idx], labels[train_idx]),
                    (matrix[val_idx], labels[val_idx]), hyper)
-    return float(hist.val_accuracy[hist.best_epoch])
+    return model, hist
 
 
 @dataclass(frozen=True)
@@ -256,11 +257,11 @@ def sweep(parameter: str, values, corpus: Corpus,
     for value in values:
         matrix = _sweep_feature(parameter, int(value), corpus, train_idx,
                                 val_idx, config)
-        acc = probe_accuracy(matrix, labels, train_idx, val_idx,
-                             corpus.family_count,
-                             seed=derive_seed(config.seed, "sweep-probe",
-                                              parameter, value))
-        rows.append((int(value), acc))
+        _, hist = train_probe(matrix, labels, train_idx, val_idx,
+                              corpus.family_count,
+                              seed=derive_seed(config.seed, "sweep-probe",
+                                               parameter, value))
+        rows.append((int(value), float(hist.val_accuracy[hist.best_epoch])))
     return SweepTable(parameter, tuple(rows))
 
 

@@ -1,7 +1,9 @@
 """End-to-end orchestration: featurize a corpus, train components, fuse.
 
 Every fitted object (vocabulary, feature model, classifier) is built from
-training rows only; validation rows steer early stopping and test rows are
+training rows only. Every early-stopped fit (CAFC, co-occurrence CNN,
+statement encoder, components, fusion stages) validates on the split's
+validation rows, never on a slice of its own training rows; test rows are
 never touched before final scoring. All stage seeds derive from the one
 config seed, so a full run is reproducible bit for bit.
 """
@@ -199,7 +201,8 @@ def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
     """Fit the model behind one learned feature on the training rows.
 
     ``seed`` seeds this fit alone, so every caller keeps its own stream;
-    validation rows steer early stopping of the supervised models.
+    the validation rows steer early stopping of every model but the
+    paragraph vector.
     ``api_vocab`` indexes the co-occurrence matrices (``cooc_feat`` only).
     Returns the model and its training history (None for the paragraph
     vector, which has no validation pass).
@@ -216,7 +219,8 @@ def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
 
     if name == "cg_embedding":
         return train_cafc([s.callgraph for s in train], kernels=c.cafc_kernels,
-                          embed_dim=c.cg_embed_dim, hyper=hyper(c.cafc_epochs))
+                          embed_dim=c.cg_embed_dim, hyper=hyper(c.cafc_epochs),
+                          val=[s.callgraph for s in val])
     if name == "pv_trace":
         return train_pv([s.trace for s in train], dim=c.pv_dim, window=c.pv_window,
                         neg_samples=c.pv_neg, epochs=c.pv_epochs, seed=seed,

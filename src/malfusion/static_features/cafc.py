@@ -53,20 +53,23 @@ class CafcModel(S.Module):
 
 def train_cafc(callgraphs: list[CallGraph], kernels: int = DEFAULT_KERNELS,
                embed_dim: int = DEFAULT_EMBED_DIM,
-               hyper: S.Hyperparams | None = None) -> tuple[CafcModel, S.TrainHistory]:
-    """Unsupervised reconstruction training; returns model and loss history."""
-    if not callgraphs:
+               hyper: S.Hyperparams | None = None, *,
+               val: list[CallGraph]) -> tuple[CafcModel, S.TrainHistory]:
+    """Unsupervised reconstruction training on ``callgraphs``; the ``val``
+    graphs' reconstruction loss steers early stopping. Returns the model and
+    its loss history."""
+    if not callgraphs or not val:
         raise ValueError("cannot train on an empty graph set")
     hyper = hyper or S.Hyperparams(epochs=25, batch_size=16)
     size = callgraphs[0].size
-    stack = np.stack([cg.adjacency for cg in callgraphs])
-    targets = stack.reshape(len(callgraphs), size * size)
+
+    def pair(graphs):  # reconstruction: each adjacency is its own target
+        stack = np.stack([cg.adjacency for cg in graphs])
+        return stack, stack.reshape(len(graphs), size * size)
+
     model = CafcModel(size, kernels, embed_dim,
                       rng=np.random.default_rng(derive_seed(hyper.seed, "cafc-init")))
-    # hold out a slice for early stopping; reconstruction needs no labels
-    n_val = max(1, len(callgraphs) // 10)
-    hist = S.train(model, (stack[n_val:], targets[n_val:]),
-                   (stack[:n_val], targets[:n_val]), hyper, loss="mse")
+    hist = S.train(model, pair(callgraphs), pair(val), hyper, loss="mse")
     # no later epoch below the first: an epoch-to-epoch oscillation is not a failure
     if len(hist.train_loss) > 1 and min(hist.train_loss[1:]) >= hist.train_loss[0]:
         raise S.TrainingDiverged("reconstruction loss failed to improve")

@@ -63,11 +63,15 @@ class Module:
             p.requires_grad = flag
 
     def snapshot(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
+        """Copies of the parameters and buffers: the arrays ``save`` writes."""
+        return [p.data.copy() for p in self.parameters()] + [b.copy() for b in self.buffers()]
 
     def restore(self, state: list[np.ndarray]) -> None:
-        for p, s in zip(self.parameters(), state, strict=True):
+        params, buffers = self.parameters(), self.buffers()
+        for p, s in zip(params, state[:len(params)], strict=True):
             p.data = s.copy()
+        for b, s in zip(buffers, state[len(params):], strict=True):
+            b[...] = s
 
     def forward(self, inputs, train: bool = False) -> Tensor:
         raise NotImplementedError

@@ -65,32 +65,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # convenience operators ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -179,16 +153,6 @@ def pow_const(a: Tensor, p: float) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data)
-
-    return _make(data, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
 
@@ -273,16 +237,6 @@ def reshape(a: Tensor, shape) -> Tensor:
             a._accumulate(g.reshape(orig))
 
     return _make(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    inv = None if axes is None else np.argsort(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inv) if inv is not None else g.transpose())
-
-    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -129,13 +129,14 @@ def evaluate_loss(model: Module, data, loss: str = "cross_entropy") -> tuple[flo
 
 def train(model: Module, train_data, val_data, hyper: Hyperparams,
           loss: str = "cross_entropy") -> TrainHistory:
-    """Mini-batch Adam with early stopping and best-weight restore.
+    """Mini-batch Adam with early stopping and best-state restore.
 
     ``train_data``/``val_data`` are ``(inputs, targets)`` pairs where inputs
     may be a single array or a tuple of aligned arrays. Stops after
     ``hyper.patience`` epochs without validation-loss improvement and
-    restores the best snapshot, so the returned model never scores worse on
-    validation than any epoch seen.
+    restores the best epoch's parameters and buffers (e.g. BatchNorm running
+    statistics), so the returned model never scores worse on validation than
+    any epoch seen.
     """
     hyper.validate()
     inputs, targets = train_data

@@ -9,6 +9,7 @@ import pytest
 import malfusion.corpus as C
 import malfusion.evaluate as E
 import malfusion.pipeline as P
+import malfusion.substrate as S
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -63,3 +64,17 @@ def test_compare_encoders_fits_the_statement_encoder(fit_calls):
     E.compare_encoders(corpus, [4, 6], split, TINY)
     assert fit_calls == {name: 2 * (name == "train_statement_encoder")
                          for name in FITS.values()}
+
+
+def test_every_fit_validates_on_the_split_validation_rows(monkeypatch):
+    corpus, split = _tiny()
+    val_rows = []  # targets in each S.train call's validation data
+
+    def counted(model, train_data, val_data, *args, _train=S.train, **kwargs):
+        val_rows.append(len(val_data[1]))
+        return _train(model, train_data, val_data, *args, **kwargs)
+
+    monkeypatch.setattr(S, "train", counted)
+    P.run_experiment(corpus, split, TINY)
+    # CAFC, co-occurrence CNN, statement encoder, seven components, EF1's head
+    assert val_rows == [len(split.validation)] * 11

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from malfusion.cli import run
-from malfusion.corpus import load_corpus
+from malfusion.corpus import load_corpus, make_splits
+from malfusion.pipeline import save_split
 
 MICRO_OVERRIDES = {
     "cafc_epochs": 25, "cg_embed_dim": 16, "zigzag_len": 60,
@@ -157,3 +158,30 @@ class TestPipelineCommands:
         assert summary[0] == ("sample_id,true_family,static_pred,dynamic_pred,"
                               "integrated_pred,category")
         assert summary[1].startswith(f"{sample_id},")
+
+
+class TestSplitOption:
+    def test_eval_scores_the_given_split(self, corpus_dir, config_file, tmp_path):
+        split = make_splits(load_corpus(corpus_dir), holdout=(0.5, 0.25, 0.25), seed=5)
+        save_split(tmp_path / "split.json", split)
+        out = tmp_path / "eval"
+        code = run(["eval", "--corpus", str(corpus_dir), "--split",
+                    str(tmp_path / "split.json"), "--config", str(config_file),
+                    "--out", str(out)])
+        assert code == 0
+        lines = (out / "report.csv").read_text().splitlines()
+        confusion = lines[lines.index("confusion_true,confusion_pred,count") + 1:]
+        assert sum(int(line.split(",")[2]) for line in confusion) == len(split.test) == 15
+
+    def test_eval_rejects_cv_with_split(self, tmp_path, capsys):
+        code = run(["eval", "--cv", "3", "--split", str(tmp_path / "split.json"),
+                    "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "not allowed with argument --cv" in capsys.readouterr().err
+
+    def test_train_components_has_no_split_option(self, tmp_path, capsys):
+        code = run(["train-components", "--run", str(tmp_path), "--split",
+                    str(tmp_path / "split.json"), "--corpus", str(tmp_path),
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unrecognized arguments: --split" in capsys.readouterr().err

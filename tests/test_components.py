@@ -1,4 +1,4 @@
-"""Per-feature classifiers, their manifest, and the linear baseline."""
+"""Per-feature classifiers and their manifest."""
 
 import numpy as np
 import pytest
@@ -139,37 +139,6 @@ class TestManifest:
         assert back.accuracies == m.accuracies
         assert back.paths == m.paths
         assert back.ascending() == m.ascending()
-
-
-class TestLinearBaseline:
-    def test_separable_toy_fits_exactly(self):
-        rng = np.random.default_rng(3)
-        X = np.vstack([rng.normal(-2, 0.3, size=(20, 5)),
-                       rng.normal(2, 0.3, size=(20, 5))])
-        y = np.array([0] * 20 + [1] * 20)
-        lb = CO.train_linear_baseline(X, y, 2, epochs=200, seed=0)
-        assert np.array_equal(lb.predict_labels(X), y)
-
-    def test_score_vector_length(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(30, 6))
-        y = rng.integers(0, 5, size=30)
-        lb = CO.train_linear_baseline(X, y, 5, epochs=20, seed=0)
-        assert lb.scores(X[:7]).shape == (7, 5)
-
-    def test_beats_chance_on_both_signal_corpus(self):
-        spec = C.CorpusSpec(family_count=4, samples_per_family=25,
-                            signal_channel="both", seed=8)
-        corpus = C.generate_corpus(spec)
-        labels = corpus.labels()
-        split = C.make_splits(corpus, holdout=(0.6, 0.2, 0.2), seed=8)
-        iv = C.build_vocabulary([n for i in split.train
-                                 for n in sorted(corpus.samples[i].imports.imports)], 60)
-        X = np.stack([ST.pe_import_onehot(s.imports, iv).values for s in corpus.samples])
-        lb = CO.train_linear_baseline(X[split.train], labels[split.train],
-                                      4, epochs=200, seed=1)
-        acc = float(np.mean(lb.predict_labels(X[split.test]) == labels[split.test]))
-        assert acc > 0.25
 
 
 class TestModelContainer:

@@ -5,9 +5,9 @@ import logging
 import numpy as np
 import pytest
 
-import malfusion.components as CO
 import malfusion.corpus as C
 import malfusion.dynamic_features as D
+import malfusion.evaluate as E
 
 
 def _trace_lines(records):
@@ -198,9 +198,10 @@ class TestGenerator:
              for st in corpus.samples[i].trace.statements], 40)
         X = np.stack([D.api_call_frequency(s.trace, vocab).values
                       for s in corpus.samples])
-        baseline = CO.train_linear_baseline(X[split.train], labels[split.train],
-                                            4, epochs=120, seed=3)
-        acc = float(np.mean(baseline.predict_labels(X[split.test]) == labels[split.test]))
+        probe, _ = E.train_probe(X, labels, split.train, split.validation, 4,
+                                 seed=3, epochs=120)
+        acc = float(np.mean(probe.forward(X[split.test]).data.argmax(axis=1)
+                            == labels[split.test]))
         assert abs(acc - 0.25) <= 0.05
 
     def test_bad_channel_rejected(self):

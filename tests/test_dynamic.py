@@ -170,8 +170,9 @@ class TestCoocCnn:
     def test_separable_training_and_pooled_side(self):
         _, labels, vocab, mats = self._data()
         hyper = S.Hyperparams(epochs=50, batch_size=16, seed=0, patience=50)
-        model, _ = D.train_cooc_cnn(mats, labels, 4, pool=4, hyper=hyper,
-                                    feature_width=32)
+        n = max(1, len(labels) // 10)
+        model, _ = D.train_cooc_cnn(mats[n:], labels[n:], 4, pool=4, hyper=hyper,
+                                    val=(mats[:n], labels[:n]), feature_width=32)
         assert model.pooled_side == -(-vocab.size // 4)
         probs = model.forward(mats, train=False).data
         train_acc = float(np.mean(np.argmax(probs, axis=1) == labels))
@@ -187,7 +188,8 @@ class TestCoocCnn:
     def test_unnormalized_input_rejected(self):
         mats = np.full((4, 5, 5), 3.0)
         with pytest.raises(ValueError):
-            D.train_cooc_cnn(mats, np.zeros(4, dtype=int), 2, pool=2)
+            D.train_cooc_cnn(mats, np.zeros(4, dtype=int), 2, pool=2,
+                             val=(mats, np.zeros(4, dtype=int)))
 
 
 class TestAttentionPool:

@@ -10,6 +10,7 @@ import malfusion.components as CO
 import malfusion.corpus as C
 import malfusion.evaluate as E
 import malfusion.pipeline as P
+import malfusion.static_features as ST
 
 REFERENCE_GRIDS = {
     "cafc_kernels": [3, 4, 5, 6, 7],
@@ -167,6 +168,46 @@ class TestCrossValidate:
 
     def test_rerun_is_byte_identical(self):
         assert _run_micro_cv().to_csv() == _micro_cv_report().to_csv()
+
+
+# -- single-layer probe ------------------------------------------------------------
+
+
+def _probe_labels(model, rows):
+    return np.argmax(model.forward(rows).data, axis=1)
+
+
+class TestProbe:
+    def test_separable_toy_fits_exactly(self):
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(-2, 0.3, size=(20, 5)),
+                       rng.normal(2, 0.3, size=(20, 5))])
+        y = np.array([0] * 20 + [1] * 20)
+        rows = np.arange(40)  # a capacity check: fit and validate on every row
+        probe, _ = E.train_probe(X, y, rows, rows, 2, seed=0, epochs=200)
+        assert np.array_equal(_probe_labels(probe, X), y)
+
+    def test_score_vector_length(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 6))
+        y = rng.integers(0, 5, size=30)
+        probe, _ = E.train_probe(X, y, np.arange(24), np.arange(24, 30), 5,
+                                 seed=0, epochs=20)
+        assert probe.forward(X[:7]).data.shape == (7, 5)
+
+    def test_beats_chance_on_both_signal_corpus(self):
+        spec = C.CorpusSpec(family_count=4, samples_per_family=25,
+                            signal_channel="both", seed=8)
+        corpus = C.generate_corpus(spec)
+        labels = corpus.labels()
+        split = C.make_splits(corpus, holdout=(0.6, 0.2, 0.2), seed=8)
+        iv = C.build_vocabulary([n for i in split.train
+                                 for n in sorted(corpus.samples[i].imports.imports)], 60)
+        X = np.stack([ST.pe_import_onehot(s.imports, iv).values for s in corpus.samples])
+        probe, _ = E.train_probe(X, labels, split.train, split.validation, 4,
+                                 seed=1, epochs=200)
+        acc = float(np.mean(_probe_labels(probe, X[split.test]) == labels[split.test]))
+        assert acc > 0.25
 
 
 # -- tuning sweeps ----------------------------------------------------------------

@@ -181,6 +181,12 @@ class TestOnehot:
         assert fv.values.shape == (252,)
 
 
+def _train_cafc(graphs, **kwargs):
+    """Validate on the first tenth of ``graphs`` and train on the rest."""
+    n = max(1, len(graphs) // 10)
+    return ST.train_cafc(graphs[n:], val=graphs[:n], **kwargs)
+
+
 class TestCafc:
     def test_defaults(self):
         assert ST.DEFAULT_KERNELS == 4
@@ -191,7 +197,7 @@ class TestCafc:
                                                 seed=17))
         graphs = [s.callgraph for s in corpus.samples]
         hyper = S.Hyperparams(epochs=30, batch_size=8, seed=2, patience=30)
-        _, hist = ST.train_cafc(graphs, kernels=4, embed_dim=32, hyper=hyper)
+        _, hist = _train_cafc(graphs, kernels=4, embed_dim=32, hyper=hyper)
         tl = np.array(hist.train_loss)
         assert tl[-1] < tl[0]
         smooth = np.convolve(tl, np.ones(5) / 5, mode="valid")
@@ -202,14 +208,14 @@ class TestCafc:
         adj[:8, :8] = 1.0
         graphs = [C.CallGraph(16, adj)] * 12
         hyper = S.Hyperparams(epochs=60, batch_size=4, seed=0, patience=60)
-        _, hist = ST.train_cafc(graphs, kernels=2, embed_dim=16, hyper=hyper)
+        _, hist = _train_cafc(graphs, kernels=2, embed_dim=16, hyper=hyper)
         assert hist.train_loss[-1] < 1e-4
 
     def test_embedding_deterministic_with_length(self):
         adj = np.eye(16)
         graphs = [C.CallGraph(16, adj)] * 6
         hyper = S.Hyperparams(epochs=10, batch_size=4, seed=1, patience=10)
-        model, _ = ST.train_cafc(graphs, kernels=2, embed_dim=24, hyper=hyper)
+        model, _ = _train_cafc(graphs, kernels=2, embed_dim=24, hyper=hyper)
         cg = C.CallGraph(16, adj)
         e1, e2 = ST.cg_embed(model, cg), ST.cg_embed(model, cg)
         assert e1.feature_name == "cg_embedding"
@@ -222,15 +228,15 @@ class TestCafc:
         ring = np.zeros((16, 16))
         ring[np.arange(16), (np.arange(16) + 1) % 16] = 1.0
         hyper = S.Hyperparams(epochs=60, batch_size=4, seed=0, patience=60)
-        model, _ = ST.train_cafc([C.CallGraph(16, block)] * 12,
-                                 kernels=2, embed_dim=16, hyper=hyper)
+        model, _ = _train_cafc([C.CallGraph(16, block)] * 12,
+                               kernels=2, embed_dim=16, hyper=hyper)
         e1 = ST.cg_embed(model, C.CallGraph(16, block)).values
         e2 = ST.cg_embed(model, C.CallGraph(16, ring)).values
         assert np.max(np.abs(e1 - e2)) > 1e-6
 
     def test_empty_training_set_rejected(self):
         with pytest.raises((ValueError, S.TrainingDiverged)):
-            ST.train_cafc([], kernels=2, embed_dim=8)
+            ST.train_cafc([], kernels=2, embed_dim=8, val=[])
 
     def test_oscillating_loss_is_not_a_failure(self):
         # one batch per epoch: the last epoch's loss ends above the first's,
@@ -239,7 +245,7 @@ class TestCafc:
                                                 seed=0))
         graphs = [s.callgraph for s in corpus.samples]
         hyper = S.Hyperparams(epochs=15, batch_size=16, seed=36)
-        _, hist = ST.train_cafc(graphs, kernels=4, embed_dim=32, hyper=hyper)
+        _, hist = _train_cafc(graphs, kernels=4, embed_dim=32, hyper=hyper)
         assert hist.train_loss[-1] >= hist.train_loss[0]
         assert min(hist.train_loss[1:]) < hist.train_loss[0]
         assert hist.best_epoch == 6

@@ -1,5 +1,7 @@
 """Numerical core: autodiff correctness, training behavior, serialization."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,25 @@ class TestTraining:
         if hist.stopped_early:
             assert len(hist.val_loss) < 60
         assert hist.best_epoch == int(np.argmin(hist.val_loss))
+
+    def test_early_stopping_restores_batchnorm_statistics(self, monkeypatch):
+        train_module = importlib.import_module("malfusion.substrate.train")
+        evaluate_loss = train_module.evaluate_loss
+        running_means = []  # the running mean at each epoch's validation pass
+
+        def recording(model, data, loss="cross_entropy"):
+            running_means.append(model.buffers()[0].copy())
+            return evaluate_loss(model, data, loss)
+
+        monkeypatch.setattr(train_module, "evaluate_loss", recording)
+        X, y = self._toy(8)
+        model = S.MLP(5, (16,), 3, batchnorm=True, rng=_rng(9))
+        hyper = S.Hyperparams(epochs=60, batch_size=16, seed=3, patience=5,
+                              learning_rate=0.05)
+        hist = S.train(model, (X[:48], y[:48]), (X[48:], y[48:]), hyper)
+        assert hist.stopped_early and hist.best_epoch < len(hist.val_loss) - 1
+        assert np.array_equal(model.buffers()[0], running_means[hist.best_epoch])
+        assert not np.array_equal(model.buffers()[0], running_means[-1])
 
     def test_divergence_raises(self):
         X, y = self._toy(10)
