@@ -48,22 +48,16 @@ class ComponentModel(S.Module):
         self.hyper = hyper
         self.hidden = hidden
         self.val_accuracy = val_accuracy
-        self.mlp = S.MLP(input_width, hidden, family_count,
-                         activation=hyper.activation, dropout=hyper.dropout,
-                         batchnorm=hyper.batchnorm, rng=rng, dtype=dtype)
+        self.mlp = S.MLP(input_width, hidden, family_count, rng=rng, dtype=dtype)
 
     def parameters(self):
         return self.mlp.parameters()
 
     def forward(self, x, train: bool = False) -> S.Tensor:
-        self.mlp.rng = self.rng
         return self.mlp.forward(x, train)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         return self.forward(np.asarray(rows, dtype=np.float64)).data
-
-    def buffers(self):
-        return self.mlp.buffers()
 
     def config(self):
         return {"feature_name": self.feature_name, "input_width": self.input_width,

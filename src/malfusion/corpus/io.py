@@ -23,6 +23,7 @@ from .types import (
     ApiStatement,
     CallGraph,
     Corpus,
+    CorpusError,
     CorpusSample,
     EmptyTraceError,
     MAX_PARAMS_PER_STATEMENT,
@@ -118,8 +119,9 @@ def serialize_trace(trace: TraceFile) -> str:
 
 def canonicalize_adjacency(n: int, edges: Iterable[tuple[int, int]], size: int) -> np.ndarray:
     """Reorder nodes by descending out-degree (ties by original index),
-    then truncate or zero-pad to ``size`` x ``size``."""
-    edges = list(edges)
+    then truncate or zero-pad to ``size`` x ``size``. The adjacency is
+    binary, so a repeated edge counts once."""
+    edges = set(edges)
     out_deg = np.zeros(n, dtype=np.int64)
     for u, _ in edges:
         out_deg[u] += 1
@@ -231,6 +233,16 @@ def write_corpus(corpus: Corpus, out_dir: str | Path, canonical_size: int | None
     return manifest
 
 
+def _read_artifact(root: Path, rel: str, parse):
+    """Parse one manifest artifact; a ``CorpusError`` names the file."""
+    try:
+        with (root / rel).open(encoding="utf-8") as fh:
+            return parse(fh)
+    except CorpusError as exc:
+        exc.args = (f"{rel}: {exc}",)
+        raise
+
+
 def load_corpus(manifest_path: str | Path, canonical_size: int | None = None) -> Corpus:
     manifest = Path(manifest_path)
     if manifest.is_dir():
@@ -251,12 +263,11 @@ def load_corpus(manifest_path: str | Path, canonical_size: int | None = None) ->
             sid = row["sample_id"]
             family = int(row["family"])
             max_family = max(max_family, family)
-            with (root / row["trace_path"]).open(encoding="utf-8") as t:
-                trace = parse_trace(t)
-            with (root / row["cg_path"]).open(encoding="utf-8") as g:
-                cg = parse_callgraph(g, canonical_size)
-            with (root / row["imports_path"]).open(encoding="utf-8") as i:
-                imports = parse_imports(i, sid)
+            trace = _read_artifact(root, row["trace_path"], parse_trace)
+            cg = _read_artifact(root, row["cg_path"],
+                                lambda fh: parse_callgraph(fh, canonical_size))
+            imports = _read_artifact(root, row["imports_path"],
+                                     lambda fh: parse_imports(fh, sid))
             samples.append(CorpusSample(sid, family, trace, cg, imports))
     family_count = int(meta.get("family_count", max_family + 1))
     return Corpus(samples, family_count)

@@ -14,15 +14,11 @@ DEFAULT_CALLSEQ_LEN = 200
 
 
 class CallSequenceModel(S.Module):
-    kind = "call-sequence"
-
     def __init__(self, vocab: Vocabulary, family_count: int, *,
                  seq_len: int = DEFAULT_CALLSEQ_LEN, embed_dim: int = 16,
                  hidden: int = 32, rng: np.random.Generator, dtype=np.float64):
         self.vocab = vocab
-        self.family_count = family_count
         self.seq_len = seq_len
-        self.embed_dim = embed_dim
         self.hidden = hidden
         self.pad = vocab.size
         self.embed = S.Embedding(vocab.size + 1, embed_dim, rng=rng, dtype=dtype)
@@ -46,15 +42,6 @@ class CallSequenceModel(S.Module):
         states = self.rnn.run(self.embed(tokens))
         final = S.reshape(S.slice_axis(states, 1, steps - 1, steps), (bsz, self.hidden))
         return self.head(final)
-
-    def config(self):
-        return {"vocab": self.vocab.names(), "family_count": self.family_count,
-                "seq_len": self.seq_len, "embed_dim": self.embed_dim, "hidden": self.hidden}
-
-    @classmethod
-    def from_config(cls, config):
-        c = dict(config)
-        return cls(Vocabulary.from_names(c.pop("vocab")), **c, rng=np.random.default_rng(0))
 
 
 def train_call_sequence_encoder(traces: list[TraceFile], labels: np.ndarray,

@@ -4,7 +4,8 @@ Documents are the API-name sequences of traces. Each position predicts its
 token from the mean of the document vector and the window's word vectors,
 trained by negative sampling against a unigram^0.75 noise distribution.
 Inference freezes the word tables and runs a fixed number of gradient steps
-on a fresh document vector under a fixed seed.
+on a fresh document vector under a seed keyed on the trace's token ids, so a
+trace embeds the same under any sample id.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def pv_embed(model: PvModel, trace: TraceFile, infer_seed: int = 0) -> FeatureVe
     if len(trace) == 0:
         raise EmptyTraceError(f"{trace.sample_id}: empty trace")
     tokens = _doc_tokens(trace, model.vocab)
-    rng = rng_for(infer_seed, "pv", "infer", trace.sample_id)
+    rng = rng_for(infer_seed, "pv", "infer", *tokens.tolist())
     doc_vec = (rng.random(model.dim) - 0.5) / model.dim
     for step in range(model.infer_steps):
         cur_lr = model.infer_lr * (1.0 - step / max(1, model.infer_steps))

@@ -79,20 +79,18 @@ class StatementEncoderModel(S.Module):
     def tokenize(self, trace: TraceFile) -> np.ndarray:
         return statement_tokens(trace, self.vocab, self.max_statements, self.max_tokens)
 
-    def encode(self, tokens: np.ndarray, return_weights: bool = False):
+    def encode(self, tokens: np.ndarray) -> S.Tensor:
         """(B, L, T) indices -> (B, 2*hidden) trace embeddings."""
         b, length, width = tokens.shape
         flat = tokens.reshape(b * length, width)
         token_mask = flat != self.pad
         emb = self.embed(flat)
         word_states = self.word_rnn.run(emb)
-        token_w, stmt = S.attention_pool_t(word_states, self.u_ap, token_mask)
+        _, stmt = S.attention_pool_t(word_states, self.u_ap, token_mask)
         stmts = S.reshape(stmt, (b, length, 2 * self.hidden))
         stmt_mask = token_mask.reshape(b, length, width).any(axis=-1)
         sent_states = self.sent_rnn.run(stmts)
-        stmt_w, trace = S.attention_pool_t(sent_states, self.u_as, stmt_mask)
-        if return_weights:
-            return trace, token_w.data.reshape(b, length, width), stmt_w.data
+        _, trace = S.attention_pool_t(sent_states, self.u_as, stmt_mask)
         return trace
 
     def forward(self, tokens: np.ndarray, train: bool = False) -> S.Tensor:

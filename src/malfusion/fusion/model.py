@@ -3,10 +3,9 @@
 Training proceeds in two phases. Phase A walks the DAG in order and trains
 each pretrained-subclassifier to classify from its (already fixed) inputs,
 freezing it afterwards. Phase B jointly trains whatever remains trainable
-(dense blocks, softmax heads, trainable ensemble units); with the fine-tune
-flag the frozen stages and component weights also join phase B. Frozen
-nodes are excluded from the optimizer entirely, so their weights stay
-bit-identical through later phases.
+(dense blocks, softmax heads, trainable ensemble units). Components and
+trained stages are excluded from the optimizer entirely, so their weights
+stay bit-identical through later phases.
 """
 
 from __future__ import annotations
@@ -114,18 +113,12 @@ class FusionModel(S.Module):
 
     # -- evaluation --------------------------------------------------------------
 
-    def _input_tensor(self, node_id: str, fname: str, inputs, train: bool) -> S.Tensor:
-        if isinstance(inputs, dict):
-            if fname not in inputs:
-                raise FusionError(f"missing feature {fname!r} for input {node_id!r}")
-            raw = inputs[fname]
-        else:
-            raw = inputs[[nid for nid, _ in self.input_nodes].index(node_id)]
-        x = S.Tensor(np.asarray(raw, dtype=self.dtype))
+    def _input_tensor(self, node_id: str, fname: str, inputs: dict) -> S.Tensor:
+        if fname not in inputs:
+            raise FusionError(f"missing feature {fname!r} for input {node_id!r}")
+        x = S.Tensor(np.asarray(inputs[fname], dtype=self.dtype))
         if node_id in self.components:
-            comp = self.components[node_id]
-            comp.rng = self.rng
-            return comp.forward(x, train=False)
+            return self.components[node_id].forward(x)
         return x
 
     def _needed(self, targets: list[str], covered: set[str]) -> set[str]:
@@ -157,7 +150,7 @@ class FusionModel(S.Module):
                 continue
             if node.kind in ("feature-input", "component-output"):
                 values[node.node_id] = self._input_tensor(
-                    node.node_id, node.args[0], inputs, train)
+                    node.node_id, node.args[0], inputs)
             elif node.kind == "concat":
                 values[node.node_id] = S.concat([values[d] for d in node.deps], axis=-1)
             elif node.kind == "dense-block":
@@ -165,9 +158,8 @@ class FusionModel(S.Module):
             elif node.kind == "softmax-head":
                 values[node.node_id] = self.modules[node.node_id](values[node.deps[0]])
             elif node.kind == "pretrained-subclassifier":
-                mlp = self.modules[node.node_id]
-                mlp.rng = self.rng
-                values[node.node_id] = mlp.forward(values[node.deps[0]], train=train)
+                values[node.node_id] = self.modules[node.node_id].forward(
+                    values[node.deps[0]], train=train)
             elif node.kind == "ovr-ensemble":
                 stacked = S.stack([values[d] for d in node.deps], axis=1)
                 scores = self.modules[node.node_id].scores(stacked)
@@ -184,10 +176,6 @@ class FusionModel(S.Module):
         return self.forward(features, train=False).data
 
     # -- persistence ---------------------------------------------------------------
-
-    def buffers(self):
-        return [b for m in [*self.modules.values(), *self.components.values()]
-                for b in m.buffers()]
 
     def config(self):
         return {"topology": emit_topology(self.topology),
@@ -213,52 +201,38 @@ class FusionModel(S.Module):
 class _SubView(S.Module):
     """Presents one trainable subgraph of a fusion model to the train loop.
 
-    Batch inputs arrive as a tuple: first the cached values of the frozen
-    frontier nodes, then raw feature matrices for any input nodes that are
-    themselves being fine-tuned.
+    Batch inputs are the cached values of the frozen frontier nodes, as a
+    tuple in frontier order (or one array for a one-node frontier).
     """
 
     def __init__(self, fusion: FusionModel, out_node: str,
-                 frontier: list[str], raw_features: list[str],
-                 params: list[S.Tensor]):
+                 frontier: list[str], params: list[S.Tensor]):
         self.fusion = fusion
         self.out_node = out_node
         self.frontier = frontier
-        self.raw_features = raw_features
         self._params = params
 
     def parameters(self):
         return self._params
 
     def forward(self, inputs, train: bool = False) -> S.Tensor:
-        self.fusion.rng = self.rng
         if not isinstance(inputs, tuple):
             inputs = (inputs,)
-        k = len(self.frontier)
-        pre = dict(zip(self.frontier, inputs[:k]))
-        raw = dict(zip(self.raw_features, inputs[k:]))
-        values = self.fusion.eval_nodes(raw, train=train, precomputed=pre,
+        pre = dict(zip(self.frontier, inputs, strict=True))
+        values = self.fusion.eval_nodes({}, train=train, precomputed=pre,
                                         targets=[self.out_node])
         return values[self.out_node]
 
 
-def _static_nodes(fusion: FusionModel, fine_tune: bool,
-                  trained_stages: set[str]) -> set[str]:
-    """Nodes whose outputs cannot change during the remaining training."""
+def _static_nodes(fusion: FusionModel, trained_stages: set[str]) -> set[str]:
+    """Nodes whose outputs cannot change during the remaining training:
+    inputs, components, trained stages and concatenations of them."""
     static: set[str] = set()
     for node in fusion.topology.nodes:
-        deps_ok = all(d in static for d in node.deps)
-        if node.kind == "feature-input":
+        fixed = (node.kind in ("feature-input", "component-output", "concat")
+                 or node.node_id in trained_stages)
+        if fixed and all(d in static for d in node.deps):
             static.add(node.node_id)
-        elif node.kind == "component-output":
-            if deps_ok and not fine_tune:
-                static.add(node.node_id)
-        elif node.kind == "concat":
-            if deps_ok:
-                static.add(node.node_id)
-        elif node.kind == "pretrained-subclassifier":
-            if deps_ok and node.node_id in trained_stages and not fine_tune:
-                static.add(node.node_id)
     return static
 
 
@@ -293,15 +267,12 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
     """Train a fusion topology over precomputed feature matrices.
 
     ``features`` maps feature_name -> (n_samples, length) for the whole
-    corpus; ``train_idx``/``val_idx`` select the rows used per phase. The
-    fine-tune behavior is driven by ``hyper.weight_mode``: "fixed" freezes
-    pretrained stages and components, "trainable" lets phase B update them.
+    corpus; ``train_idx``/``val_idx`` select the rows used per phase.
     """
     hyper = hyper or S.Hyperparams(epochs=40, batch_size=32)
     labels = np.asarray(labels, dtype=np.int64)
     if family_count is None:
         family_count = int(labels.max()) + 1
-    fine_tune = hyper.weight_mode == "trainable"
     feature_lengths = {name: mat.shape[1] for name, mat in features.items()}
     needed = set()
     for node in topology.nodes:
@@ -320,7 +291,6 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
 
     histories: list[S.TrainHistory] = []
     trained_stages: set[str] = set()
-    stage_hyper = hyper
 
     # phase A: train each pretrained stage on its frozen inputs, then freeze
     for node in topology.nodes:
@@ -330,35 +300,23 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
         train_in = _materialize(fusion, [dep], rows(train_idx))[dep]
         val_in = _materialize(fusion, [dep], rows(val_idx))[dep]
         stage = fusion.modules[node.node_id]
-        view = _SubView(fusion, node.node_id, [dep], [], stage.parameters())
+        view = _SubView(fusion, node.node_id, [dep], stage.parameters())
         hist = S.train(view, (train_in, labels[train_idx]),
-                       (val_in, labels[val_idx]), stage_hyper)
+                       (val_in, labels[val_idx]), hyper)
         histories.append(hist)
         stage.set_trainable(False)
         trained_stages.add(node.node_id)
 
     # phase B: jointly train whatever is still trainable
-    if fine_tune:
-        for nid in trained_stages:
-            fusion.modules[nid].set_trainable(True)
-        for comp in fusion.components.values():
-            comp.set_trainable(True)
-    static = _static_nodes(fusion, fine_tune, trained_stages)
+    static = _static_nodes(fusion, trained_stages)
     root_id = fusion.topology.root.node_id
     trainable = fusion.trainable_parameters()
     if root_id not in static and trainable:
         frontier = _frontier(fusion, static)
-        needed = fusion._needed([root_id], static)
-        raw_names: list[str] = []
-        for nid, fname in fusion.input_nodes:
-            if nid in needed and fname not in raw_names:
-                raw_names.append(fname)
         train_pre = _materialize(fusion, frontier, rows(train_idx))
         val_pre = _materialize(fusion, frontier, rows(val_idx))
-        train_tuple = (tuple(train_pre[nid] for nid in frontier)
-                       + tuple(features[fname][train_idx] for fname in raw_names))
-        val_tuple = (tuple(val_pre[nid] for nid in frontier)
-                     + tuple(features[fname][val_idx] for fname in raw_names))
+        train_tuple = tuple(train_pre[nid] for nid in frontier)
+        val_tuple = tuple(val_pre[nid] for nid in frontier)
         root = fusion.topology.root
         loss = "cross_entropy"
         targets_train: np.ndarray = labels[train_idx]
@@ -369,16 +327,11 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
             eye = np.eye(family_count)
             targets_train = eye[labels[train_idx]]
             targets_val = eye[labels[val_idx]]
-        view = _SubView(fusion, root_id, frontier, raw_names, trainable)
+        view = _SubView(fusion, root_id, frontier, trainable)
         hist = S.train(view, (train_tuple, targets_train),
                        (val_tuple, targets_val), hyper, loss=loss)
         histories.append(hist)
         fusion.emit_raw_scores = False
-    # restore the default frozen state for saved/inference models
-    for nid in trained_stages:
-        fusion.modules[nid].set_trainable(False)
-    for comp in fusion.components.values():
-        comp.set_trainable(False)
     return fusion, histories
 
 

@@ -31,7 +31,6 @@ class Module:
     (override it where an argument is not plain JSON).
     """
 
-    rng: np.random.Generator | None = None
     kind: str = ""
 
     def parameters(self) -> list[Tensor]:
@@ -63,15 +62,11 @@ class Module:
             p.requires_grad = flag
 
     def snapshot(self) -> list[np.ndarray]:
-        """Copies of the parameters and buffers: the arrays ``save`` writes."""
-        return [p.data.copy() for p in self.parameters()] + [b.copy() for b in self.buffers()]
+        return [p.data.copy() for p in self.parameters()]
 
     def restore(self, state: list[np.ndarray]) -> None:
-        params, buffers = self.parameters(), self.buffers()
-        for p, s in zip(params, state[:len(params)], strict=True):
+        for p, s in zip(self.parameters(), state, strict=True):
             p.data = s.copy()
-        for b, s in zip(buffers, state[len(params):], strict=True):
-            b[...] = s
 
     def forward(self, inputs, train: bool = False) -> Tensor:
         raise NotImplementedError
@@ -136,51 +131,6 @@ class Embedding(Module):
 
     def __call__(self, indices: np.ndarray) -> Tensor:
         return T.embedding(self.table, indices)
-
-
-class Dropout(Module):
-    def __init__(self, p: float):
-        if not 0.0 <= p <= 0.5:
-            raise ValueError(f"dropout rate {p} outside [0, 0.5]")
-        self.p = p
-
-    def __call__(self, x: Tensor, train: bool, rng: np.random.Generator | None) -> Tensor:
-        if not train or self.p == 0.0:
-            return x
-        mask = (rng.random(x.data.shape) >= self.p) / (1.0 - self.p)
-        return T.mul(x, Tensor(mask.astype(x.data.dtype)))
-
-
-class BatchNorm1d(Module):
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float64):
-        self.dim = dim
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
-
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def buffers(self):
-        return [self.running_mean, self.running_var]
-
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        if train:
-            mu = T.tmean(x, axis=0, keepdims=True)
-            xc = T.sub(x, mu)
-            var = T.tmean(T.mul(xc, xc), axis=0, keepdims=True)
-            m = self.momentum
-            self.running_mean[...] = (1 - m) * self.running_mean + m * mu.data.reshape(-1)
-            self.running_var[...] = (1 - m) * self.running_var + m * var.data.reshape(-1)
-            inv = T.pow_const(T.add(var, Tensor(np.asarray(self.eps, dtype=x.data.dtype))), -0.5)
-            y = T.mul(xc, inv)
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            y = T.mul(T.sub(x, Tensor(self.running_mean)), Tensor(inv.astype(x.data.dtype)))
-        return T.add(T.mul(y, self.gamma), self.beta)
 
 
 class LSTM(Module):
@@ -267,41 +217,25 @@ def attention_pool_t(hidden: Tensor, context: Tensor, mask: np.ndarray | None = 
 
 
 class MLP(Module):
-    """Dense stack with optional per-layer dropout/batchnorm and a softmax head."""
+    """Dense stack with rectified hidden layers and a softmax head."""
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int, *,
-                 activation: str = "relu", head_activation: str = "softmax",
-                 dropout: float = 0.0, batchnorm: bool = False,
                  rng: np.random.Generator, dtype=np.float64):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.layers: list[Dense] = []
-        self.norms: list[BatchNorm1d | None] = []
-        self.drop = Dropout(dropout)
         prev = in_dim
         for width in hidden:
-            self.layers.append(Dense(prev, width, activation, rng=rng, dtype=dtype))
-            self.norms.append(BatchNorm1d(width, dtype=dtype) if batchnorm else None)
+            self.layers.append(Dense(prev, width, "relu", rng=rng, dtype=dtype))
             prev = width
-        self.head = Dense(prev, out_dim, head_activation, rng=rng, dtype=dtype)
+        self.head = Dense(prev, out_dim, "softmax", rng=rng, dtype=dtype)
 
     def parameters(self):
-        params = []
-        for layer, norm in zip(self.layers, self.norms):
-            params.extend(layer.parameters())
-            if norm is not None:
-                params.extend(norm.parameters())
-        params.extend(self.head.parameters())
-        return params
-
-    def buffers(self):
-        return [b for norm in self.norms if norm is not None for b in norm.buffers()]
+        params = [p for layer in self.layers for p in layer.parameters()]
+        return params + self.head.parameters()
 
     def forward(self, x, train: bool = False) -> Tensor:
         t = x if isinstance(x, Tensor) else Tensor(x)
-        for layer, norm in zip(self.layers, self.norms):
+        for layer in self.layers:
             t = layer(t)
-            if norm is not None:
-                t = norm(t, train)
-            t = self.drop(t, train, self.rng)
         return self.head(t)

@@ -18,17 +18,8 @@ class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
 
 
-ACTIVATION_CHOICES = ("relu", "sigmoid", "tanh", "softmax", "linear")
-WEIGHT_MODES = ("fixed", "trainable")
-
-
 @dataclass
 class Hyperparams:
-    activation: str = "relu"
-    weight_decay: float = 0.0
-    dropout: float = 0.0
-    batchnorm: bool = False
-    weight_mode: str = "fixed"
     learning_rate: float = 1e-3
     epochs: int = 30
     batch_size: int = 32
@@ -36,14 +27,6 @@ class Hyperparams:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.activation not in ACTIVATION_CHOICES:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.weight_decay <= 0.001:
-            raise ValueError(f"weight decay {self.weight_decay} outside [0, 0.001]")
-        if not 0.0 <= self.dropout <= 0.5:
-            raise ValueError(f"dropout {self.dropout} outside [0, 0.5]")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1 or self.patience < 0:
             raise ValueError("learning_rate, epochs, batch_size must be positive; patience >= 0")
 
@@ -52,7 +35,7 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        return cls(**d)
 
 
 @dataclass
@@ -66,13 +49,12 @@ class TrainHistory:
 
 class Adam:
     def __init__(self, params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
@@ -88,8 +70,6 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / (1 - b1**self.t)
@@ -134,18 +114,16 @@ def train(model: Module, train_data, val_data, hyper: Hyperparams,
     ``train_data``/``val_data`` are ``(inputs, targets)`` pairs where inputs
     may be a single array or a tuple of aligned arrays. Stops after
     ``hyper.patience`` epochs without validation-loss improvement and
-    restores the best epoch's parameters and buffers (e.g. BatchNorm running
-    statistics), so the returned model never scores worse on validation than
-    any epoch seen.
+    restores the best epoch's parameters, so the returned model never scores
+    worse on validation than any epoch seen.
     """
     hyper.validate()
     inputs, targets = train_data
     n = len(targets)
     rng = np.random.default_rng(hyper.seed)
-    if model.rng is None:
-        model.rng = np.random.default_rng(rng.integers(2**63))
+    rng.integers(2**63)  # discarded, so each seed keeps the batch orders it has always had
     params = model.trainable_parameters()
-    opt = Adam(params, lr=hyper.learning_rate, weight_decay=hyper.weight_decay)
+    opt = Adam(params, lr=hyper.learning_rate)
     hist = TrainHistory()
     best_loss = np.inf
     best_state = model.snapshot()

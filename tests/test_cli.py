@@ -1,6 +1,8 @@
 """End-to-end command-line runs: artifacts, exit codes, rerun determinism."""
 
 import json
+import logging
+import shutil
 
 import pytest
 
@@ -63,6 +65,21 @@ class TestExitCodes:
         code = run(["eval", "--corpus", str(tmp_path / "absent"),
                     "--out", str(tmp_path / "out")])
         assert code == 1
+
+    @pytest.mark.parametrize("artifact, text, message", [
+        ("traces/{}.jsonl", "", "trace stream has no statements"),
+        ("graphs/{}.txt", "n 3\n0 7\n", "line 2: node id beyond declared count 3"),
+    ], ids=["empty-trace", "bad-edge"])
+    def test_bad_corpus_file_is_named(self, corpus_dir, tmp_path, caplog,
+                                      artifact, text, message):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        rel = artifact.format(load_corpus(corpus).samples[3].sample_id)
+        (corpus / rel).write_text(text)
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["eval", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{rel}: {message}" in caplog.text
 
 
 class TestPipelineCommands:

@@ -87,6 +87,12 @@ class TestParagraphVectors:
         assert np.array_equal(a, b)
         assert a.shape == (32,)
 
+    def test_embedding_ignores_sample_id(self):
+        model, fam_a, _ = self._model()
+        renamed = C.TraceFile("renamed", fam_a[0].statements)
+        assert np.array_equal(D.pv_embed(model, fam_a[0]).values,
+                              D.pv_embed(model, renamed).values)
+
     def test_within_family_closer_than_across(self):
         model, fam_a, fam_b = self._model()
         embs = np.stack([D.pv_embed(model, t).values for t in fam_a + fam_b])
@@ -108,6 +114,16 @@ class TestParagraphVectors:
         model, _, _ = self._model()
         with pytest.raises(C.EmptyTraceError):
             D.pv_embed(model, C.TraceFile("s", ()))
+
+    def test_save_load_round_trip(self, tmp_path):
+        # the tables are buffers, the only ones left to persist
+        model, fam_a, _ = self._model()
+        model.save(tmp_path / "pv.mfc")
+        back = D.PvModel.load(tmp_path / "pv.mfc")
+        for table, loaded in zip(model.buffers(), back.buffers(), strict=True):
+            assert np.array_equal(table, loaded)
+        assert np.array_equal(D.pv_embed(back, fam_a[0]).values,
+                              D.pv_embed(model, fam_a[0]).values)
 
 
 class TestCooccurrence:

@@ -188,17 +188,6 @@ class TestTraining:
                         hyper=hyper, family_count=4, dense_width=32)
         assert {n: _weights_digest(m) for n, m in components.items()} == digests
 
-    def test_fine_tune_updates_components(self):
-        features, labels, tr, va = _toy_setup()
-        components, manifest = _toy_components(features, labels, tr, va)
-        digests = {n: _weights_digest(m) for n, m in components.items()}
-        topo = FU.preset("LF2", manifest, "static")
-        hyper = S.Hyperparams(epochs=6, batch_size=16, seed=5, patience=6,
-                              weight_mode="trainable")
-        FU.train_fusion(topo, features, labels, tr, va, components=components,
-                        hyper=hyper, family_count=4, dense_width=32)
-        assert {n: _weights_digest(m) for n, m in components.items()} != digests
-
     def test_ef1_beats_best_component_on_separable_data(self):
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
