@@ -74,7 +74,7 @@ def _write_resolved_config(out: Path, args, config: PipelineConfig | None) -> No
 def _corpus_split(args):
     corpus = load_corpus(args.corpus)
     if getattr(args, "split", None):
-        split = load_split(args.split)
+        split = load_split(args.split, len(corpus))
     else:
         split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=args.seed)
     return corpus, split
@@ -138,7 +138,7 @@ def _cmd_train_components(args) -> int:
     ids, features = _load_feature_dir(run_dir / "features")
     if ids != [s.sample_id for s in corpus.samples]:
         raise ValueError("feature tables do not match the corpus sample order")
-    split = load_split(run_dir / "split.json")
+    split = load_split(run_dir / "split.json", len(corpus))
     out = Path(args.out)
     comp_dir = out / "components"
     comp_dir.mkdir(parents=True, exist_ok=True)

@@ -39,7 +39,7 @@ class ComponentModel(S.Module):
     def __init__(self, feature_name: str, input_width: int, family_count: int,
                  hyper: S.Hyperparams, *, hidden: tuple[int, ...] = COMPONENT_HIDDEN,
                  val_accuracy: float | None = None,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         if feature_name not in FEATURE_NAMES:
             raise ComponentError(f"unknown feature name {feature_name!r}")
         self.feature_name = feature_name
@@ -48,7 +48,7 @@ class ComponentModel(S.Module):
         self.hyper = hyper
         self.hidden = hidden
         self.val_accuracy = val_accuracy
-        self.mlp = S.MLP(input_width, hidden, family_count, rng=rng, dtype=dtype)
+        self.mlp = S.MLP(input_width, hidden, family_count, rng=rng)
 
     def parameters(self):
         return self.mlp.parameters()

@@ -16,14 +16,14 @@ DEFAULT_CALLSEQ_LEN = 200
 class CallSequenceModel(S.Module):
     def __init__(self, vocab: Vocabulary, family_count: int, *,
                  seq_len: int = DEFAULT_CALLSEQ_LEN, embed_dim: int = 16,
-                 hidden: int = 32, rng: np.random.Generator, dtype=np.float64):
+                 hidden: int = 32, rng: np.random.Generator):
         self.vocab = vocab
         self.seq_len = seq_len
         self.hidden = hidden
         self.pad = vocab.size
-        self.embed = S.Embedding(vocab.size + 1, embed_dim, rng=rng, dtype=dtype)
-        self.rnn = S.LSTM(embed_dim, hidden, rng=rng, dtype=dtype)
-        self.head = S.Dense(hidden, family_count, "softmax", rng=rng, dtype=dtype)
+        self.embed = S.Embedding(vocab.size + 1, embed_dim, rng=rng)
+        self.rnn = S.LSTM(embed_dim, hidden, rng=rng)
+        self.head = S.Dense(hidden, family_count, "softmax", rng=rng)
 
     def parameters(self):
         return self.embed.parameters() + self.rnn.parameters() + self.head.parameters()

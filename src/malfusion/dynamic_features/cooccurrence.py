@@ -74,7 +74,7 @@ class CoocCnnModel(S.Module):
 
     def __init__(self, vocab_size: int, family_count: int, pool: int = DEFAULT_POOL,
                  kernels: int = 4, feature_width: int = DEFAULT_FEATURE_WIDTH, *,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         self.vocab_size = vocab_size
         self.family_count = family_count
         self.pool_size = pool
@@ -82,10 +82,10 @@ class CoocCnnModel(S.Module):
         self.feature_width = feature_width
         self.pooled_side = -(-vocab_size // pool)  # ceil
         self.pool = S.MaxPool2d(pool)
-        self.conv = S.Conv2d(1, kernels, 3, "relu", rng=rng, dtype=dtype)
+        self.conv = S.Conv2d(1, kernels, 3, "relu", rng=rng)
         flat = kernels * self.pooled_side * self.pooled_side
-        self.dense = S.Dense(flat, feature_width, "relu", rng=rng, dtype=dtype)
-        self.head = S.Dense(feature_width, family_count, "softmax", rng=rng, dtype=dtype)
+        self.dense = S.Dense(flat, feature_width, "relu", rng=rng)
+        self.head = S.Dense(feature_width, family_count, "softmax", rng=rng)
 
     def parameters(self):
         return (self.conv.parameters() + self.dense.parameters() + self.head.parameters())

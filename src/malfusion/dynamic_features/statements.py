@@ -55,7 +55,7 @@ class StatementEncoderModel(S.Module):
                  embed_dim: int = 16, hidden: int = 16,
                  max_statements: int = DEFAULT_SEQ_LEN,
                  max_tokens: int = STATEMENT_TOKEN_CAP,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         self.vocab = vocab
         self.family_count = family_count
         self.embed_dim = embed_dim
@@ -63,14 +63,12 @@ class StatementEncoderModel(S.Module):
         self.max_statements = max_statements
         self.max_tokens = max_tokens
         self.pad = vocab.size
-        self.embed = S.Embedding(vocab.size + 1, embed_dim, rng=rng, dtype=dtype)
-        self.word_rnn = S.BiLSTM(embed_dim, hidden, rng=rng, dtype=dtype)
-        self.u_ap = S.Tensor(rng.uniform(-0.1, 0.1, 2 * hidden).astype(dtype),
-                             requires_grad=True)
-        self.sent_rnn = S.BiLSTM(2 * hidden, hidden, rng=rng, dtype=dtype)
-        self.u_as = S.Tensor(rng.uniform(-0.1, 0.1, 2 * hidden).astype(dtype),
-                             requires_grad=True)
-        self.head = S.Dense(2 * hidden, family_count, "softmax", rng=rng, dtype=dtype)
+        self.embed = S.Embedding(vocab.size + 1, embed_dim, rng=rng)
+        self.word_rnn = S.BiLSTM(embed_dim, hidden, rng=rng)
+        self.u_ap = S.Tensor(rng.uniform(-0.1, 0.1, 2 * hidden), requires_grad=True)
+        self.sent_rnn = S.BiLSTM(2 * hidden, hidden, rng=rng)
+        self.u_as = S.Tensor(rng.uniform(-0.1, 0.1, 2 * hidden), requires_grad=True)
+        self.head = S.Dense(2 * hidden, family_count, "softmax", rng=rng)
 
     def parameters(self):
         return (self.embed.parameters() + self.word_rnn.parameters() + [self.u_ap]

@@ -1,11 +1,20 @@
-"""Fusion model construction, stage-wise/end-to-end training, inference.
+"""Fusion model construction, two-phase training, inference.
 
-Training proceeds in two phases. Phase A walks the DAG in order and trains
-each pretrained-subclassifier to classify from its (already fixed) inputs,
-freezing it afterwards. Phase B jointly trains whatever remains trainable
-(dense blocks, softmax heads, trainable ensemble units). Components and
-trained stages are excluded from the optimizer entirely, so their weights
-stay bit-identical through later phases.
+``FusionModel.eval_nodes`` is the one walk over the DAG: it evaluates every
+node in topological order and takes the values it is given as known.
+
+Training has two phases, both through ``S.train``. Phase A takes the
+pretrained-subclassifiers in topological order and trains each one as the
+plain MLP it is, on its input node's values from one ``eval_nodes`` pass
+over the training rows and one over the validation rows, then freezes it.
+Phase B jointly trains whatever is still trainable (dense blocks, softmax
+heads, trainable ensemble units) through ``_JointView``, whose batch inputs
+are the cached values of the frozen nodes (those no trainable parameter
+reaches), so frozen components run once per row rather than once per batch.
+In train mode an ovr-ensemble emits its raw per-family scores, which a
+trainable ensemble root fits with binary cross-entropy. Components and
+trained stages are never in the optimizer, so their weights stay
+bit-identical through later phases.
 """
 
 from __future__ import annotations
@@ -25,17 +34,18 @@ class FusionError(ValueError):
 
 class _OvrEnsemble(S.Module):
     """Per family: one logistic unit over that family's component scores,
-    or an unweighted mean in fixed mode. Output renormalized to sum to 1."""
+    or an unweighted mean in fixed mode. Outside train mode the scores are
+    renormalized to sum to 1."""
 
     def __init__(self, n_inputs: int, family_count: int, mode: str, *,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         self.mode = mode
         self.n_inputs = n_inputs
         self.family_count = family_count
         if mode == "trainable":
-            self.w = S.Tensor(rng.uniform(0.0, 1.0, (n_inputs, family_count)).astype(dtype),
+            self.w = S.Tensor(rng.uniform(0.0, 1.0, (n_inputs, family_count)),
                               requires_grad=True)
-            self.b = S.Tensor(np.zeros(family_count, dtype=dtype), requires_grad=True)
+            self.b = S.Tensor(np.zeros(family_count), requires_grad=True)
 
     def parameters(self):
         return [self.w, self.b] if self.mode == "trainable" else []
@@ -60,43 +70,37 @@ class FusionModel(S.Module):
     def __init__(self, topology: FusionTopology, feature_lengths: dict[str, int],
                  family_count: int, hyper: S.Hyperparams,
                  components: dict[str, ComponentModel] | None = None,
-                 dense_width: int = DEFAULT_DENSE_WIDTH, dtype=np.float64):
+                 dense_width: int = DEFAULT_DENSE_WIDTH):
         self.topology = topology
         self.feature_lengths = dict(feature_lengths)
         self.family_count = family_count
         self.hyper = hyper
         self.dense_width = dense_width
-        self.dtype = dtype
         widths = topology.widths(feature_lengths, family_count, dense_width)
-        self.widths = widths
         self.components: dict[str, ComponentModel] = {}
         self.modules: dict[str, S.Module] = {}
-        self.input_nodes: list[tuple[str, str]] = []  # (node_id, feature_name)
         for node in topology.nodes:
             seed_rng = np.random.default_rng(derive_seed(hyper.seed, "fusion", node.node_id))
             in_width = widths[node.deps[0]] if node.deps else 0
-            if node.kind in ("feature-input", "component-output"):
-                self.input_nodes.append((node.node_id, node.args[0]))
-                if node.kind == "component-output":
-                    if components is None or node.args[0] not in components:
-                        raise FusionError(f"{node.node_id}: no trained component "
-                                          f"for {node.args[0]!r}")
-                    comp = components[node.args[0]]
-                    comp.set_trainable(False)
-                    self.components[node.node_id] = comp
+            if node.kind == "component-output":
+                if components is None or node.args[0] not in components:
+                    raise FusionError(f"{node.node_id}: no trained component "
+                                      f"for {node.args[0]!r}")
+                comp = components[node.args[0]]
+                comp.set_trainable(False)
+                self.components[node.node_id] = comp
             elif node.kind == "dense-block":
                 self.modules[node.node_id] = S.Dense(
-                    in_width, widths[node.node_id], "relu", rng=seed_rng, dtype=dtype)
+                    in_width, widths[node.node_id], "relu", rng=seed_rng)
             elif node.kind == "softmax-head":
                 self.modules[node.node_id] = S.Dense(
-                    in_width, family_count, "softmax", rng=seed_rng, dtype=dtype)
+                    in_width, family_count, "softmax", rng=seed_rng)
             elif node.kind == "pretrained-subclassifier":
                 self.modules[node.node_id] = S.MLP(
-                    in_width, (dense_width,), family_count, rng=seed_rng, dtype=dtype)
+                    in_width, (dense_width,), family_count, rng=seed_rng)
             elif node.kind == "ovr-ensemble":
                 self.modules[node.node_id] = _OvrEnsemble(
-                    len(node.deps), family_count, node.args[0], rng=seed_rng, dtype=dtype)
-        self.emit_raw_scores = False  # training-time switch for ovr BCE loss
+                    len(node.deps), family_count, node.args[0], rng=seed_rng)
 
     # -- parameters ------------------------------------------------------------
 
@@ -109,64 +113,39 @@ class FusionModel(S.Module):
         return params
 
     def required_features(self) -> list[str]:
-        return sorted({fname for _, fname in self.input_nodes})
+        return sorted(set(self.topology.feature_inputs()))
 
     # -- evaluation --------------------------------------------------------------
 
     def _input_tensor(self, node_id: str, fname: str, inputs: dict) -> S.Tensor:
         if fname not in inputs:
             raise FusionError(f"missing feature {fname!r} for input {node_id!r}")
-        x = S.Tensor(np.asarray(inputs[fname], dtype=self.dtype))
+        x = S.Tensor(np.asarray(inputs[fname], dtype=np.float64))
         if node_id in self.components:
             return self.components[node_id].forward(x)
         return x
 
-    def _needed(self, targets: list[str], covered: set[str]) -> set[str]:
-        """Ancestors of ``targets`` whose values must still be computed."""
-        needed: set[str] = set()
-        stack = [t for t in targets if t not in covered]
-        while stack:
-            nid = stack.pop()
-            if nid in needed:
-                continue
-            needed.add(nid)
-            stack.extend(d for d in self.topology.node(nid).deps
-                         if d not in covered)
-        return needed
-
     def eval_nodes(self, inputs, train: bool = False,
-                   precomputed: dict[str, np.ndarray] | None = None,
-                   targets: list[str] | None = None) -> dict[str, S.Tensor]:
-        """Evaluate the nodes feeding ``targets`` (default: all of them);
-        ``precomputed`` short-circuits named nodes and their ancestry."""
-        values: dict[str, S.Tensor] = {}
-        if precomputed:
-            values.update({k: S.Tensor(v) for k, v in precomputed.items()})
-        if targets is None:
-            targets = [n.node_id for n in self.topology.nodes]
-        needed = self._needed(targets, set(values))
+                   known: dict[str, np.ndarray] | None = None) -> dict[str, S.Tensor]:
+        """Every node's value, in topological order; ``known`` maps node ids
+        to values taken as given."""
+        values = {nid: S.Tensor(v) for nid, v in (known or {}).items()}
         for node in self.topology.nodes:
-            if node.node_id in values or node.node_id not in needed:
+            nid = node.node_id
+            if nid in values:
                 continue
             if node.kind in ("feature-input", "component-output"):
-                values[node.node_id] = self._input_tensor(
-                    node.node_id, node.args[0], inputs)
+                values[nid] = self._input_tensor(nid, node.args[0], inputs)
             elif node.kind == "concat":
-                values[node.node_id] = S.concat([values[d] for d in node.deps], axis=-1)
-            elif node.kind == "dense-block":
-                values[node.node_id] = self.modules[node.node_id](values[node.deps[0]])
-            elif node.kind == "softmax-head":
-                values[node.node_id] = self.modules[node.node_id](values[node.deps[0]])
+                values[nid] = S.concat([values[d] for d in node.deps], axis=-1)
+            elif node.kind in ("dense-block", "softmax-head"):
+                values[nid] = self.modules[nid](values[node.deps[0]])
             elif node.kind == "pretrained-subclassifier":
-                values[node.node_id] = self.modules[node.node_id].forward(
-                    values[node.deps[0]], train=train)
+                values[nid] = self.modules[nid].forward(values[node.deps[0]], train=train)
             elif node.kind == "ovr-ensemble":
                 stacked = S.stack([values[d] for d in node.deps], axis=1)
-                scores = self.modules[node.node_id].scores(stacked)
-                if self.emit_raw_scores and train:
-                    values[node.node_id] = scores
-                else:
-                    values[node.node_id] = _renormalize(scores)
+                scores = self.modules[nid].scores(stacked)
+                values[nid] = scores if train else _renormalize(scores)
         return values
 
     def forward(self, inputs, train: bool = False) -> S.Tensor:
@@ -198,140 +177,73 @@ class FusionModel(S.Module):
 # -- training ----------------------------------------------------------------------
 
 
-class _SubView(S.Module):
-    """Presents one trainable subgraph of a fusion model to the train loop.
+class _JointView(S.Module):
+    """A fusion model as phase B trains it: its still-trainable parameters,
+    fed the cached values of its frozen nodes (a tuple in ``frozen`` order)."""
 
-    Batch inputs are the cached values of the frozen frontier nodes, as a
-    tuple in frontier order (or one array for a one-node frontier).
-    """
-
-    def __init__(self, fusion: FusionModel, out_node: str,
-                 frontier: list[str], params: list[S.Tensor]):
+    def __init__(self, fusion: FusionModel, frozen: list[str]):
         self.fusion = fusion
-        self.out_node = out_node
-        self.frontier = frontier
-        self._params = params
+        self.frozen = frozen
 
     def parameters(self):
-        return self._params
+        return self.fusion.trainable_parameters()
 
     def forward(self, inputs, train: bool = False) -> S.Tensor:
-        if not isinstance(inputs, tuple):
-            inputs = (inputs,)
-        pre = dict(zip(self.frontier, inputs, strict=True))
-        values = self.fusion.eval_nodes({}, train=train, precomputed=pre,
-                                        targets=[self.out_node])
-        return values[self.out_node]
-
-
-def _static_nodes(fusion: FusionModel, trained_stages: set[str]) -> set[str]:
-    """Nodes whose outputs cannot change during the remaining training:
-    inputs, components, trained stages and concatenations of them."""
-    static: set[str] = set()
-    for node in fusion.topology.nodes:
-        fixed = (node.kind in ("feature-input", "component-output", "concat")
-                 or node.node_id in trained_stages)
-        if fixed and all(d in static for d in node.deps):
-            static.add(node.node_id)
-    return static
-
-
-def _frontier(fusion: FusionModel, static: set[str]) -> list[str]:
-    """Maximal static nodes actually consumed by the non-static remainder."""
-    needed: list[str] = []
-    for node in fusion.topology.nodes:
-        if node.node_id in static:
-            continue
-        for d in node.deps:
-            if d in static and d not in needed:
-                needed.append(d)
-    root = fusion.topology.root.node_id
-    if root in static and root not in needed:
-        needed.append(root)
-    return needed
-
-
-def _materialize(fusion: FusionModel, node_ids: list[str],
-                 inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    values = fusion.eval_nodes(inputs, train=False, targets=node_ids)
-    return {nid: values[nid].data for nid in node_ids}
+        known = dict(zip(self.frozen, inputs, strict=True))
+        return self.fusion.eval_nodes({}, train, known)[self.fusion.topology.root.node_id]
 
 
 def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
-                 labels: np.ndarray, train_idx, val_idx,
-                 components: dict[str, ComponentModel] | None = None,
-                 hyper: S.Hyperparams | None = None,
-                 family_count: int | None = None,
-                 dense_width: int = DEFAULT_DENSE_WIDTH,
+                 labels: np.ndarray, train_idx, val_idx, *,
+                 components: dict[str, ComponentModel], hyper: S.Hyperparams,
+                 family_count: int, dense_width: int,
                  ) -> tuple[FusionModel, list[S.TrainHistory]]:
     """Train a fusion topology over precomputed feature matrices.
 
     ``features`` maps feature_name -> (n_samples, length) for the whole
     corpus; ``train_idx``/``val_idx`` select the rows used per phase.
+    Returns one history per pretrained stage, then one for the joint phase
+    if anything was left to train.
     """
-    hyper = hyper or S.Hyperparams(epochs=40, batch_size=32)
-    labels = np.asarray(labels, dtype=np.int64)
-    if family_count is None:
-        family_count = int(labels.max()) + 1
-    feature_lengths = {name: mat.shape[1] for name, mat in features.items()}
-    needed = set()
-    for node in topology.nodes:
-        if node.kind in ("feature-input", "component-output"):
-            needed.add(node.args[0])
-    missing = sorted(needed - set(features))
+    missing = sorted(set(topology.feature_inputs()) - set(features))
     if missing:
         raise FusionError(f"missing feature matrices for {missing}")
-    fusion = FusionModel(topology, feature_lengths, family_count, hyper,
-                         components, dense_width)
+    fusion = FusionModel(topology, {name: mat.shape[1] for name, mat in features.items()},
+                         family_count, hyper, components, dense_width)
+    labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
-
-    def rows(idx: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: mat[idx] for name, mat in features.items()}
-
+    train_rows = {name: mat[train_idx] for name, mat in features.items()}
+    val_rows = {name: mat[val_idx] for name, mat in features.items()}
+    y_train, y_val = labels[train_idx], labels[val_idx]
     histories: list[S.TrainHistory] = []
-    trained_stages: set[str] = set()
 
-    # phase A: train each pretrained stage on its frozen inputs, then freeze
+    # phase A: train each pretrained stage on its frozen input, then freeze it
     for node in topology.nodes:
-        if node.kind != "pretrained-subclassifier":
-            continue
-        dep = node.deps[0]
-        train_in = _materialize(fusion, [dep], rows(train_idx))[dep]
-        val_in = _materialize(fusion, [dep], rows(val_idx))[dep]
-        stage = fusion.modules[node.node_id]
-        view = _SubView(fusion, node.node_id, [dep], stage.parameters())
-        hist = S.train(view, (train_in, labels[train_idx]),
-                       (val_in, labels[val_idx]), hyper)
-        histories.append(hist)
-        stage.set_trainable(False)
-        trained_stages.add(node.node_id)
+        if node.kind == "pretrained-subclassifier":
+            dep, stage = node.deps[0], fusion.modules[node.node_id]
+            histories.append(S.train(stage, (fusion.eval_nodes(train_rows)[dep].data, y_train),
+                                     (fusion.eval_nodes(val_rows)[dep].data, y_val), hyper))
+            stage.set_trainable(False)
 
     # phase B: jointly train whatever is still trainable
-    static = _static_nodes(fusion, trained_stages)
-    root_id = fusion.topology.root.node_id
-    trainable = fusion.trainable_parameters()
-    if root_id not in static and trainable:
-        frontier = _frontier(fusion, static)
-        train_pre = _materialize(fusion, frontier, rows(train_idx))
-        val_pre = _materialize(fusion, frontier, rows(val_idx))
-        train_tuple = tuple(train_pre[nid] for nid in frontier)
-        val_tuple = tuple(val_pre[nid] for nid in frontier)
-        root = fusion.topology.root
+    if fusion.trainable_parameters():
+        frozen = []  # nodes no trainable parameter reaches, computed once
+        for node in topology.nodes:
+            module = fusion.modules.get(node.node_id)
+            if ((module is None or not module.trainable_parameters())
+                    and all(d in frozen for d in node.deps)):
+                frozen.append(node.node_id)
+        train_known = fusion.eval_nodes(train_rows)
+        val_known = fusion.eval_nodes(val_rows)
         loss = "cross_entropy"
-        targets_train: np.ndarray = labels[train_idx]
-        targets_val: np.ndarray = labels[val_idx]
-        if root.kind == "ovr-ensemble" and root.args[0] == "trainable":
+        if topology.root.kind == "ovr-ensemble" and topology.root.args[0] == "trainable":
             loss = "bce"
-            fusion.emit_raw_scores = True
-            eye = np.eye(family_count)
-            targets_train = eye[labels[train_idx]]
-            targets_val = eye[labels[val_idx]]
-        view = _SubView(fusion, root_id, frontier, trainable)
-        hist = S.train(view, (train_tuple, targets_train),
-                       (val_tuple, targets_val), hyper, loss=loss)
-        histories.append(hist)
-        fusion.emit_raw_scores = False
+            y_train, y_val = np.eye(family_count)[y_train], np.eye(family_count)[y_val]
+        histories.append(S.train(_JointView(fusion, frozen),
+                                 (tuple(train_known[n].data for n in frozen), y_train),
+                                 (tuple(val_known[n].data for n in frozen), y_val),
+                                 hyper, loss=loss))
     return fusion, histories
 
 

@@ -69,12 +69,6 @@ class FusionTopology:
         depended = {d for n in self.nodes for d in n.deps}
         return next(n for n in self.nodes if n.node_id not in depended)
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise TopologyError(f"no node {node_id!r}")
-
     def feature_inputs(self) -> list[str]:
         """Feature names consumed anywhere, via raw inputs or components."""
         return [n.args[0] for n in self.nodes

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import substrate as S
 from .components import ComponentManifest, ComponentModel, train_component
-from .corpus import Corpus, CorpusSample, DatasetSplit, Vocabulary, build_vocabulary
+from .corpus import Corpus, CorpusError, CorpusSample, DatasetSplit, Vocabulary, build_vocabulary
 from .dynamic_features import (
     CoocCnnModel,
     PvModel,
@@ -177,10 +177,20 @@ def save_split(path, split) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
-def load_split(path):
+def load_split(path, n: int) -> DatasetSplit:
+    """Read a saved holdout split of an ``n``-sample corpus. Its train,
+    validation and test rows must each be non-empty and together partition
+    the indices ``0..n-1``; so must its folds, if it has any."""
     payload = json.loads(Path(path).read_text())
-    return DatasetSplit(train=payload["train"], validation=payload["validation"],
-                        test=payload["test"], folds=payload.get("folds", []))
+    split = DatasetSplit(train=payload["train"], validation=payload["validation"],
+                         test=payload["test"], folds=payload.get("folds", []))
+    if not (split.train and split.validation and split.test):
+        raise CorpusError(f"{path}: a holdout split needs train, validation and test rows")
+    try:
+        split.check_partition(n)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+    return split
 
 
 def fit_vocabularies(train_samples: list[CorpusSample], config: PipelineConfig,

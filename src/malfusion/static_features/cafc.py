@@ -24,13 +24,13 @@ class CafcModel(S.Module):
 
     def __init__(self, size: int, kernels: int = DEFAULT_KERNELS,
                  embed_dim: int = DEFAULT_EMBED_DIM, *,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         self.size = size
         self.kernels = kernels
         self.embed_dim = embed_dim
-        self.conv = S.Conv2d(1, kernels, 3, "relu", rng=rng, dtype=dtype)
-        self.enc = S.Dense(kernels * size * size, embed_dim, "linear", rng=rng, dtype=dtype)
-        self.dec = S.Dense(embed_dim, size * size, "linear", rng=rng, dtype=dtype)
+        self.conv = S.Conv2d(1, kernels, 3, "relu", rng=rng)
+        self.enc = S.Dense(kernels * size * size, embed_dim, "linear", rng=rng)
+        self.dec = S.Dense(embed_dim, size * size, "linear", rng=rng)
 
     def parameters(self):
         return self.conv.parameters() + self.enc.parameters() + self.dec.parameters()

@@ -15,9 +15,9 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+def _fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     limit = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 RECURRENT_INIT_SCALE = 0.08
@@ -74,12 +74,14 @@ class Module:
 
 class Dense(Module):
     def __init__(self, in_dim: int, out_dim: int, activation: str = "linear", *,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
+        if min(in_dim, out_dim) < 1:
+            raise ValueError(f"dense layer sizes must be positive, got {in_dim} -> {out_dim}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.w = Tensor(_fan_in_uniform(rng, (in_dim, out_dim), in_dim, dtype), requires_grad=True)
-        self.b = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
+        self.w = Tensor(_fan_in_uniform(rng, (in_dim, out_dim), in_dim), requires_grad=True)
+        self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def parameters(self):
         return [self.w, self.b]
@@ -94,15 +96,18 @@ class Conv2d(Module):
     """K same-padded stride-1 square kernels over (B, C, H, W) input."""
 
     def __init__(self, in_channels: int, out_channels: int, ksize: int = 3,
-                 activation: str = "relu", *, rng: np.random.Generator, dtype=np.float64):
+                 activation: str = "relu", *, rng: np.random.Generator):
+        if min(in_channels, out_channels, ksize) < 1:
+            raise ValueError(f"conv layer sizes must be positive, got {in_channels} -> "
+                             f"{out_channels} channels, kernel {ksize}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.ksize = ksize
         self.activation = activation
         fan_in = in_channels * ksize * ksize
-        self.w = Tensor(_fan_in_uniform(rng, (out_channels, in_channels, ksize, ksize), fan_in, dtype),
+        self.w = Tensor(_fan_in_uniform(rng, (out_channels, in_channels, ksize, ksize), fan_in),
                         requires_grad=True)
-        self.b = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.b = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def parameters(self):
         return [self.w, self.b]
@@ -120,11 +125,10 @@ class MaxPool2d(Module):
 
 
 class Embedding(Module):
-    def __init__(self, num_embeddings: int, dim: int, *, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, num_embeddings: int, dim: int, *, rng: np.random.Generator):
         self.num_embeddings = num_embeddings
         self.dim = dim
-        self.table = Tensor(rng.uniform(-0.1, 0.1, size=(num_embeddings, dim)).astype(dtype),
-                            requires_grad=True)
+        self.table = Tensor(rng.uniform(-0.1, 0.1, size=(num_embeddings, dim)), requires_grad=True)
 
     def parameters(self):
         return [self.table]
@@ -136,13 +140,13 @@ class Embedding(Module):
 class LSTM(Module):
     """Single-direction long short-term memory cell, gate order (i, f, g, o)."""
 
-    def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator):
         self.in_dim = in_dim
         self.hidden = hidden
         s = RECURRENT_INIT_SCALE
-        self.w = Tensor(rng.uniform(-s, s, size=(in_dim, 4 * hidden)).astype(dtype), requires_grad=True)
-        self.u = Tensor(rng.uniform(-s, s, size=(hidden, 4 * hidden)).astype(dtype), requires_grad=True)
-        b = np.zeros(4 * hidden, dtype=dtype)
+        self.w = Tensor(rng.uniform(-s, s, size=(in_dim, 4 * hidden)), requires_grad=True)
+        self.u = Tensor(rng.uniform(-s, s, size=(hidden, 4 * hidden)), requires_grad=True)
+        b = np.zeros(4 * hidden)
         b[hidden : 2 * hidden] = 1.0  # forget-gate bias
         self.b = Tensor(b, requires_grad=True)
 
@@ -180,9 +184,9 @@ class LSTM(Module):
 class BiLSTM(Module):
     """Forward and backward LSTM, hidden states concatenated per step."""
 
-    def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator, dtype=np.float64):
-        self.fwd = LSTM(in_dim, hidden, rng=rng, dtype=dtype)
-        self.bwd = LSTM(in_dim, hidden, rng=rng, dtype=dtype)
+    def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator):
+        self.fwd = LSTM(in_dim, hidden, rng=rng)
+        self.bwd = LSTM(in_dim, hidden, rng=rng)
         self.hidden = hidden
 
     def parameters(self):
@@ -220,15 +224,15 @@ class MLP(Module):
     """Dense stack with rectified hidden layers and a softmax head."""
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int, *,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.layers: list[Dense] = []
         prev = in_dim
         for width in hidden:
-            self.layers.append(Dense(prev, width, "relu", rng=rng, dtype=dtype))
+            self.layers.append(Dense(prev, width, "relu", rng=rng))
             prev = width
-        self.head = Dense(prev, out_dim, "softmax", rng=rng, dtype=dtype)
+        self.head = Dense(prev, out_dim, "softmax", rng=rng)
 
     def parameters(self):
         params = [p for layer in self.layers for p in layer.parameters()]

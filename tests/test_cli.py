@@ -190,6 +190,23 @@ class TestSplitOption:
         confusion = lines[lines.index("confusion_true,confusion_pred,count") + 1:]
         assert sum(int(line.split(",")[2]) for line in confusion) == len(split.test) == 15
 
+    @pytest.mark.parametrize("holdout, k, message", [
+        ((0.5, 0.25, 0.25), None, "holdout buckets do not partition the index set"),
+        (None, 3, "a holdout split needs train, validation and test rows"),
+    ], ids=["overlapping", "folds-only"])
+    def test_bad_split_rejected(self, corpus_dir, config_file, tmp_path, caplog,
+                                holdout, k, message):
+        split = make_splits(load_corpus(corpus_dir), holdout=holdout, k=k, seed=5)
+        if holdout:
+            split.test = split.train[:5]  # test rows that training would see
+        save_split(tmp_path / "split.json", split)
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["eval", "--corpus", str(corpus_dir), "--split",
+                        str(tmp_path / "split.json"), "--config", str(config_file),
+                        "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert f"split.json: {message}" in caplog.text
+
     def test_eval_rejects_cv_with_split(self, tmp_path, capsys):
         code = run(["eval", "--cv", "3", "--split", str(tmp_path / "split.json"),
                     "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])

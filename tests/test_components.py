@@ -179,6 +179,17 @@ class TestModelContainer:
         with pytest.raises(S.ContainerError, match="batchnorm"):
             CO.ComponentModel.load(path)
 
+    def test_zero_input_width_rejected(self, tmp_path):
+        model = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(), hidden=(4,),
+                                  rng=np.random.default_rng(9))
+        path = tmp_path / "component.mfc"
+        model.save(path)
+        blob = path.read_bytes()
+        assert blob.count(b'"input_width": 3') == 1
+        path.write_bytes(blob.replace(b'"input_width": 3', b'"input_width": 0'))
+        with pytest.raises(S.ContainerError, match="sizes must be positive"):
+            CO.ComponentModel.load(path)
+
     def test_other_kind_rejected(self, tmp_path):
         model = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(), hidden=(4,),
                                   rng=np.random.default_rng(7))

@@ -8,7 +8,7 @@ import pytest
 import malfusion.components as CO
 import malfusion.fusion as FU
 import malfusion.substrate as S
-from malfusion.features import FeatureVector
+from malfusion.features import FEATURE_NAMES, STATIC_FEATURES, FeatureVector
 
 REFERENCE_ACCS = {"pe_onehot": 0.6375, "cg_embedding": 0.3142, "cg_lowfreq": 0.3126,
               "api_freq": 0.7218, "pv_trace": 0.7601, "cooc_feat": 0.5943,
@@ -29,10 +29,14 @@ def _weights_digest(module):
     return h.hexdigest()
 
 
-def _toy_setup(seed=0, n_per=16, family_count=4):
-    """Separable three-feature problem over the static feature set."""
+TOY_WIDTHS = {"pe_onehot": 12, "cg_embedding": 8, "cg_lowfreq": 10, "api_freq": 9,
+              "pv_trace": 11, "cooc_feat": 7, "stmt_embed": 6}
+
+
+def _toy_setup(seed=0, n_per=16, family_count=4, names=STATIC_FEATURES):
+    """Separable problem over the named features (default: the static set)."""
     rng = np.random.default_rng(seed)
-    widths = {"pe_onehot": 12, "cg_embedding": 8, "cg_lowfreq": 10}
+    widths = {name: TOY_WIDTHS[name] for name in names}
     n = n_per * family_count
     labels = np.repeat(np.arange(family_count), n_per)
     features = {}
@@ -205,6 +209,32 @@ class TestTraining:
         _, hists, *_ = self._trained("LF1")
         topo_stages = 2  # 3 static features -> 2 cascade stages, no joint phase
         assert len(hists) == topo_stages
+
+
+class TestEveryPreset:
+    @pytest.fixture(scope="class")
+    def trained_components(self):
+        features, labels, tr, va = _toy_setup(names=FEATURE_NAMES)
+        components, manifest = _toy_components(features, labels, tr, va)
+        return features, labels, tr, va, components, manifest
+
+    @pytest.mark.parametrize("name", FU.PRESET_NAMES)
+    @pytest.mark.parametrize("feature_set", sorted(FU.FEATURE_SETS))
+    def test_trains_every_stage_and_leaves_components(self, trained_components,
+                                                      name, feature_set):
+        features, labels, tr, va, components, manifest = trained_components
+        digests = {n: _weights_digest(m) for n, m in components.items()}
+        topo = FU.preset(name, manifest, feature_set, dense_width=16)
+        hyper = S.Hyperparams(epochs=3, batch_size=16, seed=5, patience=3)
+        model, hists = FU.train_fusion(topo, features, labels, tr, va,
+                                       components=components, hyper=hyper,
+                                       family_count=4, dense_width=16)
+        for row in model.predict_batch(features):
+            CO.check_probability_vector(row)
+        stages = sum(n.kind == "pretrained-subclassifier" for n in topo.nodes)
+        # phase B leaves its parameters trainable, so any left means it ran
+        assert len(hists) == stages + bool(model.trainable_parameters())
+        assert {n: _weights_digest(m) for n, m in components.items()} == digests
 
 
 class TestPredict:

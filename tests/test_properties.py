@@ -1,4 +1,4 @@
-"""Property-based tests: file-format round trips and container robustness."""
+"""Property-based tests: file-format and topology round trips, container robustness."""
 
 import io
 
@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import malfusion.components as CO  # noqa: E402
 import malfusion.corpus as C  # noqa: E402
+import malfusion.fusion as FU  # noqa: E402
 import malfusion.substrate as S  # noqa: E402
 from malfusion.corpus.io import normalize_param  # noqa: E402
 
@@ -43,6 +44,43 @@ def test_callgraph_round_trip(lines):
     assert C.parse_callgraph(text, GRAPH_SIZE) == graph
 
 
+_token = st.from_regex(r"[a-z0-9_]+", fullmatch=True)
+_KINDS = ("feature-input", "component-output", "concat", "dense-block", "softmax-head",
+          "pretrained-subclassifier", "ovr-ensemble")
+
+
+@st.composite
+def _topologies(draw):
+    """Topologies the DSL accepts: deps name earlier nodes, and every node but
+    the last feeds a later one, so the last is the one root."""
+    ids = draw(st.lists(_token, min_size=1, max_size=8, unique=True))
+    nodes = []
+    for i, node_id in enumerate(ids):
+        root = i == len(ids) - 1
+        kind = draw(st.sampled_from(FU.topology.PROB_EMITTERS if root else _KINDS))
+        args = draw(st.lists(_token, max_size=2))
+        deps = draw(st.lists(st.sampled_from(ids[:i]), max_size=3)) if i else []
+        if root:
+            used = {d for node in nodes for d in node.deps} | set(deps)
+            deps += [d for d in ids[:i] if d not in used]
+        nodes.append(FU.Node(node_id, kind, tuple(args), tuple(deps)))
+    return FU.FusionTopology(nodes)
+
+
+@given(_topologies())
+def test_topology_round_trip(topology):
+    assert FU.parse_topology(FU.emit_topology(topology)).nodes == topology.nodes
+
+
+@given(_topologies(), _token, st.data())
+def test_one_token_line_names_its_line_number(topology, token, data):
+    lines = FU.emit_topology(topology).splitlines()
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, token)
+    with pytest.raises(FU.TopologyError, match=rf"^line {at + 1}: "):
+        FU.parse_topology("\n".join(lines))
+
+
 @pytest.fixture(scope="module")
 def container(tmp_path_factory):
     path = tmp_path_factory.mktemp("container") / "component.mfc"
@@ -67,5 +105,9 @@ def test_damaged_container_loads_or_raises_container_error(container, damage):
         path.write_bytes(blob[:at] + bytes([damage[2]]) + blob[at + 1:])
     try:
         S.load_container(path)
+    except S.ContainerError:
+        pass
+    try:
+        CO.ComponentModel.load(path)
     except S.ContainerError:
         pass
