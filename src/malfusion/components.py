@@ -57,7 +57,8 @@ class ComponentModel(S.Module):
         return self.mlp.forward(x, train)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
-        return self.forward(np.asarray(rows, dtype=np.float64)).data
+        with S.no_grad():
+            return self.forward(np.asarray(rows, dtype=np.float64)).data
 
     def config(self):
         return {"feature_name": self.feature_name, "input_width": self.input_width,

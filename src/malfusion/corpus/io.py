@@ -85,6 +85,8 @@ def parse_trace(raw_lines: Iterable[str] | TextIO) -> TraceFile:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(f"bad record: {e.msg}", line_no) from e
+        except (ValueError, RecursionError) as e:  # an over-long integer, or nesting too deep
+            raise ParseError(f"bad record: {e}", line_no) from e
         if not isinstance(rec, dict):
             raise ParseError("record is not an object", line_no)
         for key in ("sample_id", "api", "params"):

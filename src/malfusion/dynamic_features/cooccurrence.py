@@ -132,4 +132,5 @@ def cooc_features(model: CoocCnnModel, matrix: np.ndarray) -> FeatureVector:
     if m.shape != (model.vocab_size, model.vocab_size):
         raise ValueError(f"matrix shape {m.shape} does not match vocab "
                          f"{model.vocab_size}")
-    return FeatureVector("cooc_feat", model.features_t(m[None]).data[0])
+    with S.no_grad():
+        return FeatureVector("cooc_feat", model.features_t(m[None]).data[0])

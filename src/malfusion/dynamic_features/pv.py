@@ -77,39 +77,49 @@ def _window_context(word_vecs: np.ndarray, tokens: np.ndarray, window: int,
     return sums, counts
 
 
-def _negatives(rng: np.random.Generator, noise_cum: np.ndarray,
-               length: int, k: int) -> np.ndarray:
-    draws = rng.random((length, k)) * noise_cum[-1]
+def _negatives(rng: np.random.Generator, noise_cum: np.ndarray, shape) -> np.ndarray:
+    draws = rng.random(shape) * noise_cum[-1]
     return np.searchsorted(noise_cum, draws)
 
 
-def _pv_step(doc_vec: np.ndarray, tokens: np.ndarray, word_vecs: np.ndarray,
-             out_vecs: np.ndarray, noise_cum: np.ndarray, window: int, k: int,
-             lr: float, rng: np.random.Generator, update_tables: bool) -> float:
-    """One full pass over a document; returns mean negative-sampling loss.
-
-    With ``update_tables`` off (inference) only the document vector moves.
-    """
-    length = len(tokens)
-    sums, counts = _window_context(word_vecs, tokens, window)
-    denom = (counts + 1.0)[:, None]
-    h = (sums + doc_vec[None, :]) / denom
-    idx = np.concatenate([tokens[:, None], _negatives(rng, noise_cum, length, k)], axis=1)
+def _target_labels(length: int, k: int) -> np.ndarray:
+    """1 for each position's own token (column 0), 0 for its k negatives."""
     labels = np.zeros((length, k + 1))
     labels[:, 0] = 1.0
+    return labels
+
+
+def _position_grads(h: np.ndarray, idx: np.ndarray, labels: np.ndarray,
+                    out_vecs: np.ndarray, denom: np.ndarray, lr: float):
+    """Scores of the ``idx`` tokens (L, k+1) against the context means ``h``:
+    returns their sigmoid scores ``f``, the lr-scaled errors ``g`` and the
+    step for the document vector at each position."""
     rows = out_vecs[idx]                               # (L, k+1, D)
     logits = np.einsum("ld,lkd->lk", h, rows)
     f = 1.0 / (1.0 + np.exp(-logits))
     g = (labels - f) * lr
-    h_grad = np.einsum("lk,lkd->ld", g, rows) / denom
-    if update_tables:
-        np.add.at(out_vecs, idx.reshape(-1),
-                  (g[:, :, None] * h[:, None, :]).reshape(-1, rows.shape[2]))
-        for off in range(-window, window + 1):
-            if off == 0:
-                continue
-            src = np.arange(max(0, -off), min(length, length - off))
-            np.add.at(word_vecs, tokens[src + off], h_grad[src])
+    return f, g, np.einsum("lk,lkd->ld", g, rows) / denom
+
+
+def _pv_step(doc_vec: np.ndarray, tokens: np.ndarray, word_vecs: np.ndarray,
+             out_vecs: np.ndarray, noise_cum: np.ndarray, window: int, k: int,
+             lr: float, rng: np.random.Generator) -> float:
+    """One training pass over a document: moves the document vector and
+    both tables; returns the mean negative-sampling loss."""
+    length = len(tokens)
+    sums, counts = _window_context(word_vecs, tokens, window)
+    denom = (counts + 1.0)[:, None]
+    h = (sums + doc_vec[None, :]) / denom
+    idx = np.concatenate([tokens[:, None], _negatives(rng, noise_cum, (length, k))], axis=1)
+    labels = _target_labels(length, k)
+    f, g, h_grad = _position_grads(h, idx, labels, out_vecs, denom, lr)
+    np.add.at(out_vecs, idx.reshape(-1),
+              (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]))
+    for off in range(-window, window + 1):
+        if off == 0:
+            continue
+        src = np.arange(max(0, -off), min(length, length - off))
+        np.add.at(word_vecs, tokens[src + off], h_grad[src])
     doc_vec += h_grad.sum(axis=0)
     eps = 1e-12
     loss = -(labels * np.log(f + eps) + (1 - labels) * np.log(1 - f + eps)).mean()
@@ -145,8 +155,7 @@ def train_pv(traces: list[TraceFile], dim: int = DEFAULT_PV_DIM, window: int = 5
             step += 1
             neg_rng = rng_for(seed, "pv", "neg", epoch, int(di))
             epoch_loss += _pv_step(doc_vecs[di], docs[di], word_vecs, out_vecs,
-                                   noise_cum, window, neg_samples, cur_lr,
-                                   neg_rng, update_tables=True)
+                                   noise_cum, window, neg_samples, cur_lr, neg_rng)
         mean_loss = epoch_loss / len(docs)
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(f"paragraph-vector loss diverged at epoch {epoch}")
@@ -155,15 +164,26 @@ def train_pv(traces: list[TraceFile], dim: int = DEFAULT_PV_DIM, window: int = 5
 
 
 def pv_embed(model: PvModel, trace: TraceFile, infer_seed: int = 0) -> FeatureVector:
-    """Optimize a fresh document vector with frozen word tables."""
+    """Optimize a fresh document vector with frozen word tables.
+
+    The tables never move, so each position's window context is computed
+    once, and every step's negatives come from one draw (the same numbers,
+    in the same order, as one draw per step).
+    """
     if len(trace) == 0:
         raise EmptyTraceError(f"{trace.sample_id}: empty trace")
     tokens = _doc_tokens(trace, model.vocab)
+    length, steps, k = len(tokens), model.infer_steps, model.neg_samples
     rng = rng_for(infer_seed, "pv", "infer", *tokens.tolist())
     doc_vec = (rng.random(model.dim) - 0.5) / model.dim
-    for step in range(model.infer_steps):
-        cur_lr = model.infer_lr * (1.0 - step / max(1, model.infer_steps))
-        _pv_step(doc_vec, tokens, model.word_vecs, model.out_vecs, model.noise_cum,
-                 model.window, model.neg_samples, max(cur_lr, 1e-4), rng,
-                 update_tables=False)
+    sums, counts = _window_context(model.word_vecs, tokens, model.window)
+    denom = (counts + 1.0)[:, None]
+    labels = _target_labels(length, k)
+    negatives = _negatives(rng, model.noise_cum, (steps, length, k))
+    for step in range(steps):
+        lr = max(model.infer_lr * (1.0 - step / max(1, steps)), 1e-4)
+        h = (sums + doc_vec[None, :]) / denom
+        idx = np.concatenate([tokens[:, None], negatives[step]], axis=1)
+        _, _, h_grad = _position_grads(h, idx, labels, model.out_vecs, denom, lr)
+        doc_vec += h_grad.sum(axis=0)
     return FeatureVector("pv_trace", doc_vec)

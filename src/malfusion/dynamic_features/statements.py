@@ -134,5 +134,6 @@ def train_statement_encoder(traces: list[TraceFile], labels: np.ndarray,
 def statement_embed(model: StatementEncoderModel, trace: TraceFile) -> FeatureVector:
     if len(trace) == 0:
         raise EmptyTraceError(f"{trace.sample_id}: empty trace")
-    emb = model.encode(model.tokenize(trace)[None]).data[0]
+    with S.no_grad():
+        emb = model.encode(model.tokenize(trace)[None]).data[0]
     return FeatureVector("stmt_embed", emb)

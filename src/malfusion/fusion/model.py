@@ -152,7 +152,8 @@ class FusionModel(S.Module):
         return self.eval_nodes(inputs, train)[self.topology.root.node_id]
 
     def predict_batch(self, features: dict[str, np.ndarray]) -> np.ndarray:
-        return self.forward(features, train=False).data
+        with S.no_grad():
+            return self.forward(features, train=False).data
 
     # -- persistence ---------------------------------------------------------------
 
@@ -222,8 +223,10 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
     for node in topology.nodes:
         if node.kind == "pretrained-subclassifier":
             dep, stage = node.deps[0], fusion.modules[node.node_id]
-            histories.append(S.train(stage, (fusion.eval_nodes(train_rows)[dep].data, y_train),
-                                     (fusion.eval_nodes(val_rows)[dep].data, y_val), hyper))
+            with S.no_grad():
+                x_train = fusion.eval_nodes(train_rows)[dep].data
+                x_val = fusion.eval_nodes(val_rows)[dep].data
+            histories.append(S.train(stage, (x_train, y_train), (x_val, y_val), hyper))
             stage.set_trainable(False)
 
     # phase B: jointly train whatever is still trainable
@@ -234,8 +237,9 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
             if ((module is None or not module.trainable_parameters())
                     and all(d in frozen for d in node.deps)):
                 frozen.append(node.node_id)
-        train_known = fusion.eval_nodes(train_rows)
-        val_known = fusion.eval_nodes(val_rows)
+        with S.no_grad():
+            train_known = fusion.eval_nodes(train_rows)
+            val_known = fusion.eval_nodes(val_rows)
         loss = "cross_entropy"
         if topology.root.kind == "ovr-ensemble" and topology.root.args[0] == "trainable":
             loss = "bce"

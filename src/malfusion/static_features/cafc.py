@@ -79,5 +79,6 @@ def train_cafc(callgraphs: list[CallGraph], kernels: int = DEFAULT_KERNELS,
 def cg_embed(model: CafcModel, cg: CallGraph) -> FeatureVector:
     if cg.size != model.size:
         raise ValueError(f"graph size {cg.size} does not match model size {model.size}")
-    emb = model.encode(cg.adjacency[None]).data[0]
+    with S.no_grad():
+        emb = model.encode(cg.adjacency[None]).data[0]
     return FeatureVector("cg_embedding", emb)

@@ -4,9 +4,19 @@ A Tensor wraps an ndarray plus an optional gradient. Ops build a tape of
 closures; ``backward()`` walks it in reverse topological order and
 accumulates gradients directly into parent ``.grad`` buffers. Everything
 runs on the CPU in whatever dtype the input arrays carry.
+
+Inside ``with no_grad():`` no op records a tape: results carry no parents,
+no backward closure and ``requires_grad=False``, so the intermediates of a
+forward pass are freed as soon as nothing else holds them. Outputs are
+unchanged. Every forward-only path (validation losses, ``predict_batch``,
+the learned feature extractors' inference, the fusion trainer's cached
+frozen-node passes) runs under it. The switch is process-wide and restored
+on exit from the block, also when the block raises.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -70,8 +80,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_tape_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run the enclosed ops without recording a tape (see module docstring)."""
+    global _tape_enabled
+    previous, _tape_enabled = _tape_enabled, False
+    try:
+        yield
+    finally:
+        _tape_enabled = previous
+
+
 def _needs_tape(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t._parents for t in tensors)
+    return _tape_enabled and any(t.requires_grad or t._parents for t in tensors)
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -174,11 +198,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = np.empty_like(a.data)
-    pos = a.data >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
-    data[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(a.data))  # never overflows; equals exp(-x) or exp(x) by sign
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         if a.requires_grad:

@@ -93,18 +93,35 @@ def _loss_tensor(kind: str, out: Tensor, targets: np.ndarray) -> Tensor:
     raise ValueError(f"unknown loss {kind!r}")
 
 
-def evaluate_loss(model: Module, data, loss: str = "cross_entropy") -> tuple[float, float]:
-    """Mean loss and (for classification losses) argmax accuracy over a dataset."""
+def evaluate_loss(model: Module, data, loss: str = "cross_entropy",
+                  batch_size: int | None = None) -> tuple[float, float]:
+    """Mean loss and (for classification losses) argmax accuracy over a dataset.
+
+    Runs without a tape, ``batch_size`` rows at a time (all at once if None),
+    so memory does not grow with the number of rows. A set that fits in one
+    chunk gets the single-pass loss exactly; over several chunks the loss is
+    the row-weighted mean of the chunk losses.
+    """
     inputs, targets = data
-    out = model.forward(inputs, train=False)
-    lval = float(_loss_tensor(loss, out, targets).data)
+    targets = np.asarray(targets)
+    n = len(targets)
+    chunk = batch_size or max(n, 1)
+    losses, preds = [], []
+    with T.no_grad():
+        for start in range(0, max(n, 1), chunk):  # an empty set still makes one pass
+            idx = slice(start, start + chunk)
+            out = model.forward(_take(inputs, idx), train=False)
+            losses.append(float(_loss_tensor(loss, out, targets[idx]).data))
+            preds.append(np.argmax(out.data, axis=-1))
+    if len(losses) == 1:
+        lval = losses[0]
+    else:
+        sizes = [len(p) for p in preds]
+        lval = float(np.dot(losses, sizes) / n)
     if loss == "mse":
         return lval, float("nan")
-    pred = np.argmax(out.data, axis=-1)
-    truth = np.asarray(targets)
-    if truth.ndim > 1:
-        truth = np.argmax(truth, axis=-1)
-    return lval, float(np.mean(pred == truth))
+    truth = targets if targets.ndim == 1 else np.argmax(targets, axis=-1)
+    return lval, float(np.mean(np.concatenate(preds) == truth))
 
 
 def train(model: Module, train_data, val_data, hyper: Hyperparams,
@@ -143,7 +160,7 @@ def train(model: Module, train_data, val_data, hyper: Hyperparams,
             batch_loss.backward()
             opt.step()
         hist.train_loss.append(epoch_loss / n)
-        vloss, vacc = evaluate_loss(model, val_data, loss)
+        vloss, vacc = evaluate_loss(model, val_data, loss, hyper.batch_size)
         hist.val_loss.append(vloss)
         hist.val_accuracy.append(vacc)
         if vloss < best_loss:

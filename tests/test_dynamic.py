@@ -1,6 +1,7 @@
 """Dynamic feature pipelines: frequency, PV embedding, co-occurrence CNN,
 statement-sequence encoder, call-sequence baseline."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import malfusion.corpus as C
 import malfusion.dynamic_features as D
 import malfusion.substrate as S
+from malfusion.seeding import rng_for
 
 
 def _trace(sid, names, params=()):
@@ -17,6 +19,34 @@ def _trace(sid, names, params=()):
 
 def _cos(u, v):
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + 1e-12))
+
+
+def _reference_pv_embed(model, trace, infer_seed=0):
+    """Paragraph-vector inference as a plain per-step loop: each step rebuilds
+    the window context and draws its own negatives."""
+    tokens = np.array([model.vocab.lookup(s.api_name) for s in trace.statements])
+    rng = rng_for(infer_seed, "pv", "infer", *tokens.tolist())
+    doc_vec = (rng.random(model.dim) - 0.5) / model.dim
+    length, k = len(tokens), model.neg_samples
+    for step in range(model.infer_steps):
+        lr = max(model.infer_lr * (1.0 - step / max(1, model.infer_steps)), 1e-4)
+        vecs = model.word_vecs[tokens]
+        prefix = np.concatenate([np.zeros((1, model.dim)), np.cumsum(vecs, axis=0)])
+        pos = np.arange(length)
+        lo = np.maximum(pos - model.window, 0)
+        hi = np.minimum(pos + model.window, length - 1)
+        denom = ((hi - lo).astype(np.float64) + 1.0)[:, None]
+        h = (prefix[hi + 1] - prefix[lo] - vecs + doc_vec[None, :]) / denom
+        negatives = np.searchsorted(model.noise_cum,
+                                    rng.random((length, k)) * model.noise_cum[-1])
+        idx = np.concatenate([tokens[:, None], negatives], axis=1)
+        labels = np.zeros((length, k + 1))
+        labels[:, 0] = 1.0
+        rows = model.out_vecs[idx]
+        f = 1.0 / (1.0 + np.exp(-np.einsum("ld,lkd->lk", h, rows)))
+        g = (labels - f) * lr
+        doc_vec += (np.einsum("lk,lkd->ld", g, rows) / denom).sum(axis=0)
+    return doc_vec
 
 
 VOCAB = C.Vocabulary({"A": 0, "B": 1, C.UNKNOWN_TOKEN: 2})
@@ -114,6 +144,15 @@ class TestParagraphVectors:
         model, _, _ = self._model()
         with pytest.raises(C.EmptyTraceError):
             D.pv_embed(model, C.TraceFile("s", ()))
+
+    @pytest.mark.parametrize("steps", [1, 25])
+    def test_inference_matches_per_step_loop(self, steps):
+        model, fam_a, fam_b = self._model()
+        model = dataclasses.replace(model, infer_steps=steps)
+        unseen = _trace("u", [f"Z{i % 7}" for i in range(40)])
+        for trace in (fam_a[0], fam_b[3], unseen):
+            want = _reference_pv_embed(model, trace, infer_seed=2)
+            assert D.pv_embed(model, trace, infer_seed=2).values.tobytes() == want.tobytes()
 
     def test_save_load_round_trip(self, tmp_path):
         # the tables are buffers, the only ones left to persist

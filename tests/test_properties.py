@@ -1,6 +1,8 @@
-"""Property-based tests: file-format and topology round trips, container robustness."""
+"""Property-based tests: file-format and topology round trips, parser and
+container robustness, split invariants."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import malfusion.corpus as C  # noqa: E402
 import malfusion.fusion as FU  # noqa: E402
 import malfusion.substrate as S  # noqa: E402
 from malfusion.corpus.io import normalize_param  # noqa: E402
+from malfusion.corpus.splits import _bucket_targets  # noqa: E402
 
 GRAPH_SIZE = 8
 
@@ -42,6 +45,66 @@ def test_callgraph_round_trip(lines):
     graph = C.parse_callgraph(lines, GRAPH_SIZE)
     text = io.StringIO(C.serialize_callgraph(graph))
     assert C.parse_callgraph(text, GRAPH_SIZE) == graph
+
+
+_json = st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(), inner, max_size=3), max_leaves=8)
+_junk_lines = st.one_of(
+    st.text(),
+    _json.map(json.dumps),
+    st.fixed_dictionaries({"sample_id": _json, "api": _json, "params": _json}).map(json.dumps),
+    # lengths around Python's int-conversion digit limit (4300) and around the
+    # decoder's nesting limit (the recursion limit, 1000 by default)
+    st.integers(4200, 4400).map(lambda n: "1" * n),
+    st.integers(900, 1100).map(lambda n: "[" * n),
+    st.tuples(st.integers(), st.integers()).map(lambda e: f"{e[0]} {e[1]}"),
+)
+
+
+def _insert_junk(lines, junk, data):
+    lines = list(lines)
+    lines.insert(data.draw(st.integers(0, len(lines))), junk)
+    return lines
+
+
+@given(_traces, _junk_lines, st.data())
+def test_junk_trace_line_is_a_parse_error(trace, junk, data):
+    lines = _insert_junk(C.serialize_trace(trace).splitlines(), junk, data)
+    try:
+        C.parse_trace(lines)
+    except C.ParseError as exc:
+        assert exc.line_no is not None and 1 <= exc.line_no <= len(lines)
+
+
+@given(_edge_lists(), _junk_lines, st.data())
+def test_junk_callgraph_line_is_a_parse_error(edges, junk, data):
+    lines = _insert_junk(edges, junk, data)
+    try:
+        C.parse_callgraph(lines, GRAPH_SIZE)
+    except C.ParseError as exc:
+        assert exc.line_no is not None and 1 <= exc.line_no <= len(lines)
+
+
+_labels = st.lists(st.integers(0, 7), min_size=1, max_size=80)
+
+
+@given(_labels, st.tuples(*[st.integers(0, 10)] * 3).filter(any), st.integers(0, 2**32 - 1))
+def test_holdout_buckets_partition_with_target_sizes(labels, weights, seed):
+    fractions = tuple(w / sum(weights) for w in weights)
+    split = C.make_splits(np.array(labels), holdout=fractions, seed=seed)
+    buckets = (split.train, split.validation, split.test)
+    assert sorted(i for b in buckets for i in b) == list(range(len(labels)))
+    assert [len(b) for b in buckets] == _bucket_targets(len(labels), fractions)
+
+
+@given(_labels, st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_folds_partition_and_balance_each_family(labels, k, seed):
+    folds = C.make_splits(np.array(labels), k=k, seed=seed).folds
+    assert sorted(i for fold in folds for i in fold) == list(range(len(labels)))
+    for family in set(labels):
+        counts = [sum(labels[i] == family for i in fold) for fold in folds]
+        assert max(counts) - min(counts) <= 1
 
 
 _token = st.from_regex(r"[a-z0-9_]+", fullmatch=True)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import malfusion.corpus as C
+import malfusion.dynamic_features as D
 import malfusion.substrate as S
 
 TOL = 1e-4  # max relative error vs central finite differences
@@ -87,6 +89,78 @@ class TestGradientChecks:
         assert S.gradient_check(loss, emb.parameters()) < TOL
 
 
+def _untaped(t):
+    return t._parents == () and t._backward is None and t.requires_grad is False
+
+
+class TestNoGrad:
+    def _dense(self):
+        rng = _rng(20)
+        return S.Dense(4, 3, "sigmoid", rng=rng), S.Tensor(rng.normal(0, 1, (5, 4)))
+
+    def test_forward_records_no_tape(self):
+        rng = _rng(21)
+        layer, x = self._dense()
+        cell = S.LSTM(3, 4, rng=rng)
+        xs = S.Tensor(rng.normal(0, 1, (2, 5, 3)))
+        ctx = S.Tensor(rng.normal(0, 1, (4,)), requires_grad=True)
+        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
+
+        def forward():
+            states = cell.run(xs)
+            return [layer(x), states, *S.attention_pool_t(states, ctx, mask)]
+
+        taped = forward()
+        with S.no_grad():
+            untaped = forward()
+        assert all(t._parents for t in taped)
+        for a, b in zip(taped, untaped):
+            assert _untaped(b)
+            assert np.array_equal(a.data, b.data)
+
+    def test_flag_restored_after_nesting_and_exception(self):
+        layer, x = self._dense()
+        with S.no_grad():
+            with S.no_grad():
+                assert _untaped(layer(x))
+            assert _untaped(layer(x))
+        assert layer(x)._parents
+        with pytest.raises(RuntimeError):
+            with S.no_grad():
+                raise RuntimeError("inside the block")
+        out = layer(x)
+        assert out._parents and out.requires_grad
+
+    def test_model_still_trains_after_serving(self):
+        vocab = C.Vocabulary({"open": 0, "read": 1, C.UNKNOWN_TOKEN: 2})
+        model = D.StatementEncoderModel(vocab, 2, embed_dim=4, hidden=3,
+                                        max_statements=4, max_tokens=2, rng=_rng(22))
+        trace = C.TraceFile("s", (C.ApiStatement("open"), C.ApiStatement("read")))
+        D.statement_embed(model, trace)
+        before = model.snapshot()
+        tokens = np.stack([model.tokenize(trace)] * 4)
+        labels = np.array([0, 1, 0, 1])
+        S.train(model, (tokens, labels), (tokens, labels),
+                S.Hyperparams(epochs=1, batch_size=4, patience=0))
+        assert all(p.requires_grad for p in model.parameters())
+        assert all(not np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+
+    def test_sigmoid_matches_masked_reference(self):
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300],
+                            _rng(23).normal(0, 30, 500)])
+
+        def reference(a):  # split by sign, each side in its overflow-free form
+            out = np.empty_like(a)
+            pos = a >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+            ez = np.exp(a[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        got = S.sigmoid(S.Tensor(x)).data
+        assert got.tobytes() == reference(x).tobytes()
+
+
 class TestTraining:
     def _toy(self, seed=0, n=60):
         rng = _rng(seed)
@@ -128,6 +202,16 @@ class TestTraining:
         if hist.stopped_early:
             assert len(hist.val_loss) < 60
         assert hist.best_epoch == int(np.argmin(hist.val_loss))
+
+    def test_chunked_validation_loss(self):
+        X, y = self._toy(12)
+        model = S.MLP(5, (8,), 3, rng=_rng(13))
+        whole = S.evaluate_loss(model, (X, y))
+        assert S.evaluate_loss(model, (X, y), batch_size=len(y)) == whole
+        assert S.evaluate_loss(model, (X, y), batch_size=1000) == whole
+        loss, acc = S.evaluate_loss(model, (X, y), batch_size=7)  # 8 full chunks + 4 rows
+        assert acc == whole[1]
+        assert abs(loss - whole[0]) <= 1e-12 * whole[0]
 
     def test_divergence_raises(self):
         X, y = self._toy(10)
