@@ -148,7 +148,7 @@ def _sample_graph(rng: np.random.Generator, profile: FamilyProfile,
     mask = rng.random((n, n)) < probs
     np.fill_diagonal(mask, False)
     edges = list(zip(*np.nonzero(mask)))
-    return CallGraph(n, canonicalize_adjacency(n, [(int(u), int(v)) for u, v in edges],
+    return CallGraph(n, canonicalize_adjacency([(int(u), int(v)) for u, v in edges],
                                                CANONICAL_GRAPH_SIZE))
 
 

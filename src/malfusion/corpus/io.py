@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -119,19 +120,26 @@ def serialize_trace(trace: TraceFile) -> str:
 # call graphs -------------------------------------------------------------------
 
 
-def canonicalize_adjacency(n: int, edges: Iterable[tuple[int, int]], size: int) -> np.ndarray:
+def canonicalize_adjacency(edges: Iterable[tuple[int, int]], size: int) -> np.ndarray:
     """Reorder nodes by descending out-degree (ties by original index),
     then truncate or zero-pad to ``size`` x ``size``. The adjacency is
-    binary, so a repeated edge counts once."""
+    binary, so a repeated edge counts once.
+
+    Only the nodes in ``edges`` are ranked, so the cost does not grow with
+    the declared node count. A node of zero out-degree ranks after every
+    node of positive out-degree, counting the zero-out-degree nodes of
+    smaller index before it, edgeless ones included.
+    """
     edges = set(edges)
-    out_deg = np.zeros(n, dtype=np.int64)
+    out_deg: dict[int, int] = {}
     for u, _ in edges:
-        out_deg[u] += 1
-    order = sorted(range(n), key=lambda i: (-out_deg[i], i))
-    rank = {node: r for r, node in enumerate(order)}
+        out_deg[u] = out_deg.get(u, 0) + 1
+    sources = sorted(out_deg)
+    rank = {node: r for r, node in enumerate(sorted(sources, key=lambda i: -out_deg[i]))}
     adj = np.zeros((size, size), dtype=np.float64)
     for u, v in edges:
-        ru, rv = rank[u], rank[v]
+        ru = rank[u]
+        rv = rank[v] if v in rank else len(sources) + v - bisect_left(sources, v)
         if ru < size and rv < size:
             adj[ru, rv] = 1.0
     return adj
@@ -174,7 +182,7 @@ def parse_callgraph(edge_list: Iterable[str] | TextIO, canonical_size: int) -> C
         if u >= n or v >= n:
             raise ParseError(f"node id beyond declared count {n} in {line!r}", line_no)
         edges.append((u, v))
-    return CallGraph(n, canonicalize_adjacency(n, edges, canonical_size))
+    return CallGraph(n, canonicalize_adjacency(edges, canonical_size))
 
 
 def serialize_callgraph(cg: CallGraph) -> str:

@@ -141,8 +141,6 @@ class LSTM(Module):
     """Single-direction long short-term memory cell, gate order (i, f, g, o)."""
 
     def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator):
-        self.in_dim = in_dim
-        self.hidden = hidden
         s = RECURRENT_INIT_SCALE
         self.w = Tensor(rng.uniform(-s, s, size=(in_dim, 4 * hidden)), requires_grad=True)
         self.u = Tensor(rng.uniform(-s, s, size=(hidden, 4 * hidden)), requires_grad=True)
@@ -153,32 +151,9 @@ class LSTM(Module):
     def parameters(self):
         return [self.w, self.u, self.b]
 
-    def step(self, x_t: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        hd = self.hidden
-        z = T.add(T.add(T.matmul(x_t, self.w), T.matmul(h, self.u)), self.b)
-        i = T.sigmoid(T.slice_axis(z, 1, 0, hd))
-        f = T.sigmoid(T.slice_axis(z, 1, hd, 2 * hd))
-        g = T.tanh(T.slice_axis(z, 1, 2 * hd, 3 * hd))
-        o = T.sigmoid(T.slice_axis(z, 1, 3 * hd, 4 * hd))
-        c_new = T.add(T.mul(f, c), T.mul(i, g))
-        h_new = T.mul(o, T.tanh(c_new))
-        return h_new, c_new
-
     def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
         """Run over (B, T, in), returning stacked hidden states (B, T, hidden)."""
-        bsz, steps, _ = xs.data.shape
-        dtype = xs.data.dtype
-        h = Tensor(np.zeros((bsz, self.hidden), dtype=dtype))
-        c = Tensor(np.zeros((bsz, self.hidden), dtype=dtype))
-        order = range(steps - 1, -1, -1) if reverse else range(steps)
-        outs: list[Tensor] = []
-        for t in order:
-            x_t = T.reshape(T.slice_axis(xs, 1, t, t + 1), (bsz, self.in_dim))
-            h, c = self.step(x_t, h, c)
-            outs.append(h)
-        if reverse:
-            outs.reverse()
-        return T.stack(outs, axis=1)
+        return T.lstm_sequence(xs, self.w, self.u, self.b, reverse)
 
 
 class BiLSTM(Module):

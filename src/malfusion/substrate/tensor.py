@@ -5,6 +5,13 @@ closures; ``backward()`` walks it in reverse topological order and
 accumulates gradients directly into parent ``.grad`` buffers. Everything
 runs on the CPU in whatever dtype the input arrays carry.
 
+``backward()`` consumes the graph it walks: once an interior node's closure
+has run, the node drops its closure, its parents and its gradient, so the
+forward intermediates are freed during the backward pass rather than after
+it. Only leaves (tensors no op produced, such as parameters) keep their
+gradients. To differentiate again, build a new graph by running the
+forward pass again.
+
 Inside ``with no_grad():`` no op records a tape: results carry no parents,
 no backward closure and ``requires_grad=False``, so the intermediates of a
 forward pass are freed as soon as nothing else holds them. Outputs are
@@ -49,8 +56,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never ``g`` itself: ``add`` hands the same array to both parents
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -71,9 +81,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = None, (), None
 
 
 def _as_tensor(x) -> Tensor:
@@ -197,9 +211,16 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere; ``out`` may be ``x``."""
+    e = np.exp(-np.abs(x))  # never overflows; equals exp(-x) or exp(x) by sign
+    # e <= 1, so the numerator is 1 where x >= 0 and e elsewhere, without a
+    # masked select (slow on mixed signs)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    e = np.exp(-np.abs(a.data))  # never overflows; equals exp(-x) or exp(x) by sign
-    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    data = _sigmoid(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -348,6 +369,102 @@ def select_labels(probs: Tensor, labels: np.ndarray) -> Tensor:
             probs.grad[rows, labels] += g
 
     return _make(data, (probs,), backward)
+
+
+# recurrence ------------------------------------------------------------------
+
+
+def lstm_sequence(xs: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM pass over (B, T, in) inputs, returning hidden states (B, T, H).
+
+    Gate order is (i, f, g, o); the state starts at zero and runs from the
+    last step to the first when ``reverse``. The input projection ``xs @ w``
+    is one matmul for all steps (Appleyard, Kocisky and Blunsom,
+    arXiv:1604.01946), then each step adds ``h @ u`` and the bias. The op is
+    one tape node per sequence: it keeps the activated gates, ``c`` and
+    ``tanh(c)`` of each step and backpropagates through time by hand.
+    Per-step arrays are kept time-major, so each step reads and writes
+    contiguous memory.
+    """
+    if xs.data.ndim != 3:
+        raise ShapeError(f"lstm_sequence expects (B, T, in) inputs, got {xs.data.shape}")
+    bsz, steps, in_dim = xs.data.shape
+    hd = u.data.shape[0]
+    if w.data.shape != (in_dim, 4 * hd) or u.data.shape != (hd, 4 * hd) or b.data.shape != (4 * hd,):
+        raise ShapeError(f"lstm_sequence weights {w.data.shape}, {u.data.shape}, {b.data.shape} "
+                         f"do not fit input width {in_dim}")
+
+    def time_major_inputs():  # (T * B, in); rebuilt by the backward pass, not kept
+        return xs.data.transpose(1, 0, 2).reshape(steps * bsz, in_dim)
+
+    xw = (time_major_inputs() @ w.data).reshape(steps, bsz, 4 * hd)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    taped = _needs_tape(xs, w, u, b)
+    h = np.zeros((bsz, hd), dtype=xs.data.dtype)
+    c = np.zeros((bsz, hd), dtype=xs.data.dtype)
+    hs = np.empty((steps, bsz, hd), dtype=xw.dtype)
+    if taped:
+        gates = np.empty_like(xw)
+        cs = np.empty_like(hs)
+        tanh_cs = np.empty_like(hs)
+    for t in order:
+        z = h @ u.data
+        z += xw[t]  # (xw + h @ u) + b, as one cell step would add them
+        z += b.data
+        act = gates[t] if taped else z
+        _sigmoid(z[:, : 2 * hd], out=act[:, : 2 * hd])
+        np.tanh(z[:, 2 * hd : 3 * hd], out=act[:, 2 * hd : 3 * hd])
+        _sigmoid(z[:, 3 * hd :], out=act[:, 3 * hd :])
+        i, f, g, o = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
+        c = np.multiply(f, c, out=cs[t] if taped else None)
+        c += i * g
+        tanh_c = np.tanh(c, out=tanh_cs[t] if taped else None)
+        h = np.multiply(o, tanh_c, out=hs[t])
+    out = np.ascontiguousarray(hs.transpose(1, 0, 2))
+    if not taped:
+        return Tensor(out)
+
+    def backward(gh):
+        gh = gh.transpose(1, 0, 2)
+        states = out.transpose(1, 0, 2)
+        dz = np.empty_like(gates)
+        dh = np.zeros((bsz, hd), dtype=gates.dtype)
+        dc = np.zeros((bsz, hd), dtype=gates.dtype)
+        du = np.zeros_like(u.data) if u.requires_grad else None
+        for k in range(steps - 1, -1, -1):
+            t = order[k]
+            act, tanh_c = gates[t], tanh_cs[t]
+            i, f, g, o = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
+            dh = gh[t] + dh
+            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            slope = act * (1.0 - act)  # sigmoid'(z) for i, f and o
+            slope[:, 2 * hd : 3 * hd] = 1.0 - g * g  # tanh'(z) for g
+            dzt = dz[t]
+            np.multiply(dc, g, out=dzt[:, :hd])
+            np.multiply(dc, i, out=dzt[:, 2 * hd : 3 * hd])
+            np.multiply(dh, tanh_c, out=dzt[:, 3 * hd :])
+            if k == 0:  # the state before the first step is a constant zero
+                dzt[:, hd : 2 * hd] = 0.0
+                dzt *= slope
+                break
+            prev = order[k - 1]
+            np.multiply(dc, cs[prev], out=dzt[:, hd : 2 * hd])
+            dzt *= slope
+            if du is not None:
+                du += states[prev].T @ dzt
+            dh = dzt @ u.data.T
+            dc = dc * f
+        flat = dz.reshape(steps * bsz, 4 * hd)
+        if xs.requires_grad:
+            xs._accumulate((flat @ w.data.T).reshape(steps, bsz, in_dim).transpose(1, 0, 2))
+        if w.requires_grad:
+            w._accumulate(time_major_inputs().T @ flat)
+        if u.requires_grad:
+            u._accumulate(du)
+        if b.requires_grad:
+            b._accumulate(flat.sum(axis=0))
+
+    return _make(out, (xs, w, u, b), backward)
 
 
 # convolution / pooling -------------------------------------------------------

@@ -159,6 +159,7 @@ def train(model: Module, train_data, val_data, hyper: Hyperparams,
             opt.zero_grad()
             batch_loss.backward()
             opt.step()
+            del out, batch_loss  # so nothing of this batch lives on into the next forward pass
         hist.train_loss.append(epoch_loss / n)
         vloss, vacc = evaluate_loss(model, val_data, loss, hyper.batch_size)
         hist.val_loss.append(vloss)

@@ -1,6 +1,7 @@
 """Corpus layer: parsing, normalization, vocabulary, generation, splits."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestParseCallgraph:
         cg = C.parse_callgraph(edges, 64)
         assert cg.adjacency.shape == (64, 64)
         assert cg.adjacency.sum() == 63
+
+    def test_declared_node_count_costs_nothing(self):
+        tracemalloc.start()
+        try:
+            cg = C.parse_callgraph(["n 100000000"], 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(cg.adjacency, np.zeros((8, 8)))
+        assert peak < 2**20
 
     def test_negative_id_rejected(self):
         with pytest.raises(C.ParseError):

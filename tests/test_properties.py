@@ -47,6 +47,34 @@ def test_callgraph_round_trip(lines):
     assert C.parse_callgraph(text, GRAPH_SIZE) == graph
 
 
+def _dense_canonical(n, edges, size):
+    """Rank all n nodes by (-out-degree, index), as the parser once did."""
+    edges = set(edges)
+    out_deg = np.zeros(n, dtype=np.int64)
+    for u, _ in edges:
+        out_deg[u] += 1
+    rank = {node: r for r, node in enumerate(sorted(range(n), key=lambda i: (-out_deg[i], i)))}
+    adj = np.zeros((size, size))
+    for u, v in edges:
+        if rank[u] < size and rank[v] < size:
+            adj[rank[u], rank[v]] = 1.0
+    return adj
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=30))
+
+
+@given(_graphs(), st.integers(1, 14))
+def test_canonical_ranking_matches_dense_ranking(graph, size):
+    n, edges = graph
+    assert np.array_equal(C.canonicalize_adjacency(edges, size),
+                          _dense_canonical(n, edges, size))
+
+
 _json = st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | st.text(),
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(), inner, max_size=3), max_leaves=8)
