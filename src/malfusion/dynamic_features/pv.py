@@ -6,6 +6,15 @@ trained by negative sampling against a unigram^0.75 noise distribution.
 Inference freezes the word tables and runs a fixed number of gradient steps
 on a fresh document vector under a seed keyed on the trace's token ids, so a
 trace embeds the same under any sample id.
+
+Both passes work in vocabulary space, against the whole (V, D) output table
+rather than an (L, k+1, D) block of gathered rows; V is the trace vocabulary
+(``DEFAULT_TRACE_VOCAB`` words at most, by default). A training step scores
+every position against every output word, then scatters the errors with one
+``bincount`` keyed by (token, position) into a (V, L) matrix, so the output
+table's update is one matmul, and the word table's update is one matmul with
+the (V, L) counts of each token's window occurrences. Inference scores the
+frozen window sums against the output table once; see ``pv_embed``.
 """
 
 from __future__ import annotations
@@ -89,37 +98,45 @@ def _target_labels(length: int, k: int) -> np.ndarray:
     return labels
 
 
-def _position_grads(h: np.ndarray, idx: np.ndarray, labels: np.ndarray,
-                    out_vecs: np.ndarray, denom: np.ndarray, lr: float):
-    """Scores of the ``idx`` tokens (L, k+1) against the context means ``h``:
-    returns their sigmoid scores ``f``, the lr-scaled errors ``g`` and the
-    step for the document vector at each position."""
-    rows = out_vecs[idx]                               # (L, k+1, D)
-    logits = np.einsum("ld,lkd->lk", h, rows)
-    f = 1.0 / (1.0 + np.exp(-logits))
-    g = (labels - f) * lr
-    return f, g, np.einsum("lk,lkd->ld", g, rows) / denom
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _window_counts(tokens: np.ndarray, vocab_size: int, window: int) -> np.ndarray:
+    """(V, L) counts: entry [v, l] is how many positions in l's window, other
+    than l itself, hold token v, so ``counts @ h_grad`` is every word's step."""
+    length = len(tokens)
+    pos = np.arange(length)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    near = pos[:, None] + offsets
+    inside = (near >= 0) & (near < length)
+    keys = tokens[near[inside]] * length + np.broadcast_to(pos[:, None], near.shape)[inside]
+    counts = np.bincount(keys, minlength=vocab_size * length)
+    return counts.reshape(vocab_size, length).astype(np.float64)
 
 
 def _pv_step(doc_vec: np.ndarray, tokens: np.ndarray, word_vecs: np.ndarray,
              out_vecs: np.ndarray, noise_cum: np.ndarray, window: int, k: int,
              lr: float, rng: np.random.Generator) -> float:
     """One training pass over a document: moves the document vector and
-    both tables; returns the mean negative-sampling loss."""
-    length = len(tokens)
+    both tables; returns the mean negative-sampling loss.
+
+    Each position's errors are scattered into a (V, L) matrix keyed by
+    (token, position), so both table updates are one matmul each."""
+    length, vocab_size = len(tokens), len(out_vecs)
     sums, counts = _window_context(word_vecs, tokens, window)
     denom = (counts + 1.0)[:, None]
     h = (sums + doc_vec[None, :]) / denom
     idx = np.concatenate([tokens[:, None], _negatives(rng, noise_cum, (length, k))], axis=1)
     labels = _target_labels(length, k)
-    f, g, h_grad = _position_grads(h, idx, labels, out_vecs, denom, lr)
-    np.add.at(out_vecs, idx.reshape(-1),
-              (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]))
-    for off in range(-window, window + 1):
-        if off == 0:
-            continue
-        src = np.arange(max(0, -off), min(length, length - off))
-        np.add.at(word_vecs, tokens[src + off], h_grad[src])
+    f = _sigmoid(np.take_along_axis(h @ out_vecs.T, idx, axis=1))
+    g = (labels - f) * lr
+    keys = idx * length + np.arange(length)[:, None]
+    scatter = np.bincount(keys.ravel(), g.ravel(), minlength=vocab_size * length)
+    scatter = scatter.reshape(vocab_size, length)
+    h_grad = (scatter.T @ out_vecs) / denom
+    out_vecs += scatter @ h
+    word_vecs += _window_counts(tokens, vocab_size, window) @ h_grad
     doc_vec += h_grad.sum(axis=0)
     eps = 1e-12
     loss = -(labels * np.log(f + eps) + (1 - labels) * np.log(1 - f + eps)).mean()
@@ -134,6 +151,9 @@ def train_pv(traces: list[TraceFile], dim: int = DEFAULT_PV_DIM, window: int = 5
     """Train word tables and (discarded) per-document vectors jointly."""
     if not traces:
         raise ValueError("cannot train on an empty trace list")
+    for trace in traces:
+        if len(trace) == 0:
+            raise EmptyTraceError(f"{trace.sample_id}: empty trace")
     vocab = build_vocabulary((s.api_name for t in traces for s in t.statements), max_vocab)
     docs = [_doc_tokens(t, vocab) for t in traces]
     counts = np.bincount(np.concatenate(docs), minlength=vocab.size).astype(np.float64)
@@ -166,24 +186,33 @@ def train_pv(traces: list[TraceFile], dim: int = DEFAULT_PV_DIM, window: int = 5
 def pv_embed(model: PvModel, trace: TraceFile, infer_seed: int = 0) -> FeatureVector:
     """Optimize a fresh document vector with frozen word tables.
 
-    The tables never move, so each position's window context is computed
-    once, and every step's negatives come from one draw (the same numbers,
-    in the same order, as one draw per step).
+    The tables never move, so the scores run in vocabulary space: the window
+    sums are scored against every output word once, as an (L, V) table
+    ``ctx``, and each step adds the document vector's (V,) scores
+    ``out_vecs @ doc_vec``, then gathers the (L, k+1) logits it needs from
+    both. The step on the document vector is the per-word sum of the scaled
+    errors times the output table. Every step's negatives come from one draw
+    (the same numbers, in the same order, as one draw per step).
     """
     if len(trace) == 0:
         raise EmptyTraceError(f"{trace.sample_id}: empty trace")
     tokens = _doc_tokens(trace, model.vocab)
     length, steps, k = len(tokens), model.infer_steps, model.neg_samples
+    out_vecs = model.out_vecs
+    vocab_size = len(out_vecs)
     rng = rng_for(infer_seed, "pv", "infer", *tokens.tolist())
     doc_vec = (rng.random(model.dim) - 0.5) / model.dim
     sums, counts = _window_context(model.word_vecs, tokens, model.window)
     denom = (counts + 1.0)[:, None]
+    ctx = (sums @ out_vecs.T).ravel()                  # (L, V), flattened
+    row_start = np.arange(length)[:, None] * vocab_size
     labels = _target_labels(length, k)
     negatives = _negatives(rng, model.noise_cum, (steps, length, k))
     for step in range(steps):
         lr = max(model.infer_lr * (1.0 - step / max(1, steps)), 1e-4)
-        h = (sums + doc_vec[None, :]) / denom
         idx = np.concatenate([tokens[:, None], negatives[step]], axis=1)
-        _, _, h_grad = _position_grads(h, idx, labels, model.out_vecs, denom, lr)
-        doc_vec += h_grad.sum(axis=0)
+        q = out_vecs @ doc_vec
+        f = _sigmoid((ctx[row_start + idx] + q[idx]) / denom)
+        g = (labels - f) * lr / denom
+        doc_vec += np.bincount(idx.ravel(), g.ravel(), minlength=vocab_size) @ out_vecs
     return FeatureVector("pv_trace", doc_vec)

@@ -349,9 +349,16 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
+            # one bincount over flattened (row, column) cells sums in index
+            # order from zero, exactly as a row-wise np.add.at into zeros
+            rows, width = table.data.shape
+            cells = indices.reshape(-1, 1) * width + np.arange(width)
+            grad = np.bincount(cells.ravel(), g.ravel(), minlength=rows * width)
+            grad = grad.reshape(rows, width)
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, indices.reshape(-1), g.reshape(-1, table.data.shape[1]))
+                table.grad = grad
+            else:
+                table.grad += grad
 
     return _make(data, (table,), backward)
 

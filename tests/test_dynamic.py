@@ -9,6 +9,7 @@ import pytest
 
 import malfusion.corpus as C
 import malfusion.dynamic_features as D
+import malfusion.dynamic_features.pv as PV
 import malfusion.substrate as S
 from malfusion.seeding import rng_for
 
@@ -47,6 +48,34 @@ def _reference_pv_embed(model, trace, infer_seed=0):
         g = (labels - f) * lr
         doc_vec += (np.einsum("lk,lkd->ld", g, rows) / denom).sum(axis=0)
     return doc_vec
+
+
+def _reference_pv_step(doc_vec, tokens, word_vecs, out_vecs, noise_cum, window, k, lr, rng):
+    """One paragraph-vector training pass as a row-by-row scatter: gathers
+    each position's k+1 output rows and adds every update with ``np.add.at``."""
+    length = len(tokens)
+    vecs = word_vecs[tokens]
+    prefix = np.concatenate([np.zeros((1, vecs.shape[1])), np.cumsum(vecs, axis=0)])
+    pos = np.arange(length)
+    lo = np.maximum(pos - window, 0)
+    hi = np.minimum(pos + window, length - 1)
+    denom = ((hi - lo).astype(np.float64) + 1.0)[:, None]
+    h = (prefix[hi + 1] - prefix[lo] - vecs + doc_vec[None, :]) / denom
+    negatives = np.searchsorted(noise_cum, rng.random((length, k)) * noise_cum[-1])
+    idx = np.concatenate([tokens[:, None], negatives], axis=1)
+    labels = np.zeros((length, k + 1))
+    labels[:, 0] = 1.0
+    rows = out_vecs[idx]
+    f = 1.0 / (1.0 + np.exp(-np.einsum("ld,lkd->lk", h, rows)))
+    g = (labels - f) * lr
+    h_grad = np.einsum("lk,lkd->ld", g, rows) / denom
+    np.add.at(out_vecs, idx.reshape(-1), (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]))
+    for off in range(-window, window + 1):
+        if off != 0:
+            src = np.arange(max(0, -off), min(length, length - off))
+            np.add.at(word_vecs, tokens[src + off], h_grad[src])
+    doc_vec += h_grad.sum(axis=0)
+    return float(-(labels * np.log(f + 1e-12) + (1 - labels) * np.log(1 - f + 1e-12)).mean())
 
 
 VOCAB = C.Vocabulary({"A": 0, "B": 1, C.UNKNOWN_TOKEN: 2})
@@ -152,7 +181,36 @@ class TestParagraphVectors:
         unseen = _trace("u", [f"Z{i % 7}" for i in range(40)])
         for trace in (fam_a[0], fam_b[3], unseen):
             want = _reference_pv_embed(model, trace, infer_seed=2)
-            assert D.pv_embed(model, trace, infer_seed=2).values.tobytes() == want.tobytes()
+            # vocabulary-space scoring sums in another order than the loop
+            np.testing.assert_allclose(D.pv_embed(model, trace, infer_seed=2).values, want,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("names", [
+        ["A1"],                                  # one position: no window context
+        ["A1", "B2"],                            # shorter than the window
+        ["A1", "A2", "A1", "A1", "B3", "A2"],     # a token repeated inside one window
+        ["zz0", "zz1", "zz2", "zz0"],            # only unseen names: all UNKNOWN
+    ])
+    def test_step_matches_scatter_reference(self, names):
+        model, _, _ = self._model()
+        tokens = PV._doc_tokens(_trace("s", names), model.vocab)
+        results = []
+        for step in (PV._pv_step, _reference_pv_step):
+            init = np.random.default_rng(9)
+            doc_vec = (init.random(model.dim) - 0.5) / model.dim
+            word_vecs, out_vecs = model.word_vecs.copy(), model.out_vecs.copy()
+            loss = step(doc_vec, tokens, word_vecs, out_vecs, model.noise_cum,
+                        model.window, model.neg_samples, 0.05, np.random.default_rng(3))
+            results.append((doc_vec, word_vecs, out_vecs, loss))
+        got, want = results
+        assert not np.array_equal(want[2], model.out_vecs)
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_training_rejects_empty_trace(self):
+        fam_a, _ = self._families()
+        with pytest.raises(C.EmptyTraceError, match="gap"):
+            D.train_pv(fam_a[:2] + [C.TraceFile("gap", ())], dim=8, epochs=1)
 
     def test_save_load_round_trip(self, tmp_path):
         # the tables are buffers, the only ones left to persist

@@ -90,6 +90,16 @@ class TestGradientChecks:
 
         assert S.gradient_check(loss, emb.parameters()) < TOL
 
+    def test_embedding_scatter_equals_add_at(self):
+        rng = _rng(7)
+        emb = S.Embedding(12, 5, rng=rng)
+        idx = rng.integers(0, 4, (6, 9))  # every row repeats, some rows never appear
+        upstream = rng.normal(0, 1, (6, 9, 5))
+        S.tsum(S.mul(emb(idx), S.Tensor(upstream))).backward()
+        want = np.zeros((12, 5))
+        np.add.at(want, idx.reshape(-1), upstream.reshape(-1, 5))
+        assert emb.table.grad.tobytes() == want.tobytes()
+
 
 def _reference_lstm(xs, w, u, b, reverse=False):
     """The unfused recurrence, one substrate op at a time."""
