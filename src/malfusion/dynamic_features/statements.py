@@ -6,6 +6,22 @@ statement-sequence encoder (statement embeddings -> bidirectional
 recurrence -> attention pool against a statement context vector), topped by
 a softmax family head. Attention weights sum to one within each softmax
 group; padding is masked out of both pooling levels.
+
+The word level computes only what reaches the output. Let ``m`` be one
+past the last position that holds a real token in any statement of the
+batch; every later position is padding in every row. Statements with a
+real token run over positions ``< m`` only: the forward direction's states
+there never read later positions, and the padded positions carry zero
+attention weight. The backward direction reads positions ``m..T-1`` first,
+the same pad embedding in every row, so it starts from the state that
+``T - m`` pad steps reach from zero (the recurrence's ``lead``), computed
+once per batch. Statements with no real token have no valid position, so
+their attention falls back to every position of the full-width pad chain:
+that value is one constant per batch, computed from one all-pad row and
+gathered into place. Both hold for any token array, interior pads
+included, so the result equals the full-width computation up to rounding
+(the softmax and BLAS sums run over fewer or differently batched terms).
+The sentence level runs every statement slot.
 """
 
 from __future__ import annotations
@@ -82,13 +98,25 @@ class StatementEncoderModel(S.Module):
         b, length, width = tokens.shape
         flat = tokens.reshape(b * length, width)
         token_mask = flat != self.pad
-        emb = self.embed(flat)
-        word_states = self.word_rnn.run(emb)
-        _, stmt = S.attention_pool_t(word_states, self.u_ap, token_mask)
+        stmt_mask = token_mask.any(axis=-1)
+        rows = np.flatnonzero(stmt_mask)
+        pooled = []
+        if rows.size:
+            used = 1 + np.flatnonzero(token_mask.any(axis=0))[-1]  # past it, only padding
+            lead = width - used
+            pad = self.embed(np.asarray(self.pad)) if lead else None
+            states = self.word_rnn.run(self.embed(flat[rows, :used]), lead=lead, pad=pad)
+            pooled.append(S.attention_pool_t(states, self.u_ap, token_mask[rows, :used])[1])
+        if rows.size < len(flat):  # all-pad statements share one value
+            blank = np.full((1, width), self.pad)
+            pooled.append(S.attention_pool_t(self.word_rnn.run(self.embed(blank)), self.u_ap,
+                                             blank != self.pad)[1])
+        slots = np.full(len(flat), rows.size)  # row gather: all-pad rows take the last value
+        slots[rows] = np.arange(rows.size)
+        stmt = S.embedding(S.concat(pooled, axis=0), slots)
         stmts = S.reshape(stmt, (b, length, 2 * self.hidden))
-        stmt_mask = token_mask.reshape(b, length, width).any(axis=-1)
         sent_states = self.sent_rnn.run(stmts)
-        _, trace = S.attention_pool_t(sent_states, self.u_as, stmt_mask)
+        _, trace = S.attention_pool_t(sent_states, self.u_as, stmt_mask.reshape(b, length))
         return trace
 
     def forward(self, tokens: np.ndarray, train: bool = False) -> S.Tensor:
@@ -113,9 +141,13 @@ def train_statement_encoder(traces: list[TraceFile], labels: np.ndarray,
                             token_vocab: int = DEFAULT_TOKEN_VOCAB,
                             ) -> tuple[StatementEncoderModel, S.TrainHistory]:
     """Vocabulary and weights are built from the given (training) traces
-    only; the ``val`` traces and labels steer early stopping."""
+    only; the ``val`` traces and labels steer early stopping. An empty
+    training or validation trace raises ``EmptyTraceError``."""
     if not traces:
         raise ValueError("cannot train on an empty trace list")
+    for trace in [*traces, *val[0]]:
+        if len(trace) == 0:
+            raise EmptyTraceError(f"{trace.sample_id}: empty trace")
     hyper = hyper or S.Hyperparams(epochs=12, batch_size=16)
     vocab = build_token_vocabulary(traces, token_vocab)
     model = StatementEncoderModel(

@@ -153,7 +153,7 @@ class LSTM(Module):
 
     def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
         """Run over (B, T, in), returning stacked hidden states (B, T, hidden)."""
-        return T.lstm_sequence(xs, self.w, self.u, self.b, reverse)
+        return T.lstm_sequence(xs, [self.parameters()], [reverse])
 
 
 class BiLSTM(Module):
@@ -167,9 +167,14 @@ class BiLSTM(Module):
     def parameters(self):
         return self.fwd.parameters() + self.bwd.parameters()
 
-    def run(self, xs: Tensor) -> Tensor:
-        """(B, T, in) -> (B, T, 2*hidden)."""
-        return T.concat([self.fwd.run(xs), self.bwd.run(xs, reverse=True)], axis=-1)
+    def run(self, xs: Tensor, lead: int = 0, pad: Tensor | None = None) -> Tensor:
+        """(B, T, in) -> (B, T, 2*hidden), both directions stepped together.
+
+        ``lead`` and ``pad`` stand for trailing padding that only the
+        backward direction reads (see ``lstm_sequence``).
+        """
+        return T.lstm_sequence(xs, [self.fwd.parameters(), self.bwd.parameters()], [False, True],
+                               lead=lead, pad=pad)
 
 
 def attention_pool_t(hidden: Tensor, context: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:

@@ -381,97 +381,225 @@ def select_labels(probs: Tensor, labels: np.ndarray) -> Tensor:
 # recurrence ------------------------------------------------------------------
 
 
-def lstm_sequence(xs: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM pass over (B, T, in) inputs, returning hidden states (B, T, H).
+# One step's (D, rows, 4H) pre-activations are kept near this size, so that the
+# dozen passes a step makes over them stay in a core's cache. At 1,920 rows
+# (D = 2, H = 16) blocks of 512 rows stepped 15-25% faster forward and 20-28%
+# faster backward than the whole batch (2 MB of L2 per core, numpy 2.4).
+_STEP_BLOCK_BYTES = 1 << 19
 
-    Gate order is (i, f, g, o); the state starts at zero and runs from the
-    last step to the first when ``reverse``. The input projection ``xs @ w``
-    is one matmul for all steps (Appleyard, Kocisky and Blunsom,
-    arXiv:1604.01946), then each step adds ``h @ u`` and the bias. The op is
-    one tape node per sequence: it keeps the activated gates, ``c`` and
-    ``tanh(c)`` of each step and backpropagates through time by hand.
-    Per-step arrays are kept time-major, so each step reads and writes
-    contiguous memory.
+
+def _row_blocks(dirs: int, bsz: int, hd: int, itemsize: int) -> list[slice]:
+    rows = max(1, _STEP_BLOCK_BYTES // (dirs * 4 * hd * itemsize))
+    return [slice(r, r + rows) for r in range(0, bsz, rows)]
+
+
+def _lstm_steps(gates: np.ndarray, u: np.ndarray, b: np.ndarray, h: np.ndarray,
+                c: np.ndarray, hs: np.ndarray, cs: np.ndarray | None = None,
+                tanh_cs: np.ndarray | None = None) -> np.ndarray:
+    """Step D stacked recurrences over their input projections.
+
+    ``gates`` (D, K, B, 4H) holds each direction's ``x @ w`` in the order
+    that direction reads it. The hidden states go to ``hs`` (D, K, B, H).
+    Given ``cs`` and ``tanh_cs`` (the taped case), the activated gates
+    overwrite ``gates`` and the cell states and their tanh are kept there
+    for ``_lstm_bptt``. ``u`` (D, H, 4H), ``b`` (D, 1, 4H) and the initial
+    state ``h``, ``c`` (D, B, H) are only read. Returns the final cell state.
+    """
+    hd = u.shape[1]
+    taped = cs is not None
+    for k in range(gates.shape[1]):
+        z = np.matmul(h, u)
+        z += gates[:, k]  # (xw + h @ u) + b, as one cell step would add them
+        z += b
+        # one sigmoid over all four gates, then tanh over g: elementwise, so
+        # the values equal per-gate calls, and a small batch pays half the calls
+        if taped:
+            act = gates[:, k]
+            _sigmoid(z, out=act)
+            np.tanh(z[..., 2 * hd : 3 * hd], out=act[..., 2 * hd : 3 * hd])
+        else:
+            act, g = z, np.tanh(z[..., 2 * hd : 3 * hd])
+            _sigmoid(z, out=z)
+            z[..., 2 * hd : 3 * hd] = g
+        i, f, g, o = act[..., :hd], act[..., hd : 2 * hd], act[..., 2 * hd : 3 * hd], act[..., 3 * hd :]
+        c = np.multiply(f, c, out=cs[:, k] if taped else None)
+        c += i * g
+        tanh_c = np.tanh(c, out=tanh_cs[:, k] if taped else None)
+        h = np.multiply(o, tanh_c, out=hs[:, k])
+    return c
+
+
+def _lstm_bptt(gh, gates: np.ndarray, hs: np.ndarray, cs: np.ndarray, tanh_cs: np.ndarray,
+               u: np.ndarray, h0: np.ndarray, c0: np.ndarray, dh: np.ndarray, dc: np.ndarray,
+               du: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagate through the steps ``_lstm_steps`` ran from ``h0``, ``c0``.
+
+    ``gates``, ``hs``, ``cs`` and ``tanh_cs`` are what it kept. ``gh``
+    (D, K, B, H) is the gradient of each step's hidden state, or None when
+    only the final state is differentiated; ``dh``, ``dc`` (D, B, H) are
+    the gradient of the final state. Each step's gates are read once, so
+    the pre-activation gradients overwrite them in ``gates``. Adds the
+    recurrent weights' gradient into ``du`` when given, and returns the
+    gradient of the initial state.
+    """
+    hd = u.shape[1]
+    u_t = u.transpose(0, 2, 1)
+    for k in range(gates.shape[1] - 1, -1, -1):
+        act, tanh_c = gates[:, k], tanh_cs[:, k]
+        i, f, g, o = act[..., :hd], act[..., hd : 2 * hd], act[..., 2 * hd : 3 * hd], act[..., 3 * hd :]
+        if gh is not None:
+            dh = gh[:, k] + dh
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        slope = act * (1.0 - act)  # sigmoid'(z) for i, f and o
+        slope[..., 2 * hd : 3 * hd] = 1.0 - g * g  # tanh'(z) for g
+        h_prev, c_prev = (hs[:, k - 1], cs[:, k - 1]) if k else (h0, c0)
+        dz_g = dc * i
+        dc_prev = dc * f
+        # i, f, g, o are read above; their slots now take the gradients
+        np.multiply(dc, g, out=act[..., :hd])
+        np.multiply(dc, c_prev, out=act[..., hd : 2 * hd])
+        act[..., 2 * hd : 3 * hd] = dz_g
+        np.multiply(dh, tanh_c, out=act[..., 3 * hd :])
+        act *= slope
+        if du is not None:
+            du += np.matmul(h_prev.transpose(0, 2, 1), act)
+        dh = np.matmul(act, u_t)
+        dc = dc_prev
+    return dh, dc
+
+
+def lstm_sequence(xs: Tensor, cells, reverse, *, lead: int = 0, pad: Tensor | None = None) -> Tensor:
+    """D LSTM directions over (B, T, in) inputs, stepped together.
+
+    ``cells`` holds one ``(w, u, b)`` triple per direction and ``reverse``
+    one flag per direction; a reverse direction runs from the last step to
+    the first. The result (B, T, D*H) holds each direction's hidden states
+    side by side, in the order of ``cells``. Gate order is (i, f, g, o),
+    and a direction without a lead starts from a zero state. Each
+    direction's input projection ``xs @ w`` is one matmul for all steps
+    (Appleyard, Kocisky and Blunsom, arXiv:1604.01946). The state is kept
+    as (D, B, H), so each step is one ``np.matmul`` of ``h`` with the
+    stacked ``u`` (D, H, 4H) and one pass over the stacked gates.
+
+    ``lead`` > 0 stands for ``lead`` copies of the (in,) input ``pad``
+    after the last step: the result is the first T positions of the
+    sequence ``xs`` followed by that padding. Forward directions read those
+    positions only after the returned ones, so they are not run. Reverse
+    directions read them first, the same inputs in every row, so they start
+    from the state the recurrence reaches after ``lead`` pad steps from
+    zero, computed once at batch 1 and broadcast to the rows.
+
+    The op is one tape node: it keeps the activated gates, ``c`` and
+    ``tanh(c)`` of each step and backpropagates through time by hand,
+    stacked the same way. The lead state's gradient is summed over the
+    rows and taken back through the batch-1 lead steps to ``pad`` and the
+    weights. Per-step arrays are direction-major and step-ordered, so each
+    direction's steps are contiguous.
     """
     if xs.data.ndim != 3:
         raise ShapeError(f"lstm_sequence expects (B, T, in) inputs, got {xs.data.shape}")
+    if not cells or len(cells) != len(reverse):
+        raise ValueError(f"lstm_sequence needs one reverse flag per direction, got "
+                         f"{len(cells)} directions and {len(reverse)} flags")
     bsz, steps, in_dim = xs.data.shape
-    hd = u.data.shape[0]
-    if w.data.shape != (in_dim, 4 * hd) or u.data.shape != (hd, 4 * hd) or b.data.shape != (4 * hd,):
-        raise ShapeError(f"lstm_sequence weights {w.data.shape}, {u.data.shape}, {b.data.shape} "
-                         f"do not fit input width {in_dim}")
+    hd = cells[0][1].data.shape[0]
+    for w, u, b in cells:
+        if w.data.shape != (in_dim, 4 * hd) or u.data.shape != (hd, 4 * hd) or b.data.shape != (4 * hd,):
+            raise ShapeError(f"lstm_sequence weights {w.data.shape}, {u.data.shape}, {b.data.shape} "
+                             f"do not fit input width {in_dim} and hidden size {hd}")
+    backs = [d for d, r in enumerate(reverse) if r]
+    lead = lead if backs else 0
+    if lead and (pad is None or pad.data.shape != (in_dim,)):
+        raise ShapeError(f"lstm_sequence lead needs an ({in_dim},) pad input, got "
+                         f"{None if pad is None else pad.data.shape}")
+    params = [p for cell in cells for p in cell] + ([pad] if lead else [])
+    taped = _needs_tape(xs, *params)
+    dtype = np.result_type(*(p.data.dtype for p in (xs, *params)))
+    dirs = len(cells)
+    u_all = np.stack([u.data for _, u, _ in cells])
+    b_all = np.stack([b.data for _, _, b in cells])[:, None, :]
 
-    def time_major_inputs():  # (T * B, in); rebuilt by the backward pass, not kept
-        return xs.data.transpose(1, 0, 2).reshape(steps * bsz, in_dim)
+    def step_major_inputs(rev):  # (T * B, in) in reading order; rebuilt by backward, not kept
+        x = xs.data[:, ::-1] if rev else xs.data
+        return x.transpose(1, 0, 2).reshape(steps * bsz, in_dim)
 
-    xw = (time_major_inputs() @ w.data).reshape(steps, bsz, 4 * hd)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    taped = _needs_tape(xs, w, u, b)
-    h = np.zeros((bsz, hd), dtype=xs.data.dtype)
-    c = np.zeros((bsz, hd), dtype=xs.data.dtype)
-    hs = np.empty((steps, bsz, hd), dtype=xw.dtype)
-    if taped:
-        gates = np.empty_like(xw)
-        cs = np.empty_like(hs)
-        tanh_cs = np.empty_like(hs)
-    for t in order:
-        z = h @ u.data
-        z += xw[t]  # (xw + h @ u) + b, as one cell step would add them
-        z += b.data
-        act = gates[t] if taped else z
-        _sigmoid(z[:, : 2 * hd], out=act[:, : 2 * hd])
-        np.tanh(z[:, 2 * hd : 3 * hd], out=act[:, 2 * hd : 3 * hd])
-        _sigmoid(z[:, 3 * hd :], out=act[:, 3 * hd :])
-        i, f, g, o = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
-        c = np.multiply(f, c, out=cs[t] if taped else None)
-        c += i * g
-        tanh_c = np.tanh(c, out=tanh_cs[t] if taped else None)
-        h = np.multiply(o, tanh_c, out=hs[t])
-    out = np.ascontiguousarray(hs.transpose(1, 0, 2))
+    gates = np.empty((dirs, steps, bsz, 4 * hd), dtype=dtype)
+    for d, (w, _, _) in enumerate(cells):
+        np.matmul(step_major_inputs(reverse[d]), w.data, out=gates[d].reshape(steps * bsz, 4 * hd))
+    h0 = np.zeros((dirs, bsz, hd), dtype=dtype)
+    c0 = np.zeros_like(h0)
+    if lead:
+        u_lead = u_all[backs]
+        lead_gates = np.empty((len(backs), lead, 1, 4 * hd), dtype=dtype)
+        for j, d in enumerate(backs):
+            lead_gates[j] = pad.data @ cells[d][0].data
+        lead_zero = np.zeros((len(backs), 1, hd), dtype=dtype)
+        lead_hs = np.empty((len(backs), lead, 1, hd), dtype=dtype)
+        lead_kept = (np.empty_like(lead_hs), np.empty_like(lead_hs)) if taped else ()
+        c0[backs] = _lstm_steps(lead_gates, u_lead, b_all[backs], lead_zero, lead_zero,
+                                lead_hs, *lead_kept)
+        h0[backs] = lead_hs[:, -1]
+    hs = np.empty((dirs, steps, bsz, hd), dtype=dtype)
+    kept = (np.empty_like(hs), np.empty_like(hs)) if taped else ()
+    blocks = _row_blocks(dirs, bsz, hd, gates.itemsize)
+    for rows in blocks:
+        _lstm_steps(gates[:, :, rows], u_all, b_all, h0[:, rows], c0[:, rows], hs[:, :, rows],
+                    *(a[:, :, rows] for a in kept))
+    out = np.empty((bsz, steps, dirs, hd), dtype=dtype)
+    for d in range(dirs):
+        out[:, :, d] = (hs[d, ::-1] if reverse[d] else hs[d]).transpose(1, 0, 2)
+    out = out.reshape(bsz, steps, dirs * hd)
     if not taped:
         return Tensor(out)
 
     def backward(gh):
-        gh = gh.transpose(1, 0, 2)
-        states = out.transpose(1, 0, 2)
-        dz = np.empty_like(gates)
-        dh = np.zeros((bsz, hd), dtype=gates.dtype)
-        dc = np.zeros((bsz, hd), dtype=gates.dtype)
-        du = np.zeros_like(u.data) if u.requires_grad else None
-        for k in range(steps - 1, -1, -1):
-            t = order[k]
-            act, tanh_c = gates[t], tanh_cs[t]
-            i, f, g, o = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
-            dh = gh[t] + dh
-            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            slope = act * (1.0 - act)  # sigmoid'(z) for i, f and o
-            slope[:, 2 * hd : 3 * hd] = 1.0 - g * g  # tanh'(z) for g
-            dzt = dz[t]
-            np.multiply(dc, g, out=dzt[:, :hd])
-            np.multiply(dc, i, out=dzt[:, 2 * hd : 3 * hd])
-            np.multiply(dh, tanh_c, out=dzt[:, 3 * hd :])
-            if k == 0:  # the state before the first step is a constant zero
-                dzt[:, hd : 2 * hd] = 0.0
-                dzt *= slope
-                break
-            prev = order[k - 1]
-            np.multiply(dc, cs[prev], out=dzt[:, hd : 2 * hd])
-            dzt *= slope
+        gh = gh.reshape(bsz, steps, dirs, hd)
+        g_steps = np.empty_like(hs)
+        for d in range(dirs):
+            g_steps[d] = (gh[:, ::-1, d] if reverse[d] else gh[:, :, d]).transpose(1, 0, 2)
+        du = np.zeros_like(u_all) if any(u.requires_grad for _, u, _ in cells) else None
+        # zero gradient at the final state in; the initial state's gradient out
+        dh0, dc0 = np.zeros_like(h0), np.zeros_like(h0)
+        for rows in blocks:  # the pre-activation gradients overwrite ``gates``
+            dh0[:, rows], dc0[:, rows] = _lstm_bptt(
+                g_steps[:, :, rows], gates[:, :, rows], hs[:, :, rows],
+                *(a[:, :, rows] for a in kept), u_all, h0[:, rows], c0[:, rows],
+                dh0[:, rows], dc0[:, rows], du)
+        del g_steps
+        lead_dz = {}
+        if lead:
+            lead_du = None if du is None else np.zeros_like(u_lead)
+            _lstm_bptt(None, lead_gates, lead_hs, *lead_kept, u_lead, lead_zero, lead_zero,
+                       dh0[backs].sum(axis=1, keepdims=True), dc0[backs].sum(axis=1, keepdims=True),
+                       lead_du)
             if du is not None:
-                du += states[prev].T @ dzt
-            dh = dzt @ u.data.T
-            dc = dc * f
-        flat = dz.reshape(steps * bsz, 4 * hd)
-        if xs.requires_grad:
-            xs._accumulate((flat @ w.data.T).reshape(steps, bsz, in_dim).transpose(1, 0, 2))
-        if w.requires_grad:
-            w._accumulate(time_major_inputs().T @ flat)
-        if u.requires_grad:
-            u._accumulate(du)
-        if b.requires_grad:
-            b._accumulate(flat.sum(axis=0))
+                du[backs] += lead_du
+            # every lead step reads ``pad``: one (4H,) gradient per reverse direction
+            lead_dz = dict(zip(backs, lead_gates.sum(axis=(1, 2))))
+        gx = np.zeros((steps, bsz, in_dim), dtype=dtype) if xs.requires_grad else None
+        for d, (w, u, b) in enumerate(cells):
+            flat = gates[d].reshape(steps * bsz, 4 * hd)
+            if gx is not None:
+                gxd = (flat @ w.data.T).reshape(steps, bsz, in_dim)
+                gx += gxd[::-1] if reverse[d] else gxd
+            if w.requires_grad:
+                gw = step_major_inputs(reverse[d]).T @ flat
+                if d in lead_dz:
+                    gw += np.outer(pad.data, lead_dz[d])
+                w._accumulate(gw)
+            if u.requires_grad:
+                u._accumulate(du[d])
+            if b.requires_grad:
+                gb = flat.sum(axis=0)
+                if d in lead_dz:
+                    gb += lead_dz[d]
+                b._accumulate(gb)
+        if gx is not None:
+            xs._accumulate(gx.transpose(1, 0, 2))
+        if lead and pad.requires_grad:
+            pad._accumulate(sum(g @ cells[d][0].data.T for d, g in lead_dz.items()))
 
-    return _make(out, (xs, w, u, b), backward)
+    return _make(out, (xs, *params), backward)
 
 
 # convolution / pooling -------------------------------------------------------

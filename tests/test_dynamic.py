@@ -396,6 +396,102 @@ class TestStatementEncoder:
             D.statement_embed(model, C.TraceFile("s", ()))
 
 
+def _full_width_encode(model, tokens):
+    """The statement encoder as it ran over every token slot: the word level
+    runs all positions of every statement, both directions from zero."""
+    b, length, width = tokens.shape
+    flat = tokens.reshape(b * length, width)
+    token_mask = flat != model.pad
+    word_states = model.word_rnn.run(model.embed(flat))
+    _, stmt = S.attention_pool_t(word_states, model.u_ap, token_mask)
+    stmts = S.reshape(stmt, (b, length, 2 * model.hidden))
+    stmt_mask = token_mask.reshape(b, length, width).any(axis=-1)
+    sent_states = model.sent_rnn.run(stmts)
+    _, trace = S.attention_pool_t(sent_states, model.u_as, stmt_mask)
+    return trace
+
+
+def _exactness_model():
+    names = [f"api{i}" for i in range(8)] + [f"p{i}" for i in range(16)] + [C.UNKNOWN_TOKEN]
+    vocab = C.Vocabulary({n: i for i, n in enumerate(names)})
+    model = D.StatementEncoderModel(vocab, 3, embed_dim=6, hidden=5, max_statements=12,
+                                    rng=np.random.default_rng(60))
+    rng = np.random.default_rng(61)
+    for p in model.parameters():  # larger than the initial ranges, so attention is not uniform
+        p.data = rng.normal(0, 0.5, p.data.shape)
+    return model
+
+
+def _random_trace(rng, sid, statements, max_params=4):
+    return C.TraceFile(sid, tuple(
+        C.ApiStatement(f"api{rng.integers(8)}",
+                       tuple(f"p{j}" for j in rng.integers(0, 16, rng.integers(0, max_params + 1))))
+        for _ in range(statements)))
+
+
+def _exactness_batch(case, model):
+    rng = np.random.default_rng(62)
+    if case == "statement-tokens":  # every statement slot used, 1-5 tokens each
+        traces = [_random_trace(rng, f"s{i}", 12) for i in range(3)]
+    elif case == "trailing-empty":  # short traces leave all-pad statement rows
+        traces = [_random_trace(rng, f"s{i}", n) for i, n in enumerate((3, 12, 7))]
+    elif case == "full-width":  # one statement fills all 16 slots: no lead
+        traces = [_random_trace(rng, "s0", 5),
+                  C.TraceFile("s1", (C.ApiStatement("api1", tuple(f"p{j}" for j in range(15))),))]
+    else:  # "interior-pads": pads anywhere, an all-pad row between real ones
+        tokens = rng.integers(0, model.pad + 1, (3, 12, 16))
+        tokens[..., 10:] = model.pad
+        tokens[1, 4] = model.pad
+        return tokens
+    return np.stack([model.tokenize(t) for t in traces])
+
+
+class TestStatementEncoderExactness:
+    CASES = ("statement-tokens", "trailing-empty", "full-width", "interior-pads")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_encode_matches_full_width(self, case):
+        model = _exactness_model()
+        tokens = _exactness_batch(case, model)
+        target = np.random.default_rng(63).normal(0, 1, (len(tokens), 2 * model.hidden))
+        params = [p for p in model.parameters() if p not in model.head.parameters()]
+        results = []
+        for encode in (model.encode, functools.partial(_full_width_encode, model)):
+            for p in params:
+                p.grad = None
+            out = encode(tokens)
+            S.mse(out, target).backward()
+            results.append((out.data, [p.grad for p in params]))
+        (got, got_grads), (want, want_grads) = results
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.any(want_grads[0][model.pad] != 0)  # the pad row of the token table
+        for a, b in zip(got_grads, want_grads, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_sample_independent_of_batch(self):
+        # the word level's width depends on the batch; the features must not
+        model = _exactness_model()
+        rng = np.random.default_rng(64)
+        short = _random_trace(rng, "short", 6, max_params=1)
+        wide = _random_trace(rng, "wide", 9, max_params=9)
+        tokens = np.stack([model.tokenize(t) for t in (short, wide)])
+        with S.no_grad():
+            alone = model.encode(tokens[:1]).data[0]
+            batched = model.encode(tokens).data[0]
+        assert np.max(np.abs(alone - batched)) <= 1e-15
+
+    def test_training_rejects_empty_trace(self):
+        traces = [_trace("a", ["api1", "api2"]), _trace("b", ["api3"]), C.TraceFile("gap", ())]
+        labels = np.array([0, 1, 0])
+        hyper = S.Hyperparams(epochs=1, batch_size=2)
+        with pytest.raises(C.EmptyTraceError, match="gap"):
+            D.train_statement_encoder(traces, labels, 2, seq_len=4, hyper=hyper,
+                                      val=(traces[:2], labels[:2]))
+        with pytest.raises(C.EmptyTraceError, match="gap"):
+            D.train_statement_encoder(traces[:2], labels[:2], 2, seq_len=4, hyper=hyper,
+                                      val=(traces[1:], labels[1:]))
+
+
 class TestCallSequenceEncoder:
     def test_chance_on_params_only(self):
         # API-name stream carries no family signal on this channel

@@ -134,7 +134,7 @@ class TestLstmSequence:
         cell, xs, target = self._setup()
 
         def loss():
-            return S.mse(S.lstm_sequence(xs, cell.w, cell.u, cell.b, reverse), target)
+            return S.mse(S.lstm_sequence(xs, [(cell.w, cell.u, cell.b)], [reverse]), target)
 
         assert S.gradient_check(loss, [cell.w, cell.u, cell.b, xs], max_coords=40) < TOL
 
@@ -143,10 +143,11 @@ class TestLstmSequence:
         cell, xs, target = self._setup(31)
         params = [cell.w, cell.u, cell.b, xs]
         results = []
-        for run in (S.lstm_sequence, _reference_lstm):
+        for run in (lambda: S.lstm_sequence(xs, [(cell.w, cell.u, cell.b)], [reverse]),
+                    lambda: _reference_lstm(xs, cell.w, cell.u, cell.b, reverse)):
             for p in params:
                 p.grad = None
-            hs = run(xs, cell.w, cell.u, cell.b, reverse)
+            hs = run()
             S.mse(hs, target).backward()
             results.append([hs.data] + [p.grad for p in params])
         for fused, ref in zip(*results):
@@ -165,6 +166,102 @@ class TestLstmSequence:
         cell, _, _ = self._setup(33)
         with pytest.raises(S.ShapeError):
             cell.run(S.Tensor(np.zeros((2, 3, 6))))
+
+
+# Stacked directions: (reverse flags, lead pad steps); TestLstmSequence covers
+# one direction without a lead. "both-lead" is the statement encoder's word
+# level, whose backward direction starts after the padding every row shares.
+DIRECTION_CASES = {"both": ((False, True), 0), "both-lead": ((False, True), 3),
+                   "reverse-lead": ((True,), 2)}
+
+
+def _directions_setup(flags, seed=34, bsz=3, steps=6, in_dim=4, hidden=5):
+    rng = _rng(seed)
+    cells = []
+    for _ in flags:
+        cell = S.LSTM(in_dim, hidden, rng=rng)
+        cell.b.data = rng.normal(0, 0.5, cell.b.data.shape)
+        cells.append(cell)
+    xs = S.Tensor(rng.normal(0, 1, (bsz, steps, in_dim)), requires_grad=True)
+    pad = S.Tensor(rng.normal(0, 1, in_dim), requires_grad=True)
+    target = rng.normal(0, 1, (bsz, steps, len(flags) * hidden))
+    return cells, xs, pad, target
+
+
+def _fused(cells, flags, xs, pad, lead):
+    return S.lstm_sequence(xs, [c.parameters() for c in cells], flags, lead=lead,
+                           pad=pad if lead else None)
+
+
+def _reference_directions(cells, flags, xs, pad, lead):
+    """Each direction over the inputs with the ``lead`` pad steps written out,
+    cut back to the inputs' positions."""
+    bsz, steps, in_dim = xs.data.shape
+    if lead:
+        padding = S.add(S.Tensor(np.zeros((bsz, lead, in_dim))), pad)
+        xs = S.concat([xs, padding], axis=1)
+    outs = [_reference_lstm(xs, c.w, c.u, c.b, r) for c, r in zip(cells, flags)]
+    return S.slice_axis(S.concat(outs, axis=-1), 1, 0, steps)
+
+
+class TestStackedLstmSequence:
+    @pytest.mark.parametrize("case", sorted(DIRECTION_CASES))
+    def test_gradient_check(self, case):
+        flags, lead = DIRECTION_CASES[case]
+        cells, xs, pad, target = _directions_setup(flags)
+        params = [p for c in cells for p in c.parameters()] + [xs] + ([pad] if lead else [])
+
+        def loss():
+            return S.mse(_fused(cells, flags, xs, pad, lead), target)
+
+        assert S.gradient_check(loss, params, max_coords=40) < TOL
+
+    @pytest.mark.parametrize("case", sorted(DIRECTION_CASES))
+    def test_matches_per_step_reference(self, case):
+        flags, lead = DIRECTION_CASES[case]
+        cells, xs, pad, target = _directions_setup(flags, seed=35)
+        params = [p for c in cells for p in c.parameters()] + [xs, pad]
+        results = []
+        for run in (_fused, _reference_directions):
+            for p in params:
+                p.grad = None
+            hs = run(cells, flags, xs, pad, lead)
+            S.mse(hs, target).backward()
+            results.append([hs.data] + [p.grad for p in params])
+        for fused, ref in zip(*results):
+            if ref is None:  # no lead: the pad input is not read
+                assert fused is None
+                continue
+            assert fused.dtype == np.float64
+            assert np.max(np.abs(fused - ref)) < 1e-10
+
+    def test_bilstm_is_one_op(self):
+        cells, xs, _, _ = _directions_setup((False, True), seed=36)
+        bi = S.BiLSTM(4, 5, rng=_rng(0))
+        bi.fwd, bi.bwd = cells
+        out = bi.run(xs)
+        assert out._parents == (xs, *cells[0].parameters(), *cells[1].parameters())
+        assert out.data.tobytes() == _fused(cells, (False, True), xs, None, 0).data.tobytes()
+
+    def test_no_tape_under_no_grad(self):
+        cells, xs, pad, _ = _directions_setup((False, True), seed=37)
+        taped = _fused(cells, (False, True), xs, pad, 4)
+        with S.no_grad():
+            untaped = _fused(cells, (False, True), xs, pad, 4)
+        assert taped._parents and _untaped(untaped)
+        assert np.array_equal(taped.data, untaped.data)
+
+    def test_rejects_mismatched_shapes(self):
+        cells, xs, pad, _ = _directions_setup((False, True), seed=38)
+        narrow = S.LSTM(3, 5, rng=_rng(1))
+        with pytest.raises(S.ShapeError):
+            _fused([cells[0], narrow], (False, True), xs, pad, 0)
+        with pytest.raises(S.ShapeError):
+            _fused(cells, (False, True), xs, S.Tensor(np.zeros(3)), 2)
+        with pytest.raises(S.ShapeError):
+            _fused(cells, (False, True), xs, None, 2)
+        with pytest.raises(ValueError):
+            S.lstm_sequence(xs, [c.parameters() for c in cells], [False])
 
 
 def _graph_nodes(root):
@@ -261,28 +358,53 @@ class TestConsumedGraph:
 
 
 # One training step of the statement encoder at the train_holdout shape
-# (batch 16, 120 statements of 16 tokens) peaks at 96 MB under tracemalloc.
-# It peaked at 135 MB when backward kept the graph until it returned, and at
-# 540 MB when the recurrence was also per-step ops. Allocation sizes are
-# fixed by the shape, so the bound cannot flake.
+# (batch 16, 120 statements of 16 tokens) peaks at 97 MB under tracemalloc
+# when every token slot can hold a real token, so the word level runs all 16
+# positions. It peaked at 135 MB when backward kept the graph until it
+# returned, and at 540 MB when the recurrence was also per-step ops. With at
+# most 5 real tokens per statement, as ``statement_tokens`` writes on the
+# benchmark corpora, the word level runs 5 positions and the step peaks at
+# 18.5 MB (96 MB when it ran all 16); that bound is the peak plus 20%.
+# Allocation sizes are fixed by the shape, so the bounds cannot flake.
 STATEMENT_STEP_PEAK_MB = 115
+TRIMMED_STEP_PEAK_MB = 22.2
 
 
-def test_statement_encoder_step_memory():
-    names = [f"tok{i}" for i in range(200)] + [C.UNKNOWN_TOKEN]
-    vocab = C.Vocabulary({n: i for i, n in enumerate(names)})
+def _statement_step_peak(tokens, labels, vocab):
     model = D.StatementEncoderModel(vocab, 8, max_statements=120, max_tokens=16, rng=_rng(50))
-    rng = _rng(51)
-    tokens = rng.integers(0, vocab.size + 1, (16, 120, 16))
-    labels = rng.integers(0, 8, 16)
     tracemalloc.start()
     try:
         S.train(model, (tokens, labels), (tokens[:2], labels[:2]),
                 S.Hyperparams(epochs=1, batch_size=16, patience=0))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < STATEMENT_STEP_PEAK_MB * 2**20
+
+
+def _step_vocab():
+    names = [f"tok{i}" for i in range(200)] + [C.UNKNOWN_TOKEN]
+    return C.Vocabulary({n: i for i, n in enumerate(names)})
+
+
+def test_statement_encoder_step_memory():
+    vocab = _step_vocab()
+    rng = _rng(51)
+    tokens = rng.integers(0, vocab.size + 1, (16, 120, 16))
+    labels = rng.integers(0, 8, 16)
+    assert _statement_step_peak(tokens, labels, vocab) < STATEMENT_STEP_PEAK_MB * 2**20
+
+
+def test_statement_encoder_trimmed_step_memory():
+    vocab = _step_vocab()
+    rng = _rng(52)
+    tokens = np.full((16, 120, 16), vocab.size)
+    lengths = rng.integers(0, 121, 16)
+    lengths[0] = 120
+    for row, count in enumerate(lengths):  # right-padded: 1-5 tokens, then empty statements
+        for slot, width in enumerate(rng.integers(1, 6, count)):
+            tokens[row, slot, :width] = rng.integers(0, vocab.size, width)
+    labels = rng.integers(0, 8, 16)
+    assert _statement_step_peak(tokens, labels, vocab) < TRIMMED_STEP_PEAK_MB * 2**20
 
 
 def _untaped(t):
