@@ -28,6 +28,7 @@ from .evaluate import (
     case_report,
     compare_encoders,
     cross_validate,
+    csv_number,
     make_report,
     sweep,
 )
@@ -153,7 +154,7 @@ def _cmd_train_components(args) -> int:
     manifest = type(manifest)(manifest.accuracies, paths)
     manifest.save(comp_dir / "manifest.json")
     lines = ["feature,validation_accuracy"]
-    lines += [f"{n},{manifest.accuracies[n]!r}" for n in manifest.ascending()]
+    lines += [f"{n},{csv_number(manifest.accuracies[n])}" for n in manifest.ascending()]
     (out / "component-accuracy.csv").write_text("\n".join(lines) + "\n")
     _write_resolved_config(out, args, config)
     log.info("trained %d components to %s", len(models), out)

@@ -15,6 +15,15 @@ every position against every output word, then scatters the errors with one
 table's update is one matmul, and the word table's update is one matmul with
 the (V, L) counts of each token's window occurrences. Inference scores the
 frozen window sums against the output table once; see ``pv_embed``.
+
+Negatives are drawn as uniform numbers scaled to the noise table's total and
+mapped to words by the first cumulative entry at or above each draw. The
+mapping is a guide table (Chen and Asau's indexed search; see
+``_noise_index``): each of ``4 * V`` equal buckets of the total stores a start
+index that is never past the answer for a draw in it, and a short forward
+scan finds the answer. It returns exactly what ``np.searchsorted`` returns,
+so the same draws give the same negatives, in constant expected time per
+draw instead of a binary search.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ from ..substrate import TrainingDiverged, load_container, save_container  # noqa
 DEFAULT_PV_DIM = 400
 DEFAULT_TRACE_VOCAB = 286
 NOISE_POWER = 0.75
+# bytes of one block of inference steps' (steps, L, k+1) indices; small enough
+# that every block's arrays reuse freed heap memory instead of fresh pages
+INFER_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -66,6 +78,18 @@ class PvModel(S.Module):
         table = (vocab.size, c["dim"])
         return cls(vocab, np.zeros(table), np.zeros(table), np.zeros(vocab.size), **c)
 
+    @classmethod
+    def load(cls, path):
+        """Load a saved model; a noise table that could not come from
+        ``train_pv`` raises ``ContainerError``, since it would draw wrong
+        negatives without any error."""
+        model = super().load(path)
+        cum = model.noise_cum
+        if not (np.isfinite(cum).all() and cum[0] > 0 and (np.diff(cum) > 0).all()):
+            raise S.ContainerError(f"{path}: the noise table is not finite, "
+                                   "positive and strictly increasing")
+        return model
+
 
 def _doc_tokens(trace: TraceFile, vocab: Vocabulary) -> np.ndarray:
     return np.array([vocab.lookup(s.api_name) for s in trace.statements], dtype=np.int64)
@@ -86,9 +110,46 @@ def _window_context(word_vecs: np.ndarray, tokens: np.ndarray, window: int,
     return sums, counts
 
 
+def _noise_index(noise_cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(noise_cum, draws)`` (side 'left') for draws in
+    ``[0, noise_cum[-1]]``, in constant expected time per draw.
+
+    This is the guide table of Chen and Asau's indexed search: ``[0, total)``
+    is split into ``4 * V`` equal buckets, value x falls in bucket
+    ``trunc(x * 4V / total)`` clipped to ``[0, 4V)``, and bucket b starts at
+    the number of entries in earlier buckets. One float expression buckets
+    both entries and draws, and it is monotone, so an entry in an earlier
+    bucket than a draw lies below the draw: each draw's answer is at or after
+    its bucket's start, however the bucket edges round. A forward scan while
+    ``noise_cum[j] < x`` then stops exactly at the answer. The scan never
+    passes the last index, so it ends for any table, a damaged one included.
+    """
+    last = len(noise_cum) - 1
+    buckets = 4 * len(noise_cum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = buckets / noise_cum[-1]
+
+        def bucket(x):  # unclipped: take(mode="clip") and np.clip clip it
+            return np.multiply(x, scale, out=np.empty(x.shape, np.int64), casting="unsafe")
+
+        starts = np.searchsorted(np.clip(bucket(noise_cum), 0, buckets - 1), np.arange(buckets))
+        idx = np.take(np.minimum(starts, last), bucket(draws), mode="clip")
+    flat, x = idx.reshape(-1), draws.reshape(-1)
+    todo = np.flatnonzero(noise_cum.take(flat) < x)
+    todo = todo[flat[todo] < last]
+    while todo.size:
+        flat[todo] += 1
+        at = flat[todo]
+        todo = todo[(at < last) & (noise_cum[at] < x[todo])]
+    return idx
+
+
 def _negatives(rng: np.random.Generator, noise_cum: np.ndarray, shape) -> np.ndarray:
-    draws = rng.random(shape) * noise_cum[-1]
-    return np.searchsorted(noise_cum, draws)
+    """Noise words for uniform draws scaled to the table's total, exactly as
+    a binary search would pick them (see ``_noise_index``)."""
+    draws = rng.random(shape)
+    draws *= noise_cum[-1]
+    return _noise_index(noise_cum, draws)
 
 
 def _target_labels(length: int, k: int) -> np.ndarray:
@@ -191,8 +252,11 @@ def pv_embed(model: PvModel, trace: TraceFile, infer_seed: int = 0) -> FeatureVe
     ``ctx``, and each step adds the document vector's (V,) scores
     ``out_vecs @ doc_vec``, then gathers the (L, k+1) logits it needs from
     both. The step on the document vector is the per-word sum of the scaled
-    errors times the output table. Every step's negatives come from one draw
-    (the same numbers, in the same order, as one draw per step).
+    errors times the output table. The steps run in blocks of about
+    ``INFER_BLOCK_BYTES`` of indices: a block draws its steps' negatives in
+    one call (the same numbers, in the same order, as one draw per step) and
+    gathers their (steps, L, k+1) word indices and window scores once, so a
+    step gathers only the document vector's scores.
     """
     if len(trace) == 0:
         raise EmptyTraceError(f"{trace.sample_id}: empty trace")
@@ -207,12 +271,17 @@ def pv_embed(model: PvModel, trace: TraceFile, infer_seed: int = 0) -> FeatureVe
     ctx = (sums @ out_vecs.T).ravel()                  # (L, V), flattened
     row_start = np.arange(length)[:, None] * vocab_size
     labels = _target_labels(length, k)
-    negatives = _negatives(rng, model.noise_cum, (steps, length, k))
-    for step in range(steps):
-        lr = max(model.infer_lr * (1.0 - step / max(1, steps)), 1e-4)
-        idx = np.concatenate([tokens[:, None], negatives[step]], axis=1)
-        q = out_vecs @ doc_vec
-        f = _sigmoid((ctx[row_start + idx] + q[idx]) / denom)
-        g = (labels - f) * lr / denom
-        doc_vec += np.bincount(idx.ravel(), g.ravel(), minlength=vocab_size) @ out_vecs
+    block = max(1, INFER_BLOCK_BYTES // (8 * length * (k + 1)))
+    for first in range(0, steps, block):
+        count = min(block, steps - first)
+        idx = np.empty((count, length, k + 1), dtype=np.int64)   # column 0: the token
+        idx[:, :, 0] = tokens
+        idx[:, :, 1:] = _negatives(rng, model.noise_cum, (count, length, k))
+        scores = ctx[idx + row_start]                             # the window sums' logits
+        for step, words, ctx_scores in zip(range(first, first + count), idx, scores):
+            lr = max(model.infer_lr * (1.0 - step / max(1, steps)), 1e-4)
+            q = out_vecs @ doc_vec
+            f = _sigmoid((ctx_scores + q[words]) / denom)
+            g = (labels - f) * lr / denom
+            doc_vec += np.bincount(words.ravel(), g.ravel(), minlength=vocab_size) @ out_vecs
     return FeatureVector("pv_trace", doc_vec)

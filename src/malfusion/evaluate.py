@@ -1,7 +1,9 @@
 """Metrics, cross-validation, tuning sweeps, encoder comparison, case reports.
 
-Report emitters format floats with repr() so identical runs serialize to
-identical bytes. Top-k rank ties resolve toward the lowest family index.
+Report emitters write every number with ``csv_number``, the repr() of a
+Python float, so identical runs serialize to identical bytes and every cell
+reads back with ``float()``. Top-k rank ties resolve toward the lowest
+family index.
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ from .seeding import derive_seed
 
 class EvaluationError(ValueError):
     pass
+
+
+def csv_number(x) -> str:
+    """One numeric CSV cell: the shortest text that reads back as the same
+    float (a numpy scalar's own repr is ``np.float64(...)`` under numpy 2)."""
+    return repr(float(x))
 
 
 # -- metrics -----------------------------------------------------------------
@@ -87,16 +95,17 @@ class EvalReport:
 
     def to_csv(self) -> str:
         lines = ["metric,value",
-                 f"accuracy,{self.accuracy!r}",
-                 f"top3_accuracy,{self.top3_accuracy!r}"]
+                 f"accuracy,{csv_number(self.accuracy)}",
+                 f"top3_accuracy,{csv_number(self.top3_accuracy)}"]
         if self.fold_accuracies:
-            lines.append(f"fold_mean,{self.fold_mean!r}")
-            lines.append(f"fold_std,{self.fold_std!r}")
+            lines.append(f"fold_mean,{csv_number(self.fold_mean)}")
+            lines.append(f"fold_std,{csv_number(self.fold_std)}")
             for i, acc in enumerate(self.fold_accuracies):
-                lines.append(f"fold{i}_accuracy,{acc!r}")
+                lines.append(f"fold{i}_accuracy,{csv_number(acc)}")
         lines.append("family,precision,recall")
         for f in range(len(self.precision)):
-            lines.append(f"{f},{self.precision[f]!r},{self.recall[f]!r}")
+            lines.append(f"{f},{csv_number(self.precision[f])},"
+                         f"{csv_number(self.recall[f])}")
         lines.append("confusion_true,confusion_pred,count")
         for t in range(self.confusion.shape[0]):
             for p in range(self.confusion.shape[1]):
@@ -199,7 +208,7 @@ class SweepTable:
 
     def to_csv(self) -> str:
         lines = [f"{self.parameter},accuracy"]
-        lines += [f"{v},{a!r}" for v, a in self.rows]
+        lines += [f"{v},{csv_number(a)}" for v, a in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -274,7 +283,7 @@ class EncoderComparison:
 
     def to_csv(self) -> str:
         lines = ["length,call_accuracy,statement_accuracy"]
-        lines += [f"{n},{c!r},{s!r}" for n, c, s in self.rows]
+        lines += [f"{n},{csv_number(c)},{csv_number(s)}" for n, c, s in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -380,7 +389,7 @@ class CaseReport:
                             ("dynamic", self.dynamic_probs),
                             ("integrated", self.integrated_probs)):
             for f, p in enumerate(probs):
-                lines.append(f"{name},{f},{p!r}")
+                lines.append(f"{name},{f},{csv_number(p)}")
         return "\n".join(lines) + "\n"
 
 

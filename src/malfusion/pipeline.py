@@ -131,7 +131,24 @@ class FeatureExtractors:
 
     def featurize(self, sample: CorpusSample, names=FEATURE_NAMES,
                   ) -> dict[str, FeatureVector]:
-        """The named features of one sample (default: all seven)."""
+        """The named features of one sample (default: all seven).
+
+        Widths: ``pe_onehot`` is ``import_vocab.size`` wide, ``cg_embedding``
+        ``config.cg_embed_dim``, ``cg_lowfreq`` ``config.zigzag_len``,
+        ``api_freq`` ``api_vocab.size``, ``pv_trace`` ``config.pv_dim``,
+        ``cooc_feat`` ``cooc_cnn.feature_width`` and ``stmt_embed``
+        ``2 * config.stmt_hidden``.
+
+        Degenerate input:
+
+        - an empty trace raises ``EmptyTraceError`` naming the sample, from
+          the first trace feature asked for;
+        - a one-statement trace, a call graph without edges, only unseen
+          imports and only unseen API names are valid samples, and each gives
+          finite features of the widths above: unseen names fall to their
+          vocabulary's UNKNOWN slot, and an edgeless graph is an all-zero
+          adjacency matrix.
+        """
         c = self.config
         extract = {
             "pe_onehot": lambda: pe_import_onehot(sample.imports, self.import_vocab),

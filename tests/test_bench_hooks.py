@@ -1,5 +1,6 @@
 """The names perfbench's tracer hooks exist, and the pipeline calls the fit
-functions through them, so the benchmark's fit-stage records stay complete."""
+and per-sample extractor functions through them, so the benchmark's
+fit-stage records and per-request spans stay complete."""
 
 import sys
 from pathlib import Path
@@ -17,6 +18,9 @@ import tracing  # noqa: E402
 # learned feature -> the fit function malfusion.pipeline calls for it
 FITS = {"cg_embedding": "train_cafc", "pv_trace": "train_pv",
         "cooc_feat": "train_cooc_cnn", "stmt_embed": "train_statement_encoder"}
+# per-sample extractors FeatureExtractors.featurize calls through malfusion.pipeline
+EXTRACTORS = ("pe_import_onehot", "cg_embed", "extract_lowfreq", "api_call_frequency",
+              "pv_embed", "normalized_cooc", "cooc_features", "statement_embed")
 TINY = P.PipelineConfig.desk(
     seed=0, cafc_epochs=1, cg_embed_dim=4, zigzag_len=10, pv_dim=8, pv_epochs=1,
     pv_infer_steps=1, cooc_epochs=1, stmt_seqlen=8, stmt_epochs=1, callseq_len=8,
@@ -28,15 +32,20 @@ def _tiny():
     return corpus, C.make_splits(corpus, holdout=(0.6, 0.2, 0.2), seed=4)
 
 
-@pytest.fixture
-def fit_calls(monkeypatch):
-    counts = dict.fromkeys(FITS.values(), 0)
-    for name in FITS.values():
-        def counted(*args, _name=name, _fit=getattr(P, name), **kwargs):
+def _count_calls(monkeypatch, names):
+    """Wrap each of ``names`` in malfusion.pipeline with a call counter."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(P, name), **kwargs):
             counts[_name] += 1
-            return _fit(*args, **kwargs)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(P, name, counted)
     return counts
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    return _count_calls(monkeypatch, FITS.values())
 
 
 def test_every_hooked_name_resolves():
@@ -49,6 +58,16 @@ def test_extract_features_fits_each_model_once(fit_calls):
     corpus, split = _tiny()
     P.extract_features(corpus, split.train, split.validation, TINY)
     assert fit_calls == dict.fromkeys(FITS.values(), 1)
+
+
+def test_featurize_calls_each_extractor_once(monkeypatch):
+    hooked = {attr for owner, attr, *_ in tracing.hook_table() if owner is P}
+    assert set(EXTRACTORS) <= hooked
+    corpus, split = _tiny()
+    _, extractors = P.extract_features(corpus, split.train, split.validation, TINY)
+    calls = _count_calls(monkeypatch, EXTRACTORS)
+    extractors.featurize(corpus.samples[0])
+    assert calls == dict.fromkeys(EXTRACTORS, 1)
 
 
 @pytest.mark.parametrize("parameter", sorted(E.SWEEP_FEATURES))

@@ -35,6 +35,14 @@ def config_file(tmp_path_factory):
     return path
 
 
+def _assert_cells_are_numbers(lines):
+    """Every cell after a row's label reads back with float(), as csv and
+    np.loadtxt readers need."""
+    for line in lines:
+        for cell in line.split(",")[1:]:
+            float(cell)
+
+
 class TestGen:
     def test_layout(self, corpus_dir):
         for name in ("manifest.csv", "corpus.json", "config.json",
@@ -126,6 +134,10 @@ class TestPipelineCommands:
         assert first == second
         text = (outs[0] / "report.txt").read_text()
         assert text.startswith("protocol: fixed holdout split\n")
+        headers = {"metric,value", "family,precision,recall",
+                   "confusion_true,confusion_pred,count"}
+        _assert_cells_are_numbers(line for line in first.decode().splitlines()
+                                  if line not in headers)
 
     def test_train_fusion_writes_model_and_report(self, corpus_dir,
                                                   config_file, tmp_path):
@@ -171,6 +183,9 @@ class TestPipelineCommands:
         assert code == 0
         case = (out / f"case-{sample_id}.csv").read_text()
         assert case.startswith(f"sample_id,{sample_id}\n")
+        lines = case.splitlines()
+        assert lines[3].startswith("predictions,") and lines[4] == "model,family,probability"
+        _assert_cells_are_numbers([lines[1], lines[3]] + lines[5:])
         summary = (out / "cases-summary.csv").read_text().strip().splitlines()
         assert summary[0] == ("sample_id,true_family,static_pred,dynamic_pred,"
                               "integrated_pred,category")

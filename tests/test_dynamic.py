@@ -50,6 +50,38 @@ def _reference_pv_embed(model, trace, infer_seed=0):
     return doc_vec
 
 
+def _searchsorted_pv_embed(model, trace, infer_seed=0):
+    """Vocabulary-space paragraph-vector inference with a binary-search
+    noise lookup and per-step gathers, written out step by step."""
+    tokens = np.array([model.vocab.lookup(s.api_name) for s in trace.statements])
+    length, steps, k = len(tokens), model.infer_steps, model.neg_samples
+    out_vecs = model.out_vecs
+    vocab_size = len(out_vecs)
+    rng = rng_for(infer_seed, "pv", "infer", *tokens.tolist())
+    doc_vec = (rng.random(model.dim) - 0.5) / model.dim
+    vecs = model.word_vecs[tokens]
+    prefix = np.concatenate([np.zeros((1, vecs.shape[1])), np.cumsum(vecs, axis=0)])
+    pos = np.arange(length)
+    lo = np.maximum(pos - model.window, 0)
+    hi = np.minimum(pos + model.window, length - 1)
+    sums = prefix[hi + 1] - prefix[lo] - vecs
+    denom = ((hi - lo).astype(np.float64) + 1.0)[:, None]
+    ctx = (sums @ out_vecs.T).ravel()
+    row_start = np.arange(length)[:, None] * vocab_size
+    labels = np.zeros((length, k + 1))
+    labels[:, 0] = 1.0
+    draws = rng.random((steps, length, k)) * model.noise_cum[-1]
+    negatives = np.searchsorted(model.noise_cum, draws)
+    for step in range(steps):
+        lr = max(model.infer_lr * (1.0 - step / max(1, steps)), 1e-4)
+        idx = np.concatenate([tokens[:, None], negatives[step]], axis=1)
+        q = out_vecs @ doc_vec
+        f = 1.0 / (1.0 + np.exp(-((ctx[row_start + idx] + q[idx]) / denom)))
+        g = (labels - f) * lr / denom
+        doc_vec += np.bincount(idx.ravel(), g.ravel(), minlength=vocab_size) @ out_vecs
+    return doc_vec
+
+
 def _reference_pv_step(doc_vec, tokens, word_vecs, out_vecs, noise_cum, window, k, lr, rng):
     """One paragraph-vector training pass as a row-by-row scatter: gathers
     each position's k+1 output rows and adds every update with ``np.add.at``."""
@@ -185,6 +217,23 @@ class TestParagraphVectors:
             np.testing.assert_allclose(D.pv_embed(model, trace, infer_seed=2).values, want,
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("which", ["seen", "one_statement", "unseen"])
+    def test_inference_equals_binary_search_loop(self, which):
+        model, fam_a, _ = self._model()
+        trace = {"seen": fam_a[2], "one_statement": _trace("one", ["A3"]),
+                 "unseen": _trace("u", [f"Z{i % 5}" for i in range(30)])}[which]
+        assert np.array_equal(D.pv_embed(model, trace, infer_seed=5).values,
+                              _searchsorted_pv_embed(model, trace, infer_seed=5))
+
+    @pytest.mark.parametrize("table", [[0.5, 0.2, 1.0], [0.1, np.nan, 1.0],
+                                       [1.0, 0.6, 0.2], [0.2, np.inf, np.inf]])
+    def test_noise_lookup_stays_in_range_on_a_damaged_table(self, table):
+        noise_cum = np.array(table)
+        draws = np.random.default_rng(0).random(200) * 1.0
+        idx = PV._noise_index(noise_cum, draws)
+        assert idx.shape == draws.shape
+        assert idx.min() >= 0 and idx.max() <= len(table) - 1
+
     @pytest.mark.parametrize("names", [
         ["A1"],                                  # one position: no window context
         ["A1", "B2"],                            # shorter than the window
@@ -221,6 +270,20 @@ class TestParagraphVectors:
             assert np.array_equal(table, loaded)
         assert np.array_equal(D.pv_embed(back, fam_a[0]).values,
                               D.pv_embed(model, fam_a[0]).values)
+
+    @pytest.mark.parametrize("damage", ["reversed", "nan", "zero", "repeat", "negative"])
+    def test_load_rejects_damaged_noise_table(self, tmp_path, damage):
+        model, _, _ = self._model()
+        path = tmp_path / "pv.mfc"
+        model.save(path)
+        meta, arrays = S.load_container(path)
+        cum = arrays["b2"]
+        cum = {"reversed": cum[::-1], "nan": np.where(np.arange(len(cum)) == 3, np.nan, cum),
+               "zero": np.concatenate([[0.0], cum[1:]]),
+               "repeat": np.concatenate([cum[:1], cum[:-1]]), "negative": cum - 0.5}[damage]
+        S.save_container(path, meta, {**arrays, "b2": np.ascontiguousarray(cum)})
+        with pytest.raises(S.ContainerError, match="pv.mfc: the noise table"):
+            D.PvModel.load(path)
 
 
 class TestCooccurrence:

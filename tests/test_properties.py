@@ -1,5 +1,5 @@
 """Property-based tests: file-format and topology round trips, parser and
-container robustness, split invariants."""
+container robustness, split invariants, the noise-table lookup."""
 
 import io
 import json
@@ -16,6 +16,7 @@ import malfusion.fusion as FU  # noqa: E402
 import malfusion.substrate as S  # noqa: E402
 from malfusion.corpus.io import normalize_param  # noqa: E402
 from malfusion.corpus.splits import _bucket_targets  # noqa: E402
+from malfusion.dynamic_features.pv import _noise_index  # noqa: E402
 
 GRAPH_SIZE = 8
 
@@ -202,3 +203,20 @@ def test_damaged_container_loads_or_raises_container_error(container, damage):
         CO.ComponentModel.load(path)
     except S.ContainerError:
         pass
+
+
+# positive weights whose running sums stay strictly increasing: the smallest
+# weight is above the last sum's spacing
+_noise_tables = st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=300).map(np.cumsum)
+
+
+@given(_noise_tables, st.lists(st.floats(0, 1, exclude_max=True), max_size=50))
+def test_noise_lookup_equals_binary_search(noise_cum, fractions):
+    top = noise_cum[-1]
+    buckets = 4 * len(noise_cum)
+    edges = np.arange(buckets + 1) * (top / buckets)
+    marks = np.concatenate([[0.0, top], noise_cum, edges])
+    draws = np.concatenate([marks, np.nextafter(marks, -np.inf),
+                            np.nextafter(marks, np.inf), np.array(fractions) * top])
+    draws = np.clip(draws, 0.0, top)
+    assert np.array_equal(_noise_index(noise_cum, draws), np.searchsorted(noise_cum, draws))
