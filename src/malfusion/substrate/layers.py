@@ -65,8 +65,10 @@ class Module:
         return [p.data.copy() for p in self.parameters()]
 
     def restore(self, state: list[np.ndarray]) -> None:
+        """Write ``state`` into the parameters' arrays in place, so views into
+        an optimizer's arena stay bound."""
         for p, s in zip(self.parameters(), state, strict=True):
-            p.data = s.copy()
+            np.copyto(p.data, s)
 
     def forward(self, inputs, train: bool = False) -> Tensor:
         raise NotImplementedError

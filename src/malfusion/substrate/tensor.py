@@ -10,7 +10,9 @@ has run, the node drops its closure, its parents and its gradient, so the
 forward intermediates are freed during the backward pass rather than after
 it. Only leaves (tensors no op produced, such as parameters) keep their
 gradients. To differentiate again, build a new graph by running the
-forward pass again.
+forward pass again. A leaf that an optimizer gave a gradient view (see
+``train.Adam``) copies its first gradient of a pass into that view instead of
+a new array.
 
 Inside ``with no_grad():`` no op records a tape: results carry no parents,
 no backward closure and ``requires_grad=False``, so the intermediates of a
@@ -33,7 +35,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_grad_view")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data)
@@ -42,6 +44,7 @@ class Tensor:
         self._backward = None
         self._parents = ()
         self.name = name
+        self._grad_view = None
 
     @property
     def shape(self):
@@ -57,7 +60,7 @@ class Tensor:
     def _accumulate(self, g):
         if self.grad is None:
             # a copy, never ``g`` itself: ``add`` hands the same array to both parents
-            self.grad = np.empty_like(self.data)
+            self.grad = np.empty_like(self.data) if self._grad_view is None else self._grad_view
             np.copyto(self.grad, g)
         else:
             self.grad += g
