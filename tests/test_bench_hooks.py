@@ -2,9 +2,11 @@
 and per-sample extractor functions through them, so the benchmark's
 fit-stage records and per-request spans stay complete."""
 
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import malfusion.corpus as C
@@ -97,3 +99,20 @@ def test_every_fit_validates_on_the_split_validation_rows(monkeypatch):
     P.run_experiment(corpus, split, TINY)
     # CAFC, co-occurrence CNN, statement encoder, seven components, EF1's head
     assert val_rows == [len(split.validation)] * 11
+
+
+def test_train_reaches_the_substrate_hooks_once_per_batch(monkeypatch):
+    hooked = {(owner, attr) for owner, attr, *_ in tracing.hook_table()}
+    assert {(S.Adam, "step"), (S.Tensor, "backward")} <= hooked
+    counts = {"step": 0, "backward": 0}
+    for owner, attr in ((S.Adam, "step"), (S.Tensor, "backward")):
+        def counted(self, *args, _attr=attr, _fn=getattr(owner, attr), **kwargs):
+            counts[_attr] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(0, 1, (30, 4)), rng.integers(0, 3, 30)
+    hyper = S.Hyperparams(epochs=3, batch_size=8, patience=0)
+    S.train(S.MLP(4, (6,), 3, rng=rng), (x, y), (x[:6], y[:6]), hyper)
+    batches = hyper.epochs * math.ceil(len(y) / hyper.batch_size)
+    assert counts == {"step": batches, "backward": batches}

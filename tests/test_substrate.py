@@ -1,5 +1,6 @@
 """Numerical core: autodiff correctness, training behavior, serialization."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 import malfusion.corpus as C
 import malfusion.dynamic_features as D
 import malfusion.substrate as S
+import malfusion.substrate.tensor as ST
+from malfusion.static_features.cafc import CafcModel
+
+TR = importlib.import_module("malfusion.substrate.train")  # the package's ``train`` is the function
 
 TOL = 1e-4  # max relative error vs central finite differences
 
@@ -541,6 +546,182 @@ class TestTraining:
         with pytest.raises(S.TrainingDiverged):
             with np.errstate(all="ignore"):
                 S.train(model, (X[:48], y[:48]), (X[48:], y[48:]), hyper)
+
+
+class _ReferenceAdam:
+    """Adam as it was before the arena: one update per parameter, each
+    expression evaluated into new arrays and ``p.data`` rebound."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+    release = zero_grad
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            mhat = self.m[i] / (1 - b1**self.t)
+            vhat = self.v[i] / (1 - b2**self.t)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def _flat_bytes(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays]).tobytes()
+
+
+def _optimizer_params(seed):
+    """A (1,) scalar-like, a matrix, one more than two step blocks long (so
+    block edges fall inside it) and a vector after it."""
+    rng = _rng(seed)
+    big_rows = 2 * TR._STEP_BLOCK // 64 + 5
+    shapes = [(1,), (7, 5), (big_rows, 64), (3,)]
+    return [S.Tensor(rng.normal(0, 1, s), requires_grad=True) for s in shapes]
+
+
+class TestAdamArena:
+    STEPS = 6
+
+    def _drive(self, opt, params, seed):
+        """Six steps: gradients from backward, except that parameter 1 gets
+        none in step 2 and every gradient of step 4 is assigned from outside."""
+        rng = _rng(seed)
+        scales = [S.Tensor(rng.normal(0, 1, p.data.shape)) for p in params]
+        for step in range(self.STEPS):
+            opt.zero_grad()
+            if step == 4:
+                for p, c in zip(params, scales):
+                    p.grad = c.data * np.cos(p.data)
+            else:
+                used = [i for i in range(len(params)) if not (step == 2 and i == 1)]
+                terms = [S.tsum(S.mul(S.mul(params[i], params[i]), scales[i])) for i in used]
+                loss = terms[0]
+                for t in terms[1:]:
+                    loss = S.add(loss, t)
+                loss.backward()
+            opt.step()
+
+    def test_steps_are_byte_identical_to_per_parameter_update(self):
+        ref_params, params = _optimizer_params(60), _optimizer_params(60)
+        ref = _ReferenceAdam(ref_params, lr=0.05)
+        opt = S.Adam(params, lr=0.05)
+        self._drive(ref, ref_params, 61)
+        self._drive(opt, params, 61)
+        for got, want in zip(params, ref_params):
+            assert got.data.shape == want.data.shape
+            assert got.data.tobytes() == want.data.tobytes()
+        assert opt.m.tobytes() == _flat_bytes(ref.m)
+        assert opt.v.tobytes() == _flat_bytes(ref.v)
+
+    def test_parameter_without_gradient_is_untouched(self):
+        params = _optimizer_params(62)
+        opt = S.Adam(params, lr=0.05)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        before = params[1].data.copy()
+        lo, hi = 1, 1 + params[1].data.size
+        m, v = opt.m[lo:hi].copy(), opt.v[lo:hi].copy()
+        params[1].grad = None
+        opt.step()
+        assert params[1].data.tobytes() == before.tobytes()
+        assert opt.m[lo:hi].tobytes() == m.tobytes() and opt.v[lo:hi].tobytes() == v.tobytes()
+        assert not np.array_equal(params[0].data, before[:1])
+
+    def test_parameters_become_views_of_one_arena(self):
+        params = _optimizer_params(63)
+        values = [p.data.copy() for p in params]
+        S.Adam(params)
+        base = params[0].data.base
+        for p, want in zip(params, values):
+            assert p.data.base is base and p.data.tobytes() == want.tobytes()
+
+    def test_rejects_duplicate_parameter(self):
+        p = S.Tensor(np.zeros(3), requires_grad=True)
+        with pytest.raises(ValueError):
+            S.Adam([p, S.Tensor(np.ones(2), requires_grad=True), p])
+
+    def test_rejects_mixed_dtypes(self):
+        with pytest.raises(ValueError):
+            S.Adam([S.Tensor(np.zeros(3), requires_grad=True),
+                    S.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)])
+
+    def test_restore_writes_into_the_views(self):
+        model = S.MLP(5, (8,), 3, rng=_rng(64))
+        params = model.parameters()
+        opt = S.Adam(params, lr=0.1)
+        views = [p.data for p in params]
+        state = model.snapshot()
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        model.restore(state)
+        for p, view, s in zip(params, views, state):
+            assert p.data is view and p.data.tobytes() == s.tobytes()
+
+    def test_train_detaches_gradient_views(self, monkeypatch):
+        X, y = TestTraining()._toy(65)
+        model = S.MLP(5, (8,), 3, rng=_rng(66))
+        kept = []
+        step = S.Adam.step
+
+        def keep_grads(opt):
+            kept[:] = [p.grad for p in opt.params]
+            step(opt)
+
+        monkeypatch.setattr(S.Adam, "step", keep_grads)
+        S.train(model, (X[:48], y[:48]), (X[48:], y[48:]),
+                S.Hyperparams(epochs=2, batch_size=16, seed=1))
+        params = model.parameters()
+        assert all(p.grad is None and p._grad_view is None for p in params)
+        frozen = [g.copy() for g in kept]
+        S.cross_entropy(model.forward(X[:7]), y[:7]).backward()
+        for p, old, want in zip(params, kept, frozen, strict=True):
+            assert old.tobytes() == want.tobytes()
+            assert not np.shares_memory(p.grad, old)
+
+
+def _cafc_data(n, size, seed):
+    graphs = (_rng(seed).random((n, size, size)) < 0.2).astype(np.float64)
+    return graphs, graphs.reshape(n, -1)
+
+
+class TestTrainMatchesReferenceAdam:
+    def _both(self, monkeypatch, build, train_data, val_data, hyper, loss):
+        runs = []
+        for adam in (_ReferenceAdam, S.Adam):
+            monkeypatch.setattr(TR, "Adam", adam)
+            model = build()
+            hist = S.train(model, train_data, val_data, hyper, loss=loss)
+            runs.append((repr(hist), _flat_bytes(p.data for p in model.parameters())))
+        assert runs[0] == runs[1]
+
+    def test_mlp(self, monkeypatch):
+        X, y = TestTraining()._toy(67)
+        self._both(monkeypatch, lambda: S.MLP(5, (16, 8), 3, rng=_rng(68)),
+                   (X[:48], y[:48]), (X[48:], y[48:]),
+                   S.Hyperparams(epochs=8, batch_size=16, seed=4, patience=3), "cross_entropy")
+
+    def test_cafc(self, monkeypatch):
+        self._both(monkeypatch, lambda: CafcModel(16, kernels=2, embed_dim=8, rng=_rng(69)),
+                   _cafc_data(12, 16, 70), _cafc_data(4, 16, 71),
+                   S.Hyperparams(epochs=4, batch_size=4, seed=5), "mse")
 
 
 class TestContainer:
