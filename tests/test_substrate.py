@@ -105,6 +105,20 @@ class TestGradientChecks:
         np.add.at(want, idx.reshape(-1), upstream.reshape(-1, 5))
         assert emb.table.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bsz", [16, 8])
+    def test_conv2d_weight_gradient_equals_einsum(self, bsz):
+        # CAFC's layout: 64x64 graphs, 4 kernels of 3x3, and an upstream
+        # gradient that is contiguous as (B, H*W, K), as its reshape hands it back
+        rng = _rng(8)
+        x = S.Tensor(rng.normal(0, 1, (bsz, 1, 64, 64)))
+        w = S.Tensor(rng.normal(0, 1, (4, 1, 3, 3)), requires_grad=True)
+        out = S.conv2d(x, w, S.Tensor(np.zeros(4)))
+        g2 = rng.normal(0, 1, (bsz, 64 * 64, 4))
+        out._backward(g2.transpose(0, 2, 1).reshape(bsz, 4, 64, 64))
+        cols = ST._im2col(np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1))), 3, 64, 64)
+        want = np.einsum("bpc,bpk->kc", cols, g2).reshape(w.data.shape)
+        assert np.max(np.abs(w.grad - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 def _reference_lstm(xs, w, u, b, reverse=False):
     """The unfused recurrence, one substrate op at a time."""
