@@ -146,12 +146,8 @@ def _cmd_train_components(args) -> int:
     models, manifest = train_components(features, corpus.labels(), split.train,
                                         split.validation, corpus.family_count,
                                         config)
-    paths = {}
     for name, model in models.items():
-        path = comp_dir / f"component-{name}.mfc"
-        model.save(path)
-        paths[name] = str(path.name)
-    manifest = type(manifest)(manifest.accuracies, paths)
+        model.save(comp_dir / manifest.paths[name])
     manifest.save(comp_dir / "manifest.json")
     lines = ["feature,validation_accuracy"]
     lines += [f"{n},{csv_number(manifest.accuracies[n])}" for n in manifest.ascending()]
@@ -240,8 +236,7 @@ def _cmd_explain(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels = corpus.labels()
-    features, extractors = extract_features(corpus, split.train,
-                                            split.validation, config)
+    features, _ = extract_features(corpus, split.train, split.validation, config)
     components, manifest = train_components(features, labels, split.train,
                                             split.validation,
                                             corpus.family_count, config)
@@ -260,8 +255,8 @@ def _cmd_explain(args) -> int:
                "integrated_pred,category"]
     for i in targets:
         sample = corpus.samples[i]
-        fv = extractors.featurize(sample)
-        case = case_report(fv, sample.family, sample.sample_id,
+        row = {name: matrix[i] for name, matrix in features.items()}
+        case = case_report(row, sample.family, sample.sample_id,
                            fusions["static"], fusions["dynamic"],
                            fusions["integrated"])
         (out / f"case-{sample.sample_id}.csv").write_text(case.to_csv())

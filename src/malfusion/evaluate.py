@@ -18,14 +18,7 @@ from .corpus import DEFAULT_HOLDOUT, Corpus, DatasetSplit, make_splits
 from .dynamic_features import train_call_sequence_encoder
 from .features import FeatureVector
 from .fusion import FusionModel, predict_fusion
-from .pipeline import (
-    LEARNED_FEATURES,
-    FeatureExtractors,
-    PipelineConfig,
-    fit_feature,
-    fit_vocabularies,
-    run_experiment,
-)
+from .pipeline import PipelineConfig, extract_features, fit_feature, run_experiment
 from .seeding import derive_seed
 
 
@@ -227,29 +220,11 @@ SWEEP_FEATURES = {"cafc_kernels": "cg_embedding", "zigzag_len": "cg_lowfreq",
                   "stmt_seqlen": "stmt_embed"}
 
 
-def _sweep_feature(parameter: str, value: int, corpus: Corpus,
-                   train_idx: np.ndarray, val_idx: np.ndarray,
-                   config: PipelineConfig) -> np.ndarray:
-    """Extract the swept feature for every sample at one knob value."""
-    c = config.replace(**{parameter: value})
-    name = SWEEP_FEATURES[parameter]
-    import_vocab, api_vocab = fit_vocabularies([corpus.samples[i] for i in train_idx], c)
-    # only the swept feature's model is fitted; the others stay None
-    models = dict.fromkeys(field for field, *_ in LEARNED_FEATURES.values())
-    if name in LEARNED_FEATURES:
-        seed = derive_seed(c.seed, "sweep", parameter, value)
-        models[LEARNED_FEATURES[name][0]], _ = fit_feature(
-            name, corpus, train_idx, val_idx, c, seed, api_vocab)
-    extractors = FeatureExtractors(c, import_vocab, api_vocab, **models)
-    return np.stack([extractors.featurize(s, (name,))[name].values
-                     for s in corpus.samples])
-
-
 def sweep(parameter: str, values, corpus: Corpus,
           split: DatasetSplit | None = None,
           config: PipelineConfig | None = None) -> SweepTable:
-    """One row per value: extract the feature, train the probe, record
-    validation accuracy. Default grids are ``SWEEP_GRIDS[parameter]``."""
+    """One row per value: extract the swept feature alone, train the probe,
+    record validation accuracy. Default grids are ``SWEEP_GRIDS[parameter]``."""
     if parameter not in SWEEP_GRIDS:
         raise EvaluationError(f"unknown sweep parameter {parameter!r}; "
                               f"choose from {sorted(SWEEP_GRIDS)}")
@@ -262,11 +237,13 @@ def sweep(parameter: str, values, corpus: Corpus,
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
     labels = corpus.labels()
+    name = SWEEP_FEATURES[parameter]
     rows = []
     for value in values:
-        matrix = _sweep_feature(parameter, int(value), corpus, train_idx,
-                                val_idx, config)
-        _, hist = train_probe(matrix, labels, train_idx, val_idx,
+        features, _ = extract_features(
+            corpus, train_idx, val_idx, config.replace(**{parameter: int(value)}),
+            (name,), derive_seed(config.seed, "sweep", parameter, int(value)))
+        _, hist = train_probe(features[name], labels, train_idx, val_idx,
                               corpus.family_count,
                               seed=derive_seed(config.seed, "sweep-probe",
                                                parameter, value))
@@ -393,8 +370,8 @@ class CaseReport:
         return "\n".join(lines) + "\n"
 
 
-def case_report(sample_features: dict[str, FeatureVector], true_family: int,
-                sample_id: str, static_model: FusionModel,
+def case_report(sample_features: dict[str, FeatureVector | np.ndarray],
+                true_family: int, sample_id: str, static_model: FusionModel,
                 dynamic_model: FusionModel,
                 integrated_model: FusionModel) -> CaseReport:
     """Run one sample through the three fusion models."""

@@ -90,7 +90,10 @@ def load_features(path: str | Path) -> FeatureTable:
         if len(parts) != length + 1:
             raise FeatureError(f"{path}: row for {parts[0]!r} has {len(parts) - 1} "
                                f"values, expected {length}")
+        row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        if not np.isfinite(row).all():
+            raise FeatureError(f"{path}: row for {parts[0]!r} has non-finite values")
         ids.append(parts[0])
-        rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
+        rows.append(row)
     matrix = np.stack(rows) if rows else np.zeros((0, length))
     return FeatureTable(name, ids, matrix)

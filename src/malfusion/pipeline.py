@@ -1,11 +1,14 @@
 """End-to-end orchestration: featurize a corpus, train components, fuse.
 
-Every fitted object (vocabulary, feature model, classifier) is built from
-training rows only. Every early-stopped fit (CAFC, co-occurrence CNN,
-statement encoder, components, fusion stages) validates on the split's
-validation rows, never on a slice of its own training rows; test rows are
-never touched before final scoring. All stage seeds derive from the one
-config seed, so a full run is reproducible bit for bit.
+``extract_features`` is the one path that fits the vocabularies and learned
+feature models and featurizes a corpus; every command that needs features,
+``sweep`` included, goes through it. Every fitted object (vocabulary,
+feature model, classifier) is built from training rows only. Every
+early-stopped fit (CAFC, co-occurrence CNN, statement encoder, components,
+fusion stages) validates on the split's validation rows, never on a slice
+of its own training rows; test rows are never touched before final scoring.
+All stage seeds derive from the one config seed, so a full run is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -109,25 +112,23 @@ class PipelineConfig:
         return cls(**d)
 
 
-# learned feature -> (FeatureExtractors field holding its model, stage name,
-# model class); the stage name tags the fit's seed and names the saved file
-LEARNED_FEATURES = {"cg_embedding": ("cafc", "cafc", CafcModel),
-                    "pv_trace": ("pv", "pv", PvModel),
-                    "cooc_feat": ("cooc_cnn", "cooc", CoocCnnModel),
-                    "stmt_embed": ("stmt_encoder", "stmt", StatementEncoderModel)}
+# learned feature -> (stage name, model class); the stage name tags the
+# fit's seed and names the saved file
+LEARNED_FEATURES = {"cg_embedding": ("cafc", CafcModel),
+                    "pv_trace": ("pv", PvModel),
+                    "cooc_feat": ("cooc", CoocCnnModel),
+                    "stmt_embed": ("stmt", StatementEncoderModel)}
 
 
 @dataclass
 class FeatureExtractors:
-    """Fitted vocabularies and feature models; featurizes unseen samples."""
+    """Fitted vocabularies, and learned models keyed by feature name;
+    featurizes unseen samples."""
 
     config: PipelineConfig
     import_vocab: Vocabulary
     api_vocab: Vocabulary
-    cafc: CafcModel
-    pv: PvModel
-    cooc_cnn: CoocCnnModel
-    stmt_encoder: StatementEncoderModel
+    models: dict[str, S.Module]
 
     def featurize(self, sample: CorpusSample, names=FEATURE_NAMES,
                   ) -> dict[str, FeatureVector]:
@@ -136,7 +137,7 @@ class FeatureExtractors:
         Widths: ``pe_onehot`` is ``import_vocab.size`` wide, ``cg_embedding``
         ``config.cg_embed_dim``, ``cg_lowfreq`` ``config.zigzag_len``,
         ``api_freq`` ``api_vocab.size``, ``pv_trace`` ``config.pv_dim``,
-        ``cooc_feat`` ``cooc_cnn.feature_width`` and ``stmt_embed``
+        ``cooc_feat`` its model's ``feature_width`` and ``stmt_embed``
         ``2 * config.stmt_hidden``.
 
         Degenerate input:
@@ -149,17 +150,17 @@ class FeatureExtractors:
           vocabulary's UNKNOWN slot, and an edgeless graph is an all-zero
           adjacency matrix.
         """
-        c = self.config
+        c, m = self.config, self.models
         extract = {
             "pe_onehot": lambda: pe_import_onehot(sample.imports, self.import_vocab),
-            "cg_embedding": lambda: cg_embed(self.cafc, sample.callgraph),
+            "cg_embedding": lambda: cg_embed(m["cg_embedding"], sample.callgraph),
             "cg_lowfreq": lambda: extract_lowfreq(sample.callgraph, c.zigzag_len),
             "api_freq": lambda: api_call_frequency(sample.trace, self.api_vocab),
-            "pv_trace": lambda: pv_embed(self.pv, sample.trace),
+            "pv_trace": lambda: pv_embed(m["pv_trace"], sample.trace),
             "cooc_feat": lambda: cooc_features(
-                self.cooc_cnn,
+                m["cooc_feat"],
                 normalized_cooc(sample.trace, self.api_vocab, c.cooc_window)),
-            "stmt_embed": lambda: statement_embed(self.stmt_encoder, sample.trace),
+            "stmt_embed": lambda: statement_embed(m["stmt_embed"], sample.trace),
         }
         return {name: extract[name]() for name in names}
 
@@ -171,8 +172,8 @@ def save_extractors(directory, extractors: FeatureExtractors) -> None:
             "import_vocab": extractors.import_vocab.names(),
             "api_vocab": extractors.api_vocab.names()}
     (d / "extractors.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    for field, stage, _ in LEARNED_FEATURES.values():
-        getattr(extractors, field).save(d / f"{stage}.mfc")
+    for name, (stage, _) in LEARNED_FEATURES.items():
+        extractors.models[name].save(d / f"{stage}.mfc")
 
 
 def load_extractors(directory) -> FeatureExtractors:
@@ -182,8 +183,8 @@ def load_extractors(directory) -> FeatureExtractors:
         config=PipelineConfig.from_dict(meta["config"]),
         import_vocab=Vocabulary.from_names(meta["import_vocab"]),
         api_vocab=Vocabulary.from_names(meta["api_vocab"]),
-        **{field: cls.load(d / f"{stage}.mfc")
-           for field, stage, cls in LEARNED_FEATURES.values()})
+        models={name: cls.load(d / f"{stage}.mfc")
+                for name, (stage, cls) in LEARNED_FEATURES.items()})
 
 
 def save_split(path, split) -> None:
@@ -271,22 +272,25 @@ def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
 
 
 def extract_features(corpus: Corpus, train_idx, val_idx, config: PipelineConfig,
+                     names=FEATURE_NAMES, seed: int | None = None,
                      ) -> tuple[dict[str, np.ndarray], FeatureExtractors]:
-    """Fit feature models on training rows, featurize every sample.
+    """Fit the named features' models on training rows, featurize every sample.
 
+    Only the learned features among ``names`` are fitted. Each fit is seeded
+    by ``seed`` when given, else by ``derive_seed(config.seed, stage)``.
     Returns per-feature matrices aligned with corpus order, plus the fitted
     extractor bundle for featurizing new samples the same way.
     """
     c = config
     import_vocab, api_vocab = fit_vocabularies(
         [corpus.samples[i] for i in train_idx], c)
-    models = {field: fit_feature(name, corpus, train_idx, val_idx, c,
-                                 derive_seed(c.seed, stage), api_vocab)[0]
-              for name, (field, stage, _) in LEARNED_FEATURES.items()}
-    extractors = FeatureExtractors(c, import_vocab, api_vocab, **models)
-    rows = [extractors.featurize(sample) for sample in corpus.samples]
-    features = {name: np.stack([row[name].values for row in rows])
-                for name in FEATURE_NAMES}
+    models = {name: fit_feature(name, corpus, train_idx, val_idx, c,
+                                derive_seed(c.seed, stage) if seed is None else seed,
+                                api_vocab)[0]
+              for name, (stage, _) in LEARNED_FEATURES.items() if name in names}
+    extractors = FeatureExtractors(c, import_vocab, api_vocab, models)
+    rows = [extractors.featurize(sample, names) for sample in corpus.samples]
+    features = {name: np.stack([row[name].values for row in rows]) for name in names}
     return features, extractors
 
 

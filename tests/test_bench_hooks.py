@@ -2,6 +2,7 @@
 and per-sample extractor functions through them, so the benchmark's
 fit-stage records and per-request spans stay complete."""
 
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import malfusion.substrate as S
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 # learned feature -> the fit function malfusion.pipeline calls for it
 FITS = {"cg_embedding": "train_cafc", "pv_trace": "train_pv",
@@ -70,6 +72,23 @@ def test_featurize_calls_each_extractor_once(monkeypatch):
     calls = _count_calls(monkeypatch, EXTRACTORS)
     extractors.featurize(corpus.samples[0])
     assert calls == dict.fromkeys(EXTRACTORS, 1)
+
+
+def test_benchmark_calls_bind_to_the_pipeline():
+    """Every call perfbench makes into malfusion.pipeline, in the shape it
+    makes it (perfbench/workloads.py, reached from perfbench/prepare.py)."""
+    def binds(fn, *args, **kwargs):
+        inspect.signature(fn).bind(*args, **kwargs)
+
+    binds(P.extract_features, "corpus", "train", "validation", "config")
+    binds(P.train_components, "features", "labels", "train", "validation", 8,
+          "config", jobs=1)
+    binds(P.train_preset, *range(10))
+    binds(P.save_extractors, "directory", "extractors")
+    binds(P.load_extractors, "directory")
+    binds(P.FeatureExtractors.featurize, "extractors", "sample")
+    for shape in workloads.SHAPES.values():  # PipelineConfig.desk(seed=..., **overrides)
+        workloads.pipeline_config(shape, seed=7)
 
 
 @pytest.mark.parametrize("parameter", sorted(E.SWEEP_FEATURES))

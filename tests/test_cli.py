@@ -6,9 +6,10 @@ import shutil
 
 import pytest
 
+import malfusion.pipeline as P
 from malfusion.cli import run
-from malfusion.corpus import load_corpus, make_splits
-from malfusion.pipeline import save_split
+from malfusion.corpus import DEFAULT_HOLDOUT, load_corpus, make_splits
+from malfusion.pipeline import load_split, save_split
 
 MICRO_OVERRIDES = {
     "cafc_epochs": 25, "cg_embed_dim": 16, "zigzag_len": 60,
@@ -28,11 +29,37 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
+# one epoch per fit: for tests that check what a command calls or rejects
+TINY_OVERRIDES = {
+    "cafc_epochs": 1, "cg_embed_dim": 4, "zigzag_len": 10, "pv_dim": 8,
+    "pv_epochs": 1, "pv_infer_steps": 1, "cooc_epochs": 1, "stmt_seqlen": 8,
+    "stmt_epochs": 1, "component_epochs": 1, "fusion_epochs": 1,
+    "pe_vocab": 20, "api_vocab": 20, "stmt_token_vocab": 30,
+}
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "overrides.json"
     path.write_text(json.dumps(MICRO_OVERRIDES))
     return path
+
+
+@pytest.fixture(scope="module")
+def tiny_config_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "tiny.json"
+    path.write_text(json.dumps(TINY_OVERRIDES))
+    return path
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory, corpus_dir, tiny_config_file):
+    """An ``extract`` output directory fitted with one epoch per model."""
+    out = tmp_path_factory.mktemp("run")
+    code = run(["extract", "--corpus", str(corpus_dir),
+                "--config", str(tiny_config_file), "--out", str(out)])
+    assert code == 0
+    return out
 
 
 def _assert_cells_are_numbers(lines):
@@ -190,6 +217,48 @@ class TestPipelineCommands:
         assert summary[0] == ("sample_id,true_family,static_pred,dynamic_pred,"
                               "integrated_pred,category")
         assert summary[1].startswith(f"{sample_id},")
+
+    def test_explain_scores_the_extracted_rows(self, corpus_dir, tiny_config_file,
+                                               tmp_path, monkeypatch):
+        """explain featurizes each sample once, inside extract_features, and
+        builds its cases from those rows."""
+        calls = []
+        featurize = P.FeatureExtractors.featurize
+
+        def counted(self, sample, *args, **kwargs):
+            calls.append(sample.sample_id)
+            return featurize(self, sample, *args, **kwargs)
+
+        monkeypatch.setattr(P.FeatureExtractors, "featurize", counted)
+        out = tmp_path / "cases"
+        code = run(["explain", "--corpus", str(corpus_dir),
+                    "--config", str(tiny_config_file), "--out", str(out)])
+        assert code == 0
+        corpus = load_corpus(corpus_dir)
+        assert sorted(calls) == sorted(s.sample_id for s in corpus.samples)
+        summary = (out / "cases-summary.csv").read_text().strip().splitlines()
+        assert len(summary) - 1 == len(make_splits(corpus, holdout=DEFAULT_HOLDOUT).test)
+
+    @pytest.mark.parametrize("bucket, cell", [("train", "nan"), ("test", "inf")])
+    def test_train_components_rejects_non_finite_cell(self, corpus_dir, tiny_run,
+                                                      tiny_config_file, tmp_path,
+                                                      caplog, bucket, cell):
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        corpus = load_corpus(corpus_dir)
+        split = load_split(run_dir / "split.json", len(corpus))
+        sample_id = corpus.samples[getattr(split, bucket)[0]].sample_id
+        table = run_dir / "features" / "api_freq.csv"
+        lines = table.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(sample_id + ","))
+        lines[row] = f"{sample_id},{cell}," + lines[row].split(",", 2)[2]
+        table.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["train-components", "--corpus", str(corpus_dir),
+                        "--run", str(run_dir), "--config", str(tiny_config_file),
+                        "--out", str(tmp_path / "components")])
+        assert code == 1
+        assert f"api_freq.csv: row for {sample_id!r} has non-finite values" in caplog.text
 
 
 class TestSplitOption:

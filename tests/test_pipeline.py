@@ -30,7 +30,8 @@ def _widths(extractors):
     c = extractors.config
     return {"pe_onehot": extractors.import_vocab.size, "cg_embedding": c.cg_embed_dim,
             "cg_lowfreq": c.zigzag_len, "api_freq": extractors.api_vocab.size,
-            "pv_trace": c.pv_dim, "cooc_feat": extractors.cooc_cnn.feature_width,
+            "pv_trace": c.pv_dim,
+            "cooc_feat": extractors.models["cooc_feat"].feature_width,
             "stmt_embed": 2 * c.stmt_hidden}
 
 
