@@ -72,6 +72,16 @@ def _write_resolved_config(out: Path, args, config: PipelineConfig | None) -> No
                                                 sort_keys=True, default=str))
 
 
+def _int_list(text: str) -> str:
+    """A comma-separated integer list, returned as typed for config.json."""
+    try:
+        [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    return text
+
+
 def _corpus_split(args):
     corpus = load_corpus(args.corpus)
     if getattr(args, "split", None):
@@ -233,6 +243,13 @@ def _cmd_compare_encoders(args) -> int:
 def _cmd_explain(args) -> int:
     config = _config_from_args(args)
     corpus, split = _corpus_split(args)
+    index = {s.sample_id: i for i, s in enumerate(corpus.samples)}
+    if args.sample:
+        if args.sample not in index:
+            raise ValueError(f"no sample {args.sample!r} in corpus")
+        targets = [index[args.sample]]
+    else:
+        targets = [int(i) for i in split.test]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels = corpus.labels()
@@ -244,13 +261,6 @@ def _cmd_explain(args) -> int:
                                   split.validation, corpus.family_count,
                                   components, manifest, config)
                for fset in ("static", "dynamic", "integrated")}
-    index = {s.sample_id: i for i, s in enumerate(corpus.samples)}
-    if args.sample:
-        if args.sample not in index:
-            raise KeyError(f"no sample {args.sample!r} in corpus")
-        targets = [index[args.sample]]
-    else:
-        targets = [int(i) for i in split.test]
     summary = ["sample_id,true_family,static_pred,dynamic_pred,"
                "integrated_pred,category"]
     for i in targets:
@@ -342,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="feature-length/width tuning sweep")
     p.add_argument("--parameter", required=True, choices=sorted(SWEEP_GRIDS))
-    p.add_argument("--values", help="comma-separated; defaults to the "
-                                    "reference grid")
+    p.add_argument("--values", type=_int_list,
+                   help="comma-separated; defaults to the reference grid")
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare-encoders",
                        help="call-name vs statement encoder accuracy by length")
-    p.add_argument("--lengths", default="100,200,300,400")
+    p.add_argument("--lengths", type=_int_list, default="100,200,300,400")
     _add_common(p)
     p.set_defaults(func=_cmd_compare_encoders)
 

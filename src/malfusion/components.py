@@ -73,13 +73,11 @@ class ComponentModel(S.Module):
 
 
 def train_component(feature_name: str, features: np.ndarray, labels: np.ndarray,
-                    train_idx, val_idx, family_count: int,
-                    hyper: S.Hyperparams | None = None,
+                    train_idx, val_idx, family_count: int, hyper: S.Hyperparams,
                     ) -> tuple[ComponentModel, S.TrainHistory]:
     """Train one feature family's classifier; records validation accuracy."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    hyper = hyper or S.Hyperparams(epochs=40, batch_size=32)
     model = ComponentModel(
         feature_name, features.shape[1], family_count, hyper,
         rng=np.random.default_rng(derive_seed(hyper.seed, "component", feature_name)))

@@ -217,7 +217,7 @@ MANIFEST_COLUMNS = ("sample_id", "family", "trace_path", "cg_path", "imports_pat
 MANIFEST_NAME = "manifest.csv"
 
 
-def write_corpus(corpus: Corpus, out_dir: str | Path, canonical_size: int | None = None) -> Path:
+def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     """Write traces/, graphs/, imports/ and the manifest; returns manifest path."""
     out = Path(out_dir)
     for sub in ("traces", "graphs", "imports"):
@@ -237,8 +237,6 @@ def write_corpus(corpus: Corpus, out_dir: str | Path, canonical_size: int | None
         writer.writerow(MANIFEST_COLUMNS)
         writer.writerows(rows)
     meta = {"family_count": corpus.family_count}
-    if canonical_size is not None:
-        meta["canonical_size"] = canonical_size
     (out / "corpus.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
 
@@ -253,15 +251,14 @@ def _read_artifact(root: Path, rel: str, parse):
         raise
 
 
-def load_corpus(manifest_path: str | Path, canonical_size: int | None = None) -> Corpus:
+def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest = Path(manifest_path)
     if manifest.is_dir():
         manifest = manifest / MANIFEST_NAME
     root = manifest.parent
     meta_path = root / "corpus.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-    if canonical_size is None:
-        canonical_size = int(meta.get("canonical_size", 64))
+    canonical_size = int(meta.get("canonical_size", 64))
     samples: list[CorpusSample] = []
     max_family = -1
     with manifest.open(newline="", encoding="utf-8") as fh:

@@ -2,19 +2,11 @@
 hierarchical statement encoder, and the name-only sequence baseline."""
 
 from .frequency import api_call_frequency
-from .pv import (
-    DEFAULT_PV_DIM,
-    DEFAULT_TRACE_VOCAB,
-    PvModel,
-    pv_embed,
-    train_pv,
-)
+from .pv import PvModel, pv_embed, train_pv
 from .cooccurrence import (
     CoocCnnModel,
     CoocMatrix,
     DEFAULT_FEATURE_WIDTH,
-    DEFAULT_POOL,
-    DEFAULT_WINDOW,
     cooc_features,
     cooccurrence_matrix,
     normalized_cooc,
@@ -22,8 +14,6 @@ from .cooccurrence import (
     train_cooc_cnn,
 )
 from .statements import (
-    DEFAULT_SEQ_LEN,
-    DEFAULT_TOKEN_VOCAB,
     STATEMENT_TOKEN_CAP,
     StatementEncoderModel,
     build_token_vocabulary,
@@ -31,24 +21,13 @@ from .statements import (
     statement_tokens,
     train_statement_encoder,
 )
-from .callseq import (
-    CallSequenceModel,
-    DEFAULT_CALLSEQ_LEN,
-    train_call_sequence_encoder,
-)
+from .callseq import CallSequenceModel, train_call_sequence_encoder
 
 __all__ = [
     "CallSequenceModel",
     "CoocCnnModel",
     "CoocMatrix",
-    "DEFAULT_CALLSEQ_LEN",
     "DEFAULT_FEATURE_WIDTH",
-    "DEFAULT_POOL",
-    "DEFAULT_PV_DIM",
-    "DEFAULT_SEQ_LEN",
-    "DEFAULT_TOKEN_VOCAB",
-    "DEFAULT_TRACE_VOCAB",
-    "DEFAULT_WINDOW",
     "PvModel",
     "STATEMENT_TOKEN_CAP",
     "StatementEncoderModel",

@@ -7,16 +7,12 @@ import numpy as np
 
 from .. import substrate as S
 from ..corpus.types import TraceFile, Vocabulary
-from ..corpus.vocab import build_vocabulary
 from ..seeding import derive_seed
-
-DEFAULT_CALLSEQ_LEN = 200
 
 
 class CallSequenceModel(S.Module):
-    def __init__(self, vocab: Vocabulary, family_count: int, *,
-                 seq_len: int = DEFAULT_CALLSEQ_LEN, embed_dim: int = 16,
-                 hidden: int = 32, rng: np.random.Generator):
+    def __init__(self, vocab: Vocabulary, family_count: int, *, seq_len: int,
+                 hidden: int, embed_dim: int = 16, rng: np.random.Generator):
         self.vocab = vocab
         self.seq_len = seq_len
         self.hidden = hidden
@@ -45,17 +41,13 @@ class CallSequenceModel(S.Module):
 
 
 def train_call_sequence_encoder(traces: list[TraceFile], labels: np.ndarray,
-                                family_count: int,
-                                seq_len: int = DEFAULT_CALLSEQ_LEN,
-                                hyper: S.Hyperparams | None = None, *,
-                                val: tuple[list[TraceFile], np.ndarray],
-                                embed_dim: int = 16, hidden: int = 32,
-                                name_vocab: int = 286,
+                                family_count: int, vocab: Vocabulary, seq_len: int,
+                                hyper: S.Hyperparams, *,
+                                val: tuple[list[TraceFile], np.ndarray], hidden: int,
+                                embed_dim: int = 16,
                                 ) -> tuple[CallSequenceModel, S.TrainHistory]:
     if not traces:
         raise ValueError("cannot train on an empty trace list")
-    hyper = hyper or S.Hyperparams(epochs=12, batch_size=16)
-    vocab = build_vocabulary((n for t in traces for n in t.api_names()), name_vocab)
     model = CallSequenceModel(
         vocab, family_count, seq_len=seq_len, embed_dim=embed_dim, hidden=hidden,
         rng=np.random.default_rng(derive_seed(hyper.seed, "callseq-init")))

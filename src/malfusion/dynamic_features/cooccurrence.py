@@ -16,8 +16,6 @@ from ..corpus.types import CorpusError, EmptyTraceError, TraceFile, Vocabulary
 from ..features import FeatureVector
 from ..seeding import derive_seed
 
-DEFAULT_WINDOW = 2
-DEFAULT_POOL = 8
 DEFAULT_FEATURE_WIDTH = 64
 
 
@@ -38,8 +36,7 @@ class CoocMatrix:
         return int(self.counts.sum())
 
 
-def cooccurrence_matrix(trace: TraceFile, vocab: Vocabulary,
-                        window: int = DEFAULT_WINDOW) -> CoocMatrix:
+def cooccurrence_matrix(trace: TraceFile, vocab: Vocabulary, window: int) -> CoocMatrix:
     if window < 1:
         raise CorpusError("window must be at least 1")
     if len(trace) == 0:
@@ -61,8 +58,7 @@ def row_max_normalize(counts: np.ndarray) -> np.ndarray:
     return np.divide(c, row_max, out=np.zeros_like(c), where=row_max > 0)
 
 
-def normalized_cooc(trace: TraceFile, vocab: Vocabulary,
-                    window: int = DEFAULT_WINDOW) -> np.ndarray:
+def normalized_cooc(trace: TraceFile, vocab: Vocabulary, window: int) -> np.ndarray:
     return row_max_normalize(cooccurrence_matrix(trace, vocab, window).counts)
 
 
@@ -72,9 +68,8 @@ class CoocCnnModel(S.Module):
 
     kind = "cooc-cnn"
 
-    def __init__(self, vocab_size: int, family_count: int, pool: int = DEFAULT_POOL,
-                 kernels: int = 4, feature_width: int = DEFAULT_FEATURE_WIDTH, *,
-                 rng: np.random.Generator):
+    def __init__(self, vocab_size: int, family_count: int, pool: int, kernels: int = 4,
+                 feature_width: int = DEFAULT_FEATURE_WIDTH, *, rng: np.random.Generator):
         self.vocab_size = vocab_size
         self.family_count = family_count
         self.pool_size = pool
@@ -110,7 +105,7 @@ class CoocCnnModel(S.Module):
 
 
 def train_cooc_cnn(matrices: np.ndarray, labels: np.ndarray, family_count: int,
-                   pool: int = DEFAULT_POOL, hyper: S.Hyperparams | None = None, *,
+                   pool: int, hyper: S.Hyperparams, *,
                    val: tuple[np.ndarray, np.ndarray],
                    feature_width: int = DEFAULT_FEATURE_WIDTH,
                    ) -> tuple[CoocCnnModel, S.TrainHistory]:
@@ -119,7 +114,6 @@ def train_cooc_cnn(matrices: np.ndarray, labels: np.ndarray, family_count: int,
     matrices = np.asarray(matrices, dtype=np.float64)
     if matrices.min() < 0.0 or matrices.max() > 1.0:
         raise ValueError("matrices must be row-max normalized to [0, 1]")
-    hyper = hyper or S.Hyperparams(epochs=30, batch_size=16)
     model = CoocCnnModel(matrices.shape[1], family_count, pool,
                          feature_width=feature_width,
                          rng=np.random.default_rng(derive_seed(hyper.seed, "cooc-init")))

@@ -8,8 +8,8 @@ on a fresh document vector under a seed keyed on the trace's token ids, so a
 trace embeds the same under any sample id.
 
 Both passes work in vocabulary space, against the whole (V, D) output table
-rather than an (L, k+1, D) block of gathered rows; V is the trace vocabulary
-(``DEFAULT_TRACE_VOCAB`` words at most, by default). A training step scores
+rather than an (L, k+1, D) block of gathered rows; V is the API vocabulary
+(``api_vocab`` names at most, plus UNKNOWN). A training step scores
 every position against every output word, then scatters the errors with one
 ``bincount`` keyed by (token, position) into a (V, L) matrix, so the output
 table's update is one matmul, and the word table's update is one matmul with
@@ -34,14 +34,11 @@ import numpy as np
 
 from .. import substrate as S
 from ..corpus.types import EmptyTraceError, TraceFile, Vocabulary
-from ..corpus.vocab import build_vocabulary
 from ..features import FeatureVector
 from ..seeding import rng_for
 # the container functions stay importable from this module for code that hooks them here
 from ..substrate import TrainingDiverged, load_container, save_container  # noqa: F401
 
-DEFAULT_PV_DIM = 400
-DEFAULT_TRACE_VOCAB = 286
 NOISE_POWER = 0.75
 # bytes of one block of inference steps' (steps, L, k+1) indices; small enough
 # that every block's arrays reuse freed heap memory instead of fresh pages
@@ -204,18 +201,15 @@ def _pv_step(doc_vec: np.ndarray, tokens: np.ndarray, word_vecs: np.ndarray,
     return float(loss)
 
 
-def train_pv(traces: list[TraceFile], dim: int = DEFAULT_PV_DIM, window: int = 5,
-             neg_samples: int = 5, epochs: int = 10, seed: int = 0,
-             max_vocab: int = DEFAULT_TRACE_VOCAB, lr: float = 0.025,
-             min_lr: float = 1e-4, infer_steps: int = 25,
-             infer_lr: float = 0.025) -> PvModel:
-    """Train word tables and (discarded) per-document vectors jointly."""
+def train_pv(traces: list[TraceFile], vocab: Vocabulary, *, dim: int, window: int,
+             neg_samples: int, epochs: int, seed: int, infer_steps: int,
+             infer_lr: float, lr: float = 0.025, min_lr: float = 1e-4) -> PvModel:
+    """Train word tables over ``vocab`` and (discarded) per-document vectors jointly."""
     if not traces:
         raise ValueError("cannot train on an empty trace list")
     for trace in traces:
         if len(trace) == 0:
             raise EmptyTraceError(f"{trace.sample_id}: empty trace")
-    vocab = build_vocabulary((s.api_name for t in traces for s in t.statements), max_vocab)
     docs = [_doc_tokens(t, vocab) for t in traces]
     counts = np.bincount(np.concatenate(docs), minlength=vocab.size).astype(np.float64)
     noise = (counts + 1.0) ** NOISE_POWER

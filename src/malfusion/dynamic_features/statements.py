@@ -34,9 +34,7 @@ from ..corpus.vocab import build_vocabulary
 from ..features import FeatureVector
 from ..seeding import derive_seed
 
-DEFAULT_SEQ_LEN = 200
 STATEMENT_TOKEN_CAP = 16
-DEFAULT_TOKEN_VOCAB = 500
 
 
 def statement_tokens(trace: TraceFile, vocab: Vocabulary, max_statements: int,
@@ -54,8 +52,7 @@ def statement_tokens(trace: TraceFile, vocab: Vocabulary, max_statements: int,
     return out
 
 
-def build_token_vocabulary(traces: list[TraceFile],
-                           max_named: int = DEFAULT_TOKEN_VOCAB) -> Vocabulary:
+def build_token_vocabulary(traces: list[TraceFile], max_named: int) -> Vocabulary:
     def tokens():
         for t in traces:
             for s in t.statements:
@@ -67,10 +64,8 @@ def build_token_vocabulary(traces: list[TraceFile],
 class StatementEncoderModel(S.Module):
     kind = "statement-encoder"
 
-    def __init__(self, vocab: Vocabulary, family_count: int, *,
-                 embed_dim: int = 16, hidden: int = 16,
-                 max_statements: int = DEFAULT_SEQ_LEN,
-                 max_tokens: int = STATEMENT_TOKEN_CAP,
+    def __init__(self, vocab: Vocabulary, family_count: int, *, embed_dim: int,
+                 hidden: int, max_statements: int, max_tokens: int = STATEMENT_TOKEN_CAP,
                  rng: np.random.Generator):
         self.vocab = vocab
         self.family_count = family_count
@@ -134,11 +129,9 @@ class StatementEncoderModel(S.Module):
 
 
 def train_statement_encoder(traces: list[TraceFile], labels: np.ndarray,
-                            family_count: int, seq_len: int = DEFAULT_SEQ_LEN,
-                            hyper: S.Hyperparams | None = None, *,
-                            val: tuple[list[TraceFile], np.ndarray],
-                            embed_dim: int = 16, hidden: int = 16,
-                            token_vocab: int = DEFAULT_TOKEN_VOCAB,
+                            family_count: int, seq_len: int, hyper: S.Hyperparams, *,
+                            val: tuple[list[TraceFile], np.ndarray], embed_dim: int,
+                            hidden: int, token_vocab: int,
                             ) -> tuple[StatementEncoderModel, S.TrainHistory]:
     """Vocabulary and weights are built from the given (training) traces
     only; the ``val`` traces and labels steer early stopping. An empty
@@ -148,7 +141,6 @@ def train_statement_encoder(traces: list[TraceFile], labels: np.ndarray,
     for trace in [*traces, *val[0]]:
         if len(trace) == 0:
             raise EmptyTraceError(f"{trace.sample_id}: empty trace")
-    hyper = hyper or S.Hyperparams(epochs=12, batch_size=16)
     vocab = build_token_vocabulary(traces, token_vocab)
     model = StatementEncoderModel(
         vocab, family_count, embed_dim=embed_dim, hidden=hidden,

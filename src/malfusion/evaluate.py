@@ -14,11 +14,12 @@ import numpy as np
 
 from . import substrate as S
 from .components import check_probability_vector
-from .corpus import DEFAULT_HOLDOUT, Corpus, DatasetSplit, make_splits
+from .corpus import Corpus, DatasetSplit, make_splits
 from .dynamic_features import train_call_sequence_encoder
 from .features import FeatureVector
 from .fusion import FusionModel, predict_fusion
-from .pipeline import PipelineConfig, extract_features, fit_feature, run_experiment
+from .pipeline import (PipelineConfig, extract_features, fit_feature, fit_vocabularies,
+                       run_experiment)
 from .seeding import derive_seed
 
 
@@ -220,20 +221,16 @@ SWEEP_FEATURES = {"cafc_kernels": "cg_embedding", "zigzag_len": "cg_lowfreq",
                   "stmt_seqlen": "stmt_embed"}
 
 
-def sweep(parameter: str, values, corpus: Corpus,
-          split: DatasetSplit | None = None,
-          config: PipelineConfig | None = None) -> SweepTable:
+def sweep(parameter: str, values, corpus: Corpus, split: DatasetSplit,
+          config: PipelineConfig) -> SweepTable:
     """One row per value: extract the swept feature alone, train the probe,
-    record validation accuracy. Default grids are ``SWEEP_GRIDS[parameter]``."""
+    record validation accuracy. The reference grids are ``SWEEP_GRIDS``."""
     if parameter not in SWEEP_GRIDS:
         raise EvaluationError(f"unknown sweep parameter {parameter!r}; "
                               f"choose from {sorted(SWEEP_GRIDS)}")
-    values = list(values) if values is not None else list(SWEEP_GRIDS[parameter])
+    values = list(values)
     if not values:
         raise EvaluationError("sweep needs at least one value")
-    config = config or PipelineConfig.desk()
-    if split is None:
-        split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=config.seed)
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
     labels = corpus.labels()
@@ -269,34 +266,30 @@ class EncoderComparison:
         return "\n".join(lines) + "\n"
 
 
-def compare_encoders(corpus: Corpus, lengths,
-                     split: DatasetSplit | None = None,
-                     config: PipelineConfig | None = None) -> EncoderComparison:
+def compare_encoders(corpus: Corpus, lengths, split: DatasetSplit,
+                     config: PipelineConfig) -> EncoderComparison:
     """Train the name-only and statement-level encoders per length under the
-    same split and seed; report each one's best validation accuracy."""
+    same split and seed; report each one's best validation accuracy. The
+    name-only encoder's vocabulary is the training rows' ``api_vocab``."""
     lengths = list(lengths)
     if not lengths:
         raise EvaluationError("compare_encoders needs at least one length")
-    config = config or PipelineConfig.desk()
-    if split is None:
-        split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=config.seed)
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
     labels = corpus.labels()
     train_traces = [corpus.samples[i].trace for i in train_idx]
+    _, api_vocab = fit_vocabularies([corpus.samples[i] for i in train_idx], config)
     val_pair = ([corpus.samples[i].trace for i in val_idx], labels[val_idx])
     rows = []
     for length in lengths:
         length = int(length)
         seed = derive_seed(config.seed, "compare", length)
         _, call_hist = train_call_sequence_encoder(
-            train_traces, labels[train_idx], corpus.family_count,
-            seq_len=length,
-            hyper=S.Hyperparams(epochs=config.callseq_epochs, batch_size=16,
-                                seed=seed),
+            train_traces, labels[train_idx], corpus.family_count, api_vocab, length,
+            S.Hyperparams(epochs=config.callseq_epochs, batch_size=16, seed=seed),
             val=val_pair, hidden=config.callseq_hidden)
         _, stmt_hist = fit_feature("stmt_embed", corpus, train_idx, val_idx,
-                                   config.replace(stmt_seqlen=length), seed)
+                                   config.replace(stmt_seqlen=length), seed, api_vocab)
         rows.append((length,
                      float(call_hist.val_accuracy[call_hist.best_epoch]),
                      float(stmt_hist.val_accuracy[stmt_hist.best_epoch])))

@@ -2,7 +2,9 @@
 
 File format: first line ``<feature_name>,<length>``, then one row per sample,
 ``<sample_id>,<v1>,...,<vN>``. Floats are written with repr precision so
-reads reproduce writes bit-for-bit.
+reads reproduce writes bit-for-bit. Sample ids are written unquoted, so an
+id with a comma or a line break is rejected at write time; a malformed file
+raises ``FeatureError`` naming the file, and the sample whose row is at fault.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class FeatureTable:
 def save_features(table: FeatureTable, path: str | Path) -> None:
     lines = [f"{table.feature_name},{table.length}"]
     for sid, row in zip(table.sample_ids, table.matrix):
+        if "," in sid or "".join(sid.splitlines()) != sid:
+            raise FeatureError(f"{path}: sample id {sid!r} holds a comma or a line break")
         lines.append(sid + "," + ",".join(repr(float(x)) for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -80,9 +84,11 @@ def load_features(path: str | Path) -> FeatureTable:
     if not lines:
         raise FeatureError(f"{path}: empty feature file")
     head = lines[0].split(",")
-    if len(head) != 2:
+    if len(head) != 2 or not head[1].isdecimal():
         raise FeatureError(f"{path}: bad header {lines[0]!r}")
     name, length = head[0], int(head[1])
+    if name not in FEATURE_NAMES:
+        raise FeatureError(f"{path}: unknown feature name {name!r}")
     ids: list[str] = []
     rows: list[np.ndarray] = []
     for ln in lines[1:]:
@@ -90,7 +96,11 @@ def load_features(path: str | Path) -> FeatureTable:
         if len(parts) != length + 1:
             raise FeatureError(f"{path}: row for {parts[0]!r} has {len(parts) - 1} "
                                f"values, expected {length}")
-        row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        try:
+            row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise FeatureError(f"{path}: row for {parts[0]!r} has a value that is "
+                               "not a number") from None
         if not np.isfinite(row).all():
             raise FeatureError(f"{path}: row for {parts[0]!r} has non-finite values")
         ids.append(parts[0])

@@ -2,7 +2,6 @@
 
 from .model import FusionError, FusionModel, predict_fusion, train_fusion
 from .topology import (
-    DEFAULT_DENSE_WIDTH,
     FEATURE_SETS,
     PRESET_NAMES,
     FusionTopology,
@@ -14,7 +13,6 @@ from .topology import (
 )
 
 __all__ = [
-    "DEFAULT_DENSE_WIDTH",
     "FEATURE_SETS",
     "PRESET_NAMES",
     "FusionError",

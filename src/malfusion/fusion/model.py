@@ -25,7 +25,7 @@ from .. import substrate as S
 from ..components import ComponentModel, check_probability_vector
 from ..features import FeatureVector
 from ..seeding import derive_seed
-from .topology import DEFAULT_DENSE_WIDTH, FusionTopology, emit_topology, parse_topology
+from .topology import FusionTopology, emit_topology, parse_topology
 
 
 class FusionError(ValueError):
@@ -69,8 +69,7 @@ class FusionModel(S.Module):
 
     def __init__(self, topology: FusionTopology, feature_lengths: dict[str, int],
                  family_count: int, hyper: S.Hyperparams,
-                 components: dict[str, ComponentModel] | None = None,
-                 dense_width: int = DEFAULT_DENSE_WIDTH):
+                 components: dict[str, ComponentModel] | None, dense_width: int):
         self.topology = topology
         self.feature_lengths = dict(feature_lengths)
         self.family_count = family_count

@@ -22,7 +22,6 @@ FEATURE_SETS = {
 }
 PROB_EMITTERS = ("softmax-head", "pretrained-subclassifier", "ovr-ensemble",
                  "component-output")
-DEFAULT_DENSE_WIDTH = 128
 
 
 class TopologyError(ValueError):
@@ -75,7 +74,7 @@ class FusionTopology:
                 if n.kind in ("feature-input", "component-output")]
 
     def widths(self, feature_lengths: dict[str, int], family_count: int,
-               dense_width: int = DEFAULT_DENSE_WIDTH) -> dict[str, int]:
+               dense_width: int) -> dict[str, int]:
         """Output width per node; raises on any width or arity mismatch."""
         widths: dict[str, int] = {}
         for n in self.nodes:
@@ -168,9 +167,8 @@ def _cascade(items: list[tuple[str, Node]], stage_kind: str,
     return nodes
 
 
-def preset(name: str, manifest: ComponentManifest,
-           feature_set: str = "integrated",
-           dense_width: int = DEFAULT_DENSE_WIDTH) -> FusionTopology:
+def preset(name: str, manifest: ComponentManifest, feature_set: str = "integrated",
+           *, dense_width: int) -> FusionTopology:
     """Build one of the eight preset structures over the given feature set.
 
     Cascade presets (EF2, LF1, IF2) wire stages in ascending validation

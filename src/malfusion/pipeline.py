@@ -50,7 +50,9 @@ from .static_features import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of a full experiment run, JSON-serializable."""
+    """Every knob of a full experiment run, JSON-serializable, and the only
+    place where a setting's value is written. The default (full) profile
+    carries the reference settings."""
 
     seed: int = 0
     # static channel
@@ -224,14 +226,14 @@ def fit_vocabularies(train_samples: list[CorpusSample], config: PipelineConfig,
 
 
 def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
-                config: PipelineConfig, seed: int,
-                api_vocab: Vocabulary | None = None):
+                config: PipelineConfig, seed: int, api_vocab: Vocabulary):
     """Fit the model behind one learned feature on the training rows.
 
     ``seed`` seeds this fit alone, so every caller keeps its own stream;
     the validation rows steer early stopping of every model but the
     paragraph vector.
-    ``api_vocab`` indexes the co-occurrence matrices (``cooc_feat`` only).
+    ``api_vocab``, the training rows' API-name vocabulary, is the paragraph
+    vector's vocabulary and indexes the co-occurrence matrices.
     Returns the model and its training history (None for the paragraph
     vector, which has no validation pass).
     """
@@ -250,9 +252,10 @@ def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
                           embed_dim=c.cg_embed_dim, hyper=hyper(c.cafc_epochs),
                           val=[s.callgraph for s in val])
     if name == "pv_trace":
-        return train_pv([s.trace for s in train], dim=c.pv_dim, window=c.pv_window,
-                        neg_samples=c.pv_neg, epochs=c.pv_epochs, seed=seed,
-                        infer_steps=c.pv_infer_steps, infer_lr=c.pv_infer_lr), None
+        return train_pv([s.trace for s in train], api_vocab, dim=c.pv_dim,
+                        window=c.pv_window, neg_samples=c.pv_neg, epochs=c.pv_epochs,
+                        seed=seed, infer_steps=c.pv_infer_steps,
+                        infer_lr=c.pv_infer_lr), None
     if name == "cooc_feat":
         def cooc(rows):
             return np.stack([normalized_cooc(s.trace, api_vocab, c.cooc_window)
@@ -337,18 +340,10 @@ def train_preset(preset_name: str, feature_set: str,
 
 @dataclass
 class ExperimentResult:
-    config: PipelineConfig
-    features: dict[str, np.ndarray]
-    extractors: FeatureExtractors
-    components: dict[str, ComponentModel]
     manifest: ComponentManifest
     fusion: FusionModel
     test_probs: np.ndarray
     test_labels: np.ndarray
-
-    @property
-    def test_accuracy(self) -> float:
-        return float((self.test_probs.argmax(axis=1) == self.test_labels).mean())
 
 
 def run_experiment(corpus: Corpus, split, config: PipelineConfig,
@@ -356,8 +351,7 @@ def run_experiment(corpus: Corpus, split, config: PipelineConfig,
                    ) -> ExperimentResult:
     """Full train/evaluate pass for one preset on a prepared split."""
     labels = corpus.labels()
-    features, extractors = extract_features(corpus, split.train,
-                                            split.validation, config)
+    features, _ = extract_features(corpus, split.train, split.validation, config)
     components, manifest = train_components(features, labels, split.train,
                                             split.validation,
                                             corpus.family_count, config)
@@ -368,5 +362,4 @@ def run_experiment(corpus: Corpus, split, config: PipelineConfig,
     test_batch = {name: mat[test_idx] for name, mat in features.items()
                   if name in fusion.required_features()}
     test_probs = fusion.predict_batch(test_batch)
-    return ExperimentResult(config, features, extractors, components, manifest,
-                            fusion, test_probs, labels[test_idx])
+    return ExperimentResult(manifest, fusion, test_probs, labels[test_idx])

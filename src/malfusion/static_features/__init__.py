@@ -2,7 +2,6 @@
 
 from .onehot import pe_import_onehot
 from .dctzigzag import (
-    DEFAULT_LOWFREQ_LEN,
     dct2,
     extract_lowfreq,
     idct2,
@@ -10,19 +9,10 @@ from .dctzigzag import (
     zigzag_positions,
     zigzag_scan,
 )
-from .cafc import (
-    CafcModel,
-    DEFAULT_EMBED_DIM,
-    DEFAULT_KERNELS,
-    cg_embed,
-    train_cafc,
-)
+from .cafc import CafcModel, cg_embed, train_cafc
 
 __all__ = [
     "CafcModel",
-    "DEFAULT_EMBED_DIM",
-    "DEFAULT_KERNELS",
-    "DEFAULT_LOWFREQ_LEN",
     "cg_embed",
     "dct2",
     "extract_lowfreq",

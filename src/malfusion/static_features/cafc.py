@@ -15,15 +15,11 @@ from ..corpus.types import CallGraph
 from ..features import FeatureVector
 from ..seeding import derive_seed
 
-DEFAULT_KERNELS = 4
-DEFAULT_EMBED_DIM = 64
-
 
 class CafcModel(S.Module):
     kind = "cafc"
 
-    def __init__(self, size: int, kernels: int = DEFAULT_KERNELS,
-                 embed_dim: int = DEFAULT_EMBED_DIM, *,
+    def __init__(self, size: int, kernels: int, embed_dim: int, *,
                  rng: np.random.Generator):
         self.size = size
         self.kernels = kernels
@@ -51,16 +47,14 @@ class CafcModel(S.Module):
         return {"size": self.size, "kernels": self.kernels, "embed_dim": self.embed_dim}
 
 
-def train_cafc(callgraphs: list[CallGraph], kernels: int = DEFAULT_KERNELS,
-               embed_dim: int = DEFAULT_EMBED_DIM,
-               hyper: S.Hyperparams | None = None, *,
+def train_cafc(callgraphs: list[CallGraph], kernels: int, embed_dim: int,
+               hyper: S.Hyperparams, *,
                val: list[CallGraph]) -> tuple[CafcModel, S.TrainHistory]:
     """Unsupervised reconstruction training on ``callgraphs``; the ``val``
     graphs' reconstruction loss steers early stopping. Returns the model and
     its loss history."""
     if not callgraphs or not val:
         raise ValueError("cannot train on an empty graph set")
-    hyper = hyper or S.Hyperparams(epochs=25, batch_size=16)
     size = callgraphs[0].size
 
     def pair(graphs):  # reconstruction: each adjacency is its own target

@@ -81,8 +81,5 @@ def unzigzag(vector: np.ndarray, size: int) -> np.ndarray:
     return m
 
 
-DEFAULT_LOWFREQ_LEN = 350
-
-
-def extract_lowfreq(cg: CallGraph, length: int = DEFAULT_LOWFREQ_LEN) -> FeatureVector:
+def extract_lowfreq(cg: CallGraph, length: int) -> FeatureVector:
     return FeatureVector("cg_lowfreq", zigzag_scan(dct2(cg.adjacency), length))

@@ -6,9 +6,11 @@ import shutil
 
 import pytest
 
+import malfusion.cli as cli
 import malfusion.pipeline as P
 from malfusion.cli import run
 from malfusion.corpus import DEFAULT_HOLDOUT, load_corpus, make_splits
+from malfusion.dynamic_features import PvModel
 from malfusion.pipeline import load_split, save_split
 
 MICRO_OVERRIDES = {
@@ -116,6 +118,26 @@ class TestExitCodes:
         assert code == 1
         assert f"{rel}: {message}" in caplog.text
 
+    @pytest.mark.parametrize("argv", [["sweep", "--parameter", "zigzag_len", "--values", "8,x"],
+                                      ["compare-encoders", "--lengths", "30,abc"]],
+                             ids=["values", "lengths"])
+    def test_malformed_integer_list_is_usage_error(self, tmp_path, capsys, argv):
+        code = run([*argv, "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"argument {argv[-2]}: expected comma-separated integers, got {argv[-1]!r}"
+                in capsys.readouterr().err)
+
+    def test_explain_unknown_sample_fails_before_any_fit(self, corpus_dir, tmp_path, caplog,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "extract_features", lambda *args, **kwargs: calls.append(1))
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["explain", "--sample", "nope", "--corpus", str(corpus_dir),
+                        "--out", str(tmp_path / "cases")])
+        assert code == 1
+        assert calls == []
+        assert caplog.records[-1].getMessage() == "no sample 'nope' in corpus"
+
 
 class TestPipelineCommands:
     def test_extract_then_train_components(self, corpus_dir, config_file,
@@ -187,6 +209,8 @@ class TestPipelineCommands:
         lines = (out / "sweep-zigzag_len.csv").read_text().strip().splitlines()
         assert lines[0] == "zigzag_len,accuracy"
         assert [l.split(",")[0] for l in lines[1:]] == ["8", "12"]
+        resolved = json.loads((out / "config.json").read_text())
+        assert resolved["arguments"]["values"] == "8,12"  # recorded as typed
 
     def test_compare_encoders_emits_table(self, corpus_dir, config_file,
                                           tmp_path):
@@ -238,6 +262,17 @@ class TestPipelineCommands:
         assert sorted(calls) == sorted(s.sample_id for s in corpus.samples)
         summary = (out / "cases-summary.csv").read_text().strip().splitlines()
         assert len(summary) - 1 == len(make_splits(corpus, holdout=DEFAULT_HOLDOUT).test)
+
+    def test_api_vocab_caps_the_paragraph_vector(self, corpus_dir, tiny_run):
+        """With ``api_vocab`` below the training rows' distinct API names, the
+        paragraph vector trains over the same capped vocabulary."""
+        corpus = load_corpus(corpus_dir)
+        split = load_split(tiny_run / "split.json", len(corpus))
+        distinct = {n for i in split.train for n in corpus.samples[i].trace.api_names()}
+        assert TINY_OVERRIDES["api_vocab"] < len(distinct)
+        meta = json.loads((tiny_run / "models" / "extractors.json").read_text())
+        assert len(meta["api_vocab"]) == TINY_OVERRIDES["api_vocab"] + 1
+        assert PvModel.load(tiny_run / "models" / "pv.mfc").vocab.names() == meta["api_vocab"]
 
     @pytest.mark.parametrize("bucket, cell", [("train", "nan"), ("test", "inf")])
     def test_train_components_rejects_non_finite_cell(self, corpus_dir, tiny_run,

@@ -162,6 +162,13 @@ class TestGenerator:
             assert C.serialize_callgraph(sa.callgraph) == C.serialize_callgraph(sb.callgraph)
             assert C.serialize_imports(sa.imports) == C.serialize_imports(sb.imports)
 
+    def test_load_reads_canonical_size_from_corpus_json(self, tmp_path):
+        corpus = C.generate_corpus(C.CorpusSpec(family_count=2, samples_per_family=2, seed=1))
+        C.write_corpus(corpus, tmp_path)
+        (tmp_path / "corpus.json").write_text('{"canonical_size": 16, "family_count": 2}\n')
+        loaded = C.load_corpus(tmp_path)
+        assert {s.callgraph.adjacency.shape for s in loaded.samples} == {(16, 16)}
+
     def test_every_sample_has_all_artifacts(self):
         corpus = C.generate_corpus(C.CorpusSpec(family_count=2, samples_per_family=3, seed=1))
         assert len(corpus.samples) == 6

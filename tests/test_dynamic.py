@@ -139,6 +139,14 @@ class TestApiCallFrequency:
             D.api_call_frequency(C.TraceFile("s", ()), VOCAB)
 
 
+def _train_pv(traces, **overrides):
+    """``train_pv`` over the traces' API names, capped at 30."""
+    vocab = C.build_vocabulary((n for t in traces for n in t.api_names()), 30)
+    settings = dict(dim=32, window=3, neg_samples=5, epochs=25, seed=4, infer_steps=100,
+                    infer_lr=0.05)
+    return D.train_pv(traces, vocab, **settings | overrides)
+
+
 class TestParagraphVectors:
     """Two synthetic families over disjoint API vocabularies."""
 
@@ -155,18 +163,12 @@ class TestParagraphVectors:
     @functools.lru_cache(maxsize=2)
     def _model(cls):
         fam_a, fam_b = cls._families()
-        model = D.train_pv(fam_a + fam_b, dim=32, window=3, neg_samples=5, epochs=25,
-                           seed=4, max_vocab=30, infer_steps=100, infer_lr=0.05)
-        return model, fam_a, fam_b
-
-    def test_default_dim_is_400(self):
-        assert D.DEFAULT_PV_DIM == 400
+        return _train_pv(fam_a + fam_b), fam_a, fam_b
 
     def test_training_deterministic(self):
         model, fam_a, fam_b = self._model()
         # retrain outside the cache: same seed must rebuild the same tables
-        again = D.train_pv(fam_a + fam_b, dim=32, window=3, neg_samples=5, epochs=25,
-                           seed=4, max_vocab=30, infer_steps=100, infer_lr=0.05)
+        again = _train_pv(fam_a + fam_b)
         e1 = D.pv_embed(model, fam_a[0]).values
         e2 = D.pv_embed(again, fam_a[0]).values
         assert np.array_equal(e1, e2)
@@ -259,7 +261,7 @@ class TestParagraphVectors:
     def test_training_rejects_empty_trace(self):
         fam_a, _ = self._families()
         with pytest.raises(C.EmptyTraceError, match="gap"):
-            D.train_pv(fam_a[:2] + [C.TraceFile("gap", ())], dim=8, epochs=1)
+            _train_pv(fam_a[:2] + [C.TraceFile("gap", ())], dim=8, epochs=1)
 
     def test_save_load_round_trip(self, tmp_path):
         # the tables are buffers, the only ones left to persist
@@ -316,7 +318,7 @@ class TestCooccurrence:
 
     def test_empty_trace_and_bad_window(self):
         with pytest.raises(C.EmptyTraceError):
-            D.cooccurrence_matrix(C.TraceFile("s", ()), VOCAB)
+            D.cooccurrence_matrix(C.TraceFile("s", ()), VOCAB, window=2)
         with pytest.raises(C.CorpusError):
             D.cooccurrence_matrix(_trace("s", ["A"]), VOCAB, window=0)
 
@@ -337,11 +339,8 @@ class TestCoocCnn:
         labels = corpus.labels()
         vocab = C.build_vocabulary([st.api_name for s in corpus.samples
                                     for st in s.trace.statements], 30)
-        mats = np.stack([D.normalized_cooc(s.trace, vocab) for s in corpus.samples])
+        mats = np.stack([D.normalized_cooc(s.trace, vocab, 2) for s in corpus.samples])
         return corpus, labels, vocab, mats
-
-    def test_default_pool_is_8(self):
-        assert D.DEFAULT_POOL == 8
 
     def test_separable_training_and_pooled_side(self):
         _, labels, vocab, mats = self._data()
@@ -364,7 +363,7 @@ class TestCoocCnn:
     def test_unnormalized_input_rejected(self):
         mats = np.full((4, 5, 5), 3.0)
         with pytest.raises(ValueError):
-            D.train_cooc_cnn(mats, np.zeros(4, dtype=int), 2, pool=2,
+            D.train_cooc_cnn(mats, np.zeros(4, dtype=int), 2, pool=2, hyper=S.Hyperparams(),
                              val=(mats, np.zeros(4, dtype=int)))
 
 
@@ -420,9 +419,6 @@ class TestStatementEncoder:
             val=(va, labels[split.validation]), embed_dim=16, hidden=16,
             token_vocab=200)
         return corpus, model, hist
-
-    def test_default_seq_len_is_200(self):
-        assert D.DEFAULT_SEQ_LEN == 200
 
     def test_statement_tokens_shape_and_layout(self):
         vocab = C.Vocabulary({"open": 0, "a": 1, "b": 2, C.UNKNOWN_TOKEN: 3})
@@ -547,12 +543,17 @@ class TestStatementEncoderExactness:
         traces = [_trace("a", ["api1", "api2"]), _trace("b", ["api3"]), C.TraceFile("gap", ())]
         labels = np.array([0, 1, 0])
         hyper = S.Hyperparams(epochs=1, batch_size=2)
+        sizes = dict(embed_dim=4, hidden=3, token_vocab=10)
         with pytest.raises(C.EmptyTraceError, match="gap"):
             D.train_statement_encoder(traces, labels, 2, seq_len=4, hyper=hyper,
-                                      val=(traces[:2], labels[:2]))
+                                      val=(traces[:2], labels[:2]), **sizes)
         with pytest.raises(C.EmptyTraceError, match="gap"):
             D.train_statement_encoder(traces[:2], labels[:2], 2, seq_len=4, hyper=hyper,
-                                      val=(traces[1:], labels[1:]))
+                                      val=(traces[1:], labels[1:]), **sizes)
+
+
+def _name_vocab(traces):
+    return C.build_vocabulary((n for t in traces for n in t.api_names()), 60)
 
 
 class TestCallSequenceEncoder:
@@ -567,9 +568,8 @@ class TestCallSequenceEncoder:
         va = [corpus.samples[i].trace for i in split.validation]
         hyper = S.Hyperparams(epochs=12, batch_size=16, seed=0, patience=12)
         _, hist = D.train_call_sequence_encoder(
-            tr, labels[split.train], 4, seq_len=80, hyper=hyper,
-            val=(va, labels[split.validation]), embed_dim=16, hidden=32,
-            name_vocab=60)
+            tr, labels[split.train], 4, _name_vocab(tr), seq_len=80, hyper=hyper,
+            val=(va, labels[split.validation]), embed_dim=16, hidden=32)
         assert hist.val_accuracy[hist.best_epoch] <= 0.25 + 0.10
 
     def test_learns_name_signal(self):
@@ -583,7 +583,6 @@ class TestCallSequenceEncoder:
         hyper = S.Hyperparams(epochs=60, batch_size=16, seed=0, patience=60,
                               learning_rate=3e-3)
         _, hist = D.train_call_sequence_encoder(
-            tr, labels[split.train], 4, seq_len=120, hyper=hyper,
-            val=(va, labels[split.validation]), embed_dim=16, hidden=16,
-            name_vocab=60)
+            tr, labels[split.train], 4, _name_vocab(tr), seq_len=120, hyper=hyper,
+            val=(va, labels[split.validation]), embed_dim=16, hidden=16)
         assert hist.val_accuracy[hist.best_epoch] > 0.25 + 0.3

@@ -220,21 +220,22 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         corpus = _micro_corpus()
         with pytest.raises(E.EvaluationError, match="unknown sweep parameter"):
-            E.sweep("dense_width", [64], corpus)
+            E.sweep("dense_width", [64], corpus, None, _micro_config())
 
     def test_empty_values_rejected(self):
         with pytest.raises(E.EvaluationError, match="at least one value"):
-            E.sweep("zigzag_len", [], _micro_corpus())
+            E.sweep("zigzag_len", [], _micro_corpus(), None, _micro_config())
 
     def test_zigzag_rows_and_determinism(self):
         config = P.PipelineConfig.desk(seed=0, pe_vocab=60, api_vocab=40)
         corpus = C.generate_corpus(C.CorpusSpec(
             family_count=3, samples_per_family=10, signal_channel="both",
             seed=4))
-        table = E.sweep("zigzag_len", [8, 12], corpus, config=config)
+        split = C.make_splits(corpus, holdout=C.DEFAULT_HOLDOUT, seed=0)
+        table = E.sweep("zigzag_len", [8, 12], corpus, split, config)
         assert [v for v, _ in table.rows] == [8, 12]
         assert all(0.0 <= a <= 1.0 for _, a in table.rows)
-        rerun = E.sweep("zigzag_len", [8, 12], corpus, config=config)
+        rerun = E.sweep("zigzag_len", [8, 12], corpus, split, config)
         assert rerun.rows == table.rows
         assert table.to_csv().startswith("zigzag_len,accuracy\n")
 
@@ -255,7 +256,7 @@ class TestSweep:
 class TestCompareEncoders:
     def test_empty_lengths_rejected(self):
         with pytest.raises(E.EvaluationError, match="at least one length"):
-            E.compare_encoders(_micro_corpus(), [])
+            E.compare_encoders(_micro_corpus(), [], None, _micro_config())
 
     def test_statement_encoder_wins_when_signal_is_in_parameters(self):
         # api-name order is family-agnostic here; only parameter tokens
@@ -273,6 +274,22 @@ class TestCompareEncoders:
         assert stmt_acc >= call_acc + 0.2
         assert result.to_csv().startswith(
             "length,call_accuracy,statement_accuracy\n")
+
+    def test_call_encoder_vocabulary_is_capped_at_api_vocab(self, monkeypatch):
+        corpus = _micro_corpus()
+        split = C.make_splits(corpus, holdout=(0.6, 0.2, 0.2), seed=0)
+        config = _micro_config(api_vocab=5, callseq_epochs=1, stmt_epochs=1)
+        vocabs, train = [], E.train_call_sequence_encoder
+
+        def recorded(traces, labels, family_count, vocab, *args, **kwargs):
+            vocabs.append(vocab)
+            return train(traces, labels, family_count, vocab, *args, **kwargs)
+
+        monkeypatch.setattr(E, "train_call_sequence_encoder", recorded)
+        E.compare_encoders(corpus, [8, 12], split, config)
+        _, api_vocab = P.fit_vocabularies([corpus.samples[i] for i in split.train], config)
+        assert api_vocab.size == 6
+        assert [v.names() for v in vocabs] == [api_vocab.names()] * 2
 
 
 # -- training isolation -------------------------------------------------------------

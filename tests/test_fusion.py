@@ -68,41 +68,41 @@ class TestPresets:
     @pytest.mark.parametrize("name", FU.PRESET_NAMES)
     @pytest.mark.parametrize("feature_set", sorted(FU.FEATURE_SETS))
     def test_every_preset_builds_and_width_checks(self, name, feature_set):
-        topo = FU.preset(name, _manifest(), feature_set)
+        topo = FU.preset(name, _manifest(), feature_set, dense_width=128)
         lengths = {"pe_onehot": 252, "cg_embedding": 64, "cg_lowfreq": 350,
                    "api_freq": 287, "pv_trace": 400, "cooc_feat": 64,
                    "stmt_embed": 32}
-        widths = topo.widths(lengths, 80)
+        widths = topo.widths(lengths, 80, 128)
         assert widths[topo.root.node_id] == 80
 
     def test_reachable_features_match_declared_set(self):
         for name in FU.PRESET_NAMES:
             for feature_set, expected in FU.FEATURE_SETS.items():
-                topo = FU.preset(name, _manifest(), feature_set)
+                topo = FU.preset(name, _manifest(), feature_set, dense_width=128)
                 assert set(topo.feature_inputs()) == set(expected), (name, feature_set)
 
     def test_lf2_concat_width_560_at_80_families(self):
-        topo = FU.preset("LF2", _manifest())
-        widths = topo.widths({}, 80)
+        topo = FU.preset("LF2", _manifest(), dense_width=128)
+        widths = topo.widths({}, 80, 128)
         concat = next(n for n in topo.nodes if n.kind == "concat")
         assert widths[concat.node_id] == 7 * 80 == 560
 
     def test_cascade_order_is_ascending_accuracy(self):
         for preset_name in ("EF2", "LF1"):
-            topo = FU.preset(preset_name, _manifest())
+            topo = FU.preset(preset_name, _manifest(), dense_width=128)
             inputs = [n.args[0] for n in topo.nodes
                       if n.kind in ("feature-input", "component-output")]
             assert inputs == REFERENCE_ASCENDING, preset_name
 
     def test_cascade_order_recomputed_from_manifest(self):
         accs = dict(REFERENCE_ACCS, pv_trace=0.01)  # demote the best feature
-        topo = FU.preset("EF2", _manifest(accs))
+        topo = FU.preset("EF2", _manifest(accs), dense_width=128)
         first = next(n.args[0] for n in topo.nodes if n.kind == "feature-input")
         assert first == "pv_trace"
 
     def test_ens_gathers_all_components(self):
         for mode, name in (("fixed", "ENS_FIXED"), ("trainable", "ENS_TRAIN")):
-            topo = FU.preset(name, _manifest())
+            topo = FU.preset(name, _manifest(), dense_width=128)
             root = topo.root
             assert root.kind == "ovr-ensemble"
             assert root.args == (mode,)
@@ -110,19 +110,19 @@ class TestPresets:
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(FU.TopologyError):
-            FU.preset("EF9", _manifest())
+            FU.preset("EF9", _manifest(), dense_width=128)
 
     def test_missing_component_rejected(self):
         accs = dict(REFERENCE_ACCS)
         del accs["pv_trace"]
         with pytest.raises(CO.ComponentError, match="pv_trace"):
-            FU.preset("LF1", _manifest(accs))
+            FU.preset("LF1", _manifest(accs), dense_width=128)
 
 
 class TestDsl:
     @pytest.mark.parametrize("name", FU.PRESET_NAMES)
     def test_parse_emit_identity(self, name):
-        topo = FU.preset(name, _manifest())
+        topo = FU.preset(name, _manifest(), dense_width=128)
         text = FU.emit_topology(topo)
         assert FU.parse_topology(text).nodes == topo.nodes
 
@@ -142,9 +142,9 @@ class TestDsl:
                                FU.Node("d", "dense-block", ("8",), ("f",))])
 
     def test_width_mismatch_rejected_before_training(self):
-        topo = FU.preset("EF1", _manifest(), "static")
+        topo = FU.preset("EF1", _manifest(), "static", dense_width=128)
         with pytest.raises(FU.TopologyError):
-            topo.widths({"pe_onehot": 252}, 80)  # two features missing
+            topo.widths({"pe_onehot": 252}, 80, 128)  # two features missing
 
 
 class TestTraining:
@@ -152,7 +152,7 @@ class TestTraining:
     def _trained(preset_name, hyper=None, feature_set="static"):
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
-        topo = FU.preset(preset_name, manifest, feature_set)
+        topo = FU.preset(preset_name, manifest, feature_set, dense_width=128)
         hyper = hyper or S.Hyperparams(epochs=12, batch_size=16, seed=5, patience=12)
         model, hists = FU.train_fusion(topo, features, labels, tr, va,
                                        components=components, hyper=hyper,
@@ -186,7 +186,7 @@ class TestTraining:
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
         digests = {n: _weights_digest(m) for n, m in components.items()}
-        topo = FU.preset("LF2", manifest, "static")
+        topo = FU.preset("LF2", manifest, "static", dense_width=128)
         hyper = S.Hyperparams(epochs=12, batch_size=16, seed=5, patience=12)
         FU.train_fusion(topo, features, labels, tr, va, components=components,
                         hyper=hyper, family_count=4, dense_width=32)
@@ -195,7 +195,7 @@ class TestTraining:
     def test_ef1_beats_best_component_on_separable_data(self):
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
-        topo = FU.preset("EF1", manifest, "static")
+        topo = FU.preset("EF1", manifest, "static", dense_width=128)
         hyper = S.Hyperparams(epochs=25, batch_size=16, seed=5, patience=25)
         model, hists = FU.train_fusion(topo, features, labels, tr, va,
                                        components=components, hyper=hyper,
@@ -242,7 +242,7 @@ class TestPredict:
     def _model():
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
-        topo = FU.preset("LF2", manifest, "static")
+        topo = FU.preset("LF2", manifest, "static", dense_width=128)
         hyper = S.Hyperparams(epochs=10, batch_size=16, seed=5, patience=10)
         model, _ = FU.train_fusion(topo, features, labels, tr, va,
                                    components=components, hyper=hyper,

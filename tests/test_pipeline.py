@@ -1,5 +1,6 @@
-"""FeatureExtractors.featurize on degenerate input: the policy its docstring
-states, one test per case, on a tiny fitted bundle."""
+"""The full profile's reference settings, and FeatureExtractors.featurize on
+degenerate input: the policy its docstring states, one test per case, on a
+tiny fitted bundle."""
 
 import dataclasses
 
@@ -13,6 +14,12 @@ CONFIG = P.PipelineConfig.desk(
     seed=0, cafc_epochs=1, cg_embed_dim=4, zigzag_len=10, pv_dim=8, pv_epochs=1,
     pv_infer_steps=5, cooc_epochs=1, stmt_seqlen=8, stmt_epochs=1, callseq_len=8,
     callseq_epochs=1, pe_vocab=20, api_vocab=20, stmt_token_vocab=30)
+
+
+def test_full_profile_holds_the_reference_settings():
+    c = P.PipelineConfig()
+    assert (c.cafc_kernels, c.cg_embed_dim, c.zigzag_len, c.pv_dim, c.cooc_pool,
+            c.stmt_seqlen) == (4, 64, 350, 400, 8, 200)
 
 
 @pytest.fixture(scope="module")

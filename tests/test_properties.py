@@ -17,6 +17,8 @@ import malfusion.substrate as S  # noqa: E402
 from malfusion.corpus.io import normalize_param  # noqa: E402
 from malfusion.corpus.splits import _bucket_targets  # noqa: E402
 from malfusion.dynamic_features.pv import _noise_index  # noqa: E402
+from malfusion.features import (FEATURE_NAMES, FeatureTable, load_features,  # noqa: E402
+                                save_features)
 
 GRAPH_SIZE = 8
 
@@ -220,3 +222,31 @@ def test_noise_lookup_equals_binary_search(noise_cum, fractions):
                             np.nextafter(marks, np.inf), np.array(fractions) * top])
     draws = np.clip(draws, 0.0, top)
     assert np.array_equal(_noise_index(noise_cum, draws), np.searchsorted(noise_cum, draws))
+
+
+# ids the writer accepts: no comma and no line break of any kind
+_sample_ids = st.text().filter(lambda s: "," not in s and "".join(s.splitlines()) == s)
+_cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1e-310])
+
+
+@st.composite
+def _feature_tables(draw):
+    width = draw(st.integers(1, 4))
+    ids = draw(st.lists(_sample_ids, max_size=5))
+    cells = draw(st.lists(_cells, min_size=width * len(ids), max_size=width * len(ids)))
+    matrix = np.array(cells, dtype=np.float64).reshape(len(ids), width)
+    return FeatureTable(draw(st.sampled_from(FEATURE_NAMES)), ids, matrix)
+
+
+@pytest.fixture(scope="module")
+def feature_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("features") / "table.csv"
+
+
+@given(_feature_tables())
+def test_feature_table_round_trip(feature_path, table):
+    save_features(table, feature_path)
+    back = load_features(feature_path)
+    assert (back.feature_name, back.sample_ids) == (table.feature_name, table.sample_ids)
+    assert back.matrix.shape == table.matrix.shape
+    assert back.matrix.tobytes() == table.matrix.tobytes()

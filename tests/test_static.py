@@ -6,6 +6,7 @@ import pytest
 import malfusion.corpus as C
 import malfusion.static_features as ST
 import malfusion.substrate as S
+from malfusion.pipeline import PipelineConfig
 
 RECON_TOL = 1e-9
 
@@ -106,7 +107,7 @@ class TestZigzag:
         assert ST.zigzag_scan(m, 16).tolist() == list(range(1, 17))
 
     def test_default_length_on_64(self):
-        out = ST.zigzag_scan(np.ones((64, 64)), ST.DEFAULT_LOWFREQ_LEN)
+        out = ST.zigzag_scan(np.ones((64, 64)), PipelineConfig().zigzag_len)
         assert out.shape == (350,)
 
     def test_overlong_scan_zero_pads(self):
@@ -188,10 +189,6 @@ def _train_cafc(graphs, **kwargs):
 
 
 class TestCafc:
-    def test_defaults(self):
-        assert ST.DEFAULT_KERNELS == 4
-        assert ST.DEFAULT_EMBED_DIM == 64
-
     def test_loss_curve_decreases(self):
         corpus = C.generate_corpus(C.CorpusSpec(family_count=5, samples_per_family=10,
                                                 seed=17))
@@ -236,7 +233,7 @@ class TestCafc:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises((ValueError, S.TrainingDiverged)):
-            ST.train_cafc([], kernels=2, embed_dim=8, val=[])
+            ST.train_cafc([], kernels=2, embed_dim=8, hyper=S.Hyperparams(), val=[])
 
     def test_oscillating_loss_is_not_a_failure(self):
         # one batch per epoch: the last epoch's loss ends above the first's,

@@ -390,7 +390,8 @@ TRIMMED_STEP_PEAK_MB = 22.2
 
 
 def _statement_step_peak(tokens, labels, vocab):
-    model = D.StatementEncoderModel(vocab, 8, max_statements=120, max_tokens=16, rng=_rng(50))
+    model = D.StatementEncoderModel(vocab, 8, embed_dim=16, hidden=16, max_statements=120,
+                                    max_tokens=16, rng=_rng(50))
     tracemalloc.start()
     try:
         S.train(model, (tokens, labels), (tokens[:2], labels[:2]),
