@@ -11,6 +11,7 @@ import malfusion.corpus as C
 import malfusion.dynamic_features as D
 import malfusion.dynamic_features.pv as PV
 import malfusion.substrate as S
+from malfusion.pipeline import PipelineConfig
 from malfusion.seeding import rng_for
 
 
@@ -164,6 +165,9 @@ class TestParagraphVectors:
     def _model(cls):
         fam_a, fam_b = cls._families()
         return _train_pv(fam_a + fam_b), fam_a, fam_b
+
+    def test_default_dim_is_400(self):
+        assert PipelineConfig().pv_dim == 400
 
     def test_training_deterministic(self):
         model, fam_a, fam_b = self._model()
@@ -342,6 +346,9 @@ class TestCoocCnn:
         mats = np.stack([D.normalized_cooc(s.trace, vocab, 2) for s in corpus.samples])
         return corpus, labels, vocab, mats
 
+    def test_default_pool_is_8(self):
+        assert PipelineConfig().cooc_pool == 8
+
     def test_separable_training_and_pooled_side(self):
         _, labels, vocab, mats = self._data()
         hyper = S.Hyperparams(epochs=50, batch_size=16, seed=0, patience=50)
@@ -419,6 +426,9 @@ class TestStatementEncoder:
             val=(va, labels[split.validation]), embed_dim=16, hidden=16,
             token_vocab=200)
         return corpus, model, hist
+
+    def test_default_seq_len_is_200(self):
+        assert PipelineConfig().stmt_seqlen == 200
 
     def test_statement_tokens_shape_and_layout(self):
         vocab = C.Vocabulary({"open": 0, "a": 1, "b": 2, C.UNKNOWN_TOKEN: 3})

@@ -189,6 +189,11 @@ def _train_cafc(graphs, **kwargs):
 
 
 class TestCafc:
+    def test_defaults(self):
+        c = PipelineConfig()
+        assert c.cafc_kernels == 4
+        assert c.cg_embed_dim == 64
+
     def test_loss_curve_decreases(self):
         corpus = C.generate_corpus(C.CorpusSpec(family_count=5, samples_per_family=10,
                                                 seed=17))
