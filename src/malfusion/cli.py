@@ -35,6 +35,7 @@ from .evaluate import (
 from .features import FeatureTable, load_features, save_features
 from .fusion import PRESET_NAMES
 from .pipeline import (
+    ConfigError,
     PipelineConfig,
     extract_features,
     load_split,
@@ -73,12 +74,15 @@ def _write_resolved_config(out: Path, args, config: PipelineConfig | None) -> No
 
 
 def _int_list(text: str) -> str:
-    """A comma-separated integer list, returned as typed for config.json."""
+    """A comma-separated list of positive integers, returned as typed for
+    config.json."""
     try:
-        [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return text
 
 
@@ -381,6 +385,9 @@ def run(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except ConfigError as e:  # a bad --config or --values value, before any fit
+        log.error("%s", e)
+        return 2
     except Exception as e:  # runtime failure -> exit 1 with a message
         log.error("%s", e)
         return 1

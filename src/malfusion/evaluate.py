@@ -231,14 +231,16 @@ def sweep(parameter: str, values, corpus: Corpus, split: DatasetSplit,
     values = list(values)
     if not values:
         raise EvaluationError("sweep needs at least one value")
+    # every value's config is built (and so checked) before the first fit
+    configs = [config.replace(**{parameter: int(value)}) for value in values]
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
     labels = corpus.labels()
     name = SWEEP_FEATURES[parameter]
     rows = []
-    for value in values:
+    for value, value_config in zip(values, configs):
         features, _ = extract_features(
-            corpus, train_idx, val_idx, config.replace(**{parameter: int(value)}),
+            corpus, train_idx, val_idx, value_config,
             (name,), derive_seed(config.seed, "sweep", parameter, int(value)))
         _, hist = train_probe(features[name], labels, train_idx, val_idx,
                               corpus.family_count,
@@ -271,9 +273,11 @@ def compare_encoders(corpus: Corpus, lengths, split: DatasetSplit,
     """Train the name-only and statement-level encoders per length under the
     same split and seed; report each one's best validation accuracy. The
     name-only encoder's vocabulary is the training rows' ``api_vocab``."""
-    lengths = list(lengths)
+    lengths = [int(n) for n in lengths]
     if not lengths:
         raise EvaluationError("compare_encoders needs at least one length")
+    # built (and so checked) before the first fit
+    stmt_configs = [config.replace(stmt_seqlen=n) for n in lengths]
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
     labels = corpus.labels()
@@ -281,15 +285,14 @@ def compare_encoders(corpus: Corpus, lengths, split: DatasetSplit,
     _, api_vocab = fit_vocabularies([corpus.samples[i] for i in train_idx], config)
     val_pair = ([corpus.samples[i].trace for i in val_idx], labels[val_idx])
     rows = []
-    for length in lengths:
-        length = int(length)
+    for length, stmt_config in zip(lengths, stmt_configs):
         seed = derive_seed(config.seed, "compare", length)
         _, call_hist = train_call_sequence_encoder(
             train_traces, labels[train_idx], corpus.family_count, api_vocab, length,
             S.Hyperparams(epochs=config.callseq_epochs, batch_size=16, seed=seed),
             val=val_pair, hidden=config.callseq_hidden)
         _, stmt_hist = fit_feature("stmt_embed", corpus, train_idx, val_idx,
-                                   config.replace(stmt_seqlen=length), seed, api_vocab)
+                                   stmt_config, seed, api_vocab)
         rows.append((length,
                      float(call_hist.val_accuracy[call_hist.best_epoch]),
                      float(stmt_hist.val_accuracy[stmt_hist.best_epoch])))

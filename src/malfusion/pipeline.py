@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +48,10 @@ from .static_features import (
     pe_import_onehot,
     train_cafc,
 )
+
+
+class ConfigError(ValueError):
+    """A ``PipelineConfig`` field holds a value no stage can run with."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,20 @@ class PipelineConfig:
     dense_width: int = 128
 
     def __post_init__(self):
-        for name in ("pe_vocab", "api_vocab", "pv_dim", "zigzag_len",
-                     "cg_embed_dim", "cooc_pool", "stmt_seqlen", "callseq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        """Every window, epoch count, width, vocabulary cap, ``pv_neg``,
+        ``pv_infer_steps`` and ``batch_size`` is an integer of at least 1 and
+        ``pv_infer_lr`` a finite number above 0, else ``ConfigError``; so a
+        bad value fails here, before any stage is fitted."""
+        for field in dataclasses.fields(self):
+            name, value = field.name, getattr(self, field.name)
+            if name == "pv_infer_lr":
+                ok, kind = isinstance(value, numbers.Real) and 0 < value < math.inf, "a positive number"
+            elif name == "seed":
+                ok, kind = isinstance(value, numbers.Integral), "an integer"
+            else:
+                ok, kind = isinstance(value, numbers.Integral) and value >= 1, "a positive integer"
+            if isinstance(value, bool) or not ok:
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
     @classmethod
     def desk(cls, seed: int = 0, **overrides) -> "PipelineConfig":

@@ -11,8 +11,14 @@ forward intermediates are freed during the backward pass rather than after
 it. Only leaves (tensors no op produced, such as parameters) keep their
 gradients. To differentiate again, build a new graph by running the
 forward pass again. A leaf that an optimizer gave a gradient view (see
-``train.Adam``) copies its first gradient of a pass into that view instead of
-a new array.
+``train.Adam``) takes its first gradient of a pass in that view instead of
+a new array: ``matmul`` computes it there, other ops copy it in.
+
+``backward()`` starts from a scalar loss. ``backward(grad)`` starts from
+any output, seeded with ``grad``: the gradient of some later loss with
+respect to that output, which the caller computed elsewhere. The leaves get
+what ``backward()`` of ``tsum(mul(output, grad))`` would give them. This
+lets ``recompute_rows`` backpropagate through one block of rows at a time.
 
 Inside ``with no_grad():`` no op records a tape: results carry no parents,
 no backward closure and ``requires_grad=False``, so the intermediates of a
@@ -65,9 +71,31 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self):
-        if self.data.size != 1:
-            raise ShapeError("backward() expects a scalar loss")
+    def _accumulate_matmul(self, x: np.ndarray, y: np.ndarray):
+        """``_accumulate(x @ y)``; a leaf's first gradient of a pass is
+        written straight into its gradient view, with no temporary."""
+        if self.grad is None and self._grad_view is not None:
+            self.grad = np.matmul(x, y, out=self._grad_view)
+        else:
+            self._accumulate(x @ y)
+
+    def backward(self, grad=None):
+        """Backpropagate into every leaf this tensor depends on.
+
+        Without ``grad`` the tensor must be a scalar loss, seeded with 1.
+        ``grad``, of this tensor's shape, seeds a non-scalar output with the
+        gradient of some later loss with respect to it: the leaves then get
+        the same gradients as ``backward()`` of ``tsum(mul(self, grad))``.
+        The seed is copied, never kept.
+        """
+        if grad is None:
+            if self.data.size != 1:
+                raise ShapeError("backward() expects a scalar loss; pass grad for other shapes")
+            seed = np.ones_like(self.data)
+        else:
+            seed = np.array(grad, dtype=self.data.dtype)
+            if seed.shape != self.data.shape:
+                raise ShapeError(f"backward grad {seed.shape} does not match output {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -83,7 +111,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = seed
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -101,14 +129,18 @@ _tape_enabled = True
 
 
 @contextmanager
-def no_grad():
-    """Run the enclosed ops without recording a tape (see module docstring)."""
+def _taping(enabled: bool):
     global _tape_enabled
-    previous, _tape_enabled = _tape_enabled, False
+    previous, _tape_enabled = _tape_enabled, enabled
     try:
         yield
     finally:
         _tape_enabled = previous
+
+
+def no_grad():
+    """Run the enclosed ops without recording a tape (see module docstring)."""
+    return _taping(False)
 
 
 def _needs_tape(*tensors: Tensor) -> bool:
@@ -267,9 +299,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate_matmul(g, b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate_matmul(a.data.T, g)
 
     return _make(data, (a, b), backward)
 
@@ -381,6 +413,51 @@ def select_labels(probs: Tensor, labels: np.ndarray) -> Tensor:
     return _make(data, (probs,), backward)
 
 
+# recomputation ---------------------------------------------------------------
+
+
+def recompute_rows(fn, n: int, params: list[Tensor], block: int) -> Tensor:
+    """Run a row-independent sub-network over ``n`` rows, ``block`` at a time,
+    keeping no tape of it (activation recomputation: Chen et al.,
+    arXiv:1604.06174; Gruslys et al., arXiv:1606.03401).
+
+    ``fn(rows)`` maps a slice of the ``n`` rows to a (rows, ...) tensor, and
+    each output row depends on its own input rows only. The leaves it reads
+    are ``params``; any other input is constant. When ``n <= block``, the
+    result is ``fn`` over all rows, taped or not as usual. Otherwise each
+    block runs under ``no_grad`` into one (n, ...) array, so the forward pass
+    keeps only the result, and the backward pass reruns each block with a
+    tape and backpropagates that block's rows of the output gradient into
+    the leaves, so no more than one block's tape is alive at a time. The
+    values equal ``fn`` over all rows wherever ``fn``'s rows do not depend
+    on how many rows run together. The leaves' gradients are sums over the
+    blocks, so they may differ from one unblocked pass in the last bits.
+    """
+    if n <= block:
+        return fn(slice(0, n))
+    if any(p._parents for p in params):
+        raise ValueError("recompute_rows differentiates into leaves only")
+    starts = list(range(0, n, block))
+    if n - starts[-1] == 1:  # BLAS takes one-row products by another kernel
+        starts.pop()
+    blocks = [slice(r, s) for r, s in zip(starts, [*starts[1:], n])]
+    out = None
+    with no_grad():
+        for rows in blocks:
+            part = fn(rows).data
+            if out is None:
+                out = np.empty((n, *part.shape[1:]), dtype=part.dtype)
+            out[rows] = part
+
+    def backward(g):
+        for rows in blocks:
+            with _taping(True):
+                part = fn(rows)
+            part.backward(g[rows])
+
+    return _make(out, params, backward)
+
+
 # recurrence ------------------------------------------------------------------
 
 
@@ -391,8 +468,13 @@ def select_labels(probs: Tensor, labels: np.ndarray) -> Tensor:
 _STEP_BLOCK_BYTES = 1 << 19
 
 
+def lstm_step_rows(dirs: int, hd: int, itemsize: int) -> int:
+    """Rows per block that ``lstm_sequence`` steps at a time."""
+    return max(1, _STEP_BLOCK_BYTES // (dirs * 4 * hd * itemsize))
+
+
 def _row_blocks(dirs: int, bsz: int, hd: int, itemsize: int) -> list[slice]:
-    rows = max(1, _STEP_BLOCK_BYTES // (dirs * 4 * hd * itemsize))
+    rows = lstm_step_rows(dirs, hd, itemsize)
     return [slice(r, r + rows) for r in range(0, bsz, rows)]
 
 

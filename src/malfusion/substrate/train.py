@@ -73,7 +73,7 @@ class Adam:
     The constructor copies ``params`` into one contiguous buffer and rebinds
     each ``p.data`` to its reshaped view, so the parameters' values and
     shapes are unchanged. Each parameter also gets a view into one gradient
-    buffer, which its first ``_accumulate`` of a backward pass copies into.
+    buffer, which takes its first gradient of a backward pass.
     ``m`` and ``v`` are flat buffers laid out like the arena. A parameter
     listed twice, or parameters of more than one dtype, raise ``ValueError``.
 

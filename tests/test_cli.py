@@ -127,6 +127,33 @@ class TestExitCodes:
         assert (f"argument {argv[-2]}: expected comma-separated integers, got {argv[-1]!r}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [["sweep", "--parameter", "zigzag_len", "--values", "8,0"],
+                                      ["compare-encoders", "--lengths", "0"],
+                                      ["compare-encoders", "--lengths", "30,-5"]],
+                             ids=["values", "lengths-zero", "lengths-negative"])
+    def test_non_positive_integer_list_is_usage_error(self, corpus_dir, tmp_path, capsys,
+                                                      argv):
+        out = tmp_path / "out"
+        code = run([*argv, "--corpus", str(corpus_dir), "--out", str(out)])
+        assert code == 2
+        assert (f"argument {argv[-2]}: expected positive integers, got {argv[-1]!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["extract"], ["sweep", "--parameter", "cooc_pool"]])
+    def test_bad_config_value_fails_before_any_fit(self, corpus_dir, tmp_path, caplog,
+                                                   monkeypatch, argv):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"cooc_window": 0}))
+        calls = []
+        monkeypatch.setattr(P, "fit_feature", lambda *args, **kwargs: calls.append(1))
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run([*argv, "--corpus", str(corpus_dir), "--config", str(config),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert calls == []
+        assert caplog.records[-1].getMessage() == "cooc_window must be a positive integer, got 0"
+
     def test_explain_unknown_sample_fails_before_any_fit(self, corpus_dir, tmp_path, caplog,
                                                          monkeypatch):
         calls = []

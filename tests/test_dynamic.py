@@ -3,6 +3,7 @@ statement-sequence encoder, call-sequence baseline."""
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import malfusion.corpus as C
 import malfusion.dynamic_features as D
 import malfusion.dynamic_features.pv as PV
+import malfusion.dynamic_features.statements as ST
 import malfusion.substrate as S
 from malfusion.pipeline import PipelineConfig
 from malfusion.seeding import rng_for
@@ -560,6 +562,65 @@ class TestStatementEncoderExactness:
         with pytest.raises(C.EmptyTraceError, match="gap"):
             D.train_statement_encoder(traces[:2], labels[:2], 2, seq_len=4, hyper=hyper,
                                       val=(traces[1:], labels[1:]), **sizes)
+
+
+def _block_model():
+    names = [f"tok{i}" for i in range(200)] + [C.UNKNOWN_TOKEN]
+    vocab = C.Vocabulary({n: i for i, n in enumerate(names)})
+    return D.StatementEncoderModel(vocab, 8, embed_dim=16, hidden=16, max_statements=400,
+                                   rng=np.random.default_rng(55))
+
+
+def _block_tokens(model, batch, length, widths, rng):
+    """(batch, length, 16) statements whose first ``widths`` slots hold tokens."""
+    tokens = np.full((batch, length, 16), model.pad)
+    for (row, slot), width in np.ndenumerate(widths):
+        tokens[row, slot, :width] = rng.integers(0, model.pad, width)
+    return tokens
+
+
+# One training step on a 16 x 400 batch of 1-5 token statements peaks at
+# 104.6 MB under tracemalloc when the word level is taped for the whole batch,
+# and at 24.8 MB when it is recomputed in blocks; the bound is the blocked
+# peak plus 20%. Allocation sizes are fixed by the shape, so it cannot flake.
+BLOCKED_STEP_PEAK_MB = 30
+
+
+class TestStatementEncoderBlocks:
+    @pytest.mark.parametrize("case", ["interior-pads", "lone-row-tail"])
+    def test_forward_equals_unblocked(self, case, monkeypatch):
+        model = _block_model()
+        rng = np.random.default_rng(56)
+        if case == "interior-pads":  # 1,200 statements of up to 5 slots, pads anywhere
+            tokens = _block_tokens(model, 300, 4, rng.integers(1, 6, (300, 4)), rng)
+            tokens[rng.random(tokens.shape) < 0.2] = model.pad
+            tokens[3, 2] = model.pad
+            used = 5
+        else:  # one-token statements, one more than a block
+            used = 1
+            rows = model._word_block(used) + 1
+            tokens = _block_tokens(model, rows, 1, np.ones((rows, 1), dtype=int), rng)
+        assert (tokens != model.pad).any(-1).sum() > model._word_block(used)
+        outs = []
+        for budget in (ST._WORD_GATE_BYTES, 1 << 62):  # blocked, then one block
+            monkeypatch.setattr(ST, "_WORD_GATE_BYTES", budget)
+            with S.no_grad():
+                outs.append(model.encode(tokens).data)
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_training_step_memory(self):
+        model = _block_model()
+        rng = np.random.default_rng(53)
+        tokens = _block_tokens(model, 16, 400, rng.integers(1, 6, (16, 400)), rng)
+        labels = rng.integers(0, 8, 16)
+        tracemalloc.start()
+        try:
+            S.train(model, (tokens, labels), (tokens[:2], labels[:2]),
+                    S.Hyperparams(epochs=1, batch_size=16, patience=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCKED_STEP_PEAK_MB * 2**20
 
 
 def _name_vocab(traces):

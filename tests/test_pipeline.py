@@ -22,6 +22,19 @@ def test_full_profile_holds_the_reference_settings():
             c.stmt_seqlen) == (4, 64, 350, 400, 8, 200)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cooc_window", 0), ("cafc_epochs", 0), ("stmt_hidden", -1), ("stmt_token_vocab", 0),
+    ("pv_neg", 0), ("pv_infer_steps", 0), ("batch_size", 0), ("pv_infer_lr", 0.0),
+    ("pv_window", 2.5), ("component_epochs", True), ("seed", "1"),
+], ids=["window", "epochs", "width", "vocabulary-cap", "pv-neg", "pv-infer-steps",
+        "batch-size", "pv-infer-lr", "fractional-window", "bool-epochs", "text-seed"])
+def test_config_rejects_bad_value_at_construction(field, value):
+    with pytest.raises(P.ConfigError, match=f"^{field} must be "):
+        P.PipelineConfig.desk(**{field: value})
+    with pytest.raises(P.ConfigError):
+        CONFIG.replace(**{field: value})
+
+
 @pytest.fixture(scope="module")
 def bundle():
     """Extractors fitted on a 3x5 corpus, and an unseen sample to vary."""

@@ -427,6 +427,82 @@ def test_statement_encoder_trimmed_step_memory():
     assert _statement_step_peak(tokens, labels, vocab) < TRIMMED_STEP_PEAK_MB * 2**20
 
 
+def _word_level_case(rows, seed=45):
+    """The statement encoder's word level in small: embedding, a BiLSTM that
+    starts its backward direction from two lead steps of the pad row, and
+    an attention pool, over ``rows`` independent rows."""
+    rng = _rng(seed)
+    emb, cell = S.Embedding(10, 3, rng=rng), S.BiLSTM(3, 4, rng=rng)
+    ctx = S.Tensor(rng.normal(0, 1, (8,)), requires_grad=True)
+    for p in emb.parameters() + cell.parameters():  # wider than the init, so attention is not uniform
+        p.data = rng.normal(0, 0.5, p.data.shape)
+    idx = rng.integers(0, 10, (rows, 5))
+    idx[1, 2] = idx[3, 0] = 0
+    mask = idx != 0
+
+    def fn(block):
+        states = cell.run(emb(idx[block]), lead=2, pad=emb(np.asarray(0)))
+        return S.attention_pool_t(states, ctx, mask[block])[1]
+
+    return emb.parameters() + cell.parameters() + [ctx], fn
+
+
+class TestRecomputeRows:
+    BLOCK = 4
+
+    @pytest.mark.parametrize("rows", [11, 9], ids=["short-tail", "lone-row-tail"])
+    def test_gradient_check(self, rows):
+        params, fn = _word_level_case(rows)
+        target = _rng(46).normal(0, 1, (rows, 8))
+
+        def loss():
+            return S.mse(S.recompute_rows(fn, rows, params, self.BLOCK), target)
+
+        assert S.gradient_check(loss, params) < TOL
+
+    def test_seeded_backward_equals_weighted_sum(self):
+        params, fn = _word_level_case(6)
+        seed = _rng(47).normal(0, 1, (6, 8))
+        grads = []
+        for backward in (lambda out: out.backward(seed),
+                         lambda out: S.tsum(S.mul(out, S.Tensor(seed))).backward()):
+            for p in params:
+                p.grad = None
+            backward(fn(slice(0, 6)))
+            grads.append([p.grad for p in params])
+        for got, want in zip(*grads, strict=True):  # tsum and mul pass the seed on unchanged
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(S.ShapeError, match="scalar"):
+            fn(slice(0, 6)).backward()
+        with pytest.raises(S.ShapeError, match="does not match"):
+            fn(slice(0, 6)).backward(seed[:5])
+
+    def test_leaf_gradients_equal_unblocked_tape(self):
+        # each block's gradients are summed into the leaves: the same terms
+        # as one pass, added in another order, so equal to a few ulps (at
+        # most 6.7e-16 of the largest entry here)
+        rows = 11
+        params, fn = _word_level_case(rows)
+        target = _rng(48).normal(0, 1, (rows, 8))
+        results = []
+        for block in (self.BLOCK, rows):
+            for p in params:
+                p.grad = None
+            out = S.recompute_rows(fn, rows, params, block)
+            assert (out._parents == tuple(params)) == (block < rows)  # no tape kept when blocked
+            S.mse(out, target).backward()
+            results.append((out.data, [p.grad for p in params]))
+        (got, got_grads), (want, want_grads) = results
+        assert np.max(np.abs(got - want)) <= 1e-15
+        for a, b in zip(got_grads, want_grads, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    def test_rejects_interior_inputs(self):
+        params, fn = _word_level_case(6)
+        with pytest.raises(ValueError, match="leaves"):
+            S.recompute_rows(fn, 6, [S.mul(params[0], params[0])], self.BLOCK)
+
+
 def _untaped(t):
     return t._parents == () and t._backward is None and t.requires_grad is False
 
@@ -737,6 +813,35 @@ class TestTrainMatchesReferenceAdam:
         self._both(monkeypatch, lambda: CafcModel(16, kernels=2, embed_dim=8, rng=_rng(69)),
                    _cafc_data(12, 16, 70), _cafc_data(4, 16, 71),
                    S.Hyperparams(epochs=4, batch_size=4, seed=5), "mse")
+
+
+def test_first_matmul_gradient_goes_straight_into_the_arena():
+    # CAFC at its benchmark shape: enc.w is 16384 x 32 (4 MiB). Its gradient
+    # is written into the arena's view, so a step allocates nothing that size,
+    # and the parameters equal a step whose gradients were new arrays.
+    graphs, flat = _cafc_data(2, 64, 72)
+    models = [CafcModel(64, kernels=4, embed_dim=32, rng=_rng(73)) for _ in range(2)]
+    peak = None
+    for model, adam in zip(models, (S.Adam, _ReferenceAdam)):
+        opt = adam(model.parameters(), lr=0.01)
+        loss = S.mse(model.forward(graphs, train=True), flat)
+        opt.zero_grad()
+        if adam is S.Adam:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                loss.backward()
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert model.enc.w.grad is model.enc.w._grad_view
+        else:
+            loss.backward()
+            opt.step()
+    assert peak < models[0].enc.w.data.nbytes
+    assert _flat_bytes(p.data for p in models[0].parameters()) == \
+        _flat_bytes(p.data for p in models[1].parameters())
 
 
 class TestContainer:
