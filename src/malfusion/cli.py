@@ -1,5 +1,11 @@
 """Batch entry point wiring every module into reproducible experiment runs.
 
+Stages chain: ``gen`` writes a corpus; ``extract`` fits every stage below
+fusion and writes split.json, features/, models/ (extractors and config),
+components/ and component-accuracy.csv; ``train-fusion`` and ``explain``
+read that run (--run) and its corpus and fit only fusion models, under the
+run's config. ``eval`` is the one-shot run, holdout or k-fold.
+
 Each subcommand validates its arguments, runs, writes artifacts under --out
 together with a resolved config.json, and logs progress to standard error.
 Exit codes: 0 success, 2 usage error, 1 runtime failure. Reruns with the
@@ -15,6 +21,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .components import ComponentManifest, ComponentModel
 from .corpus import (
     DEFAULT_HOLDOUT,
     CorpusSpec,
@@ -38,10 +45,12 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     extract_features,
+    load_extractors,
     load_split,
     run_experiment,
     save_extractors,
     save_split,
+    score_preset,
     train_components,
     train_preset,
 )
@@ -56,8 +65,17 @@ SPLIT_HELP = "reuse a saved split.json"
 def _config_from_args(args) -> PipelineConfig:
     base = (PipelineConfig.desk(seed=args.seed) if args.profile == "desk"
             else PipelineConfig(seed=args.seed))
-    if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
+    if args.config:
+        try:
+            overrides = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{args.config}: not JSON ({e})") from None
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of config "
+                              f"fields, got {type(overrides).__name__}")
+        unknown = sorted(set(overrides) - set(base.to_dict()))
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown config fields {unknown}")
         base = base.replace(**overrides)
     return base
 
@@ -84,6 +102,13 @@ def _int_list(text: str) -> str:
     if min(values) < 1:
         raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return text
+
+
+def _fold_count(text: str) -> int:
+    """0 (the fixed holdout split) or a fold count of at least 2."""
+    if not text.isdecimal() or int(text) == 1:
+        raise argparse.ArgumentTypeError(f"expected 0 or at least 2 folds, got {text!r}")
+    return int(text)
 
 
 def _corpus_split(args):
@@ -121,6 +146,9 @@ def _cmd_extract(args) -> int:
     out = Path(args.out)
     features, extractors = extract_features(corpus, split.train,
                                             split.validation, config)
+    components, manifest = train_components(features, corpus.labels(),
+                                            split.train, split.validation,
+                                            corpus.family_count, config)
     feat_dir = out / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     ids = [s.sample_id for s in corpus.samples]
@@ -128,61 +156,53 @@ def _cmd_extract(args) -> int:
         save_features(FeatureTable(name, ids, matrix), feat_dir / f"{name}.csv")
     save_extractors(out / "models", extractors)
     save_split(out / "split.json", split)
-    _write_resolved_config(out, args, config)
-    log.info("extracted %d features x %d samples to %s",
-             len(features), len(corpus), out)
-    return 0
-
-
-def _load_feature_dir(feat_dir: Path):
-    tables = [load_features(path) for path in sorted(feat_dir.glob("*.csv"))]
-    if not tables:
-        raise FileNotFoundError(f"no feature tables under {feat_dir}")
-    first = tables[0].sample_ids
-    for t in tables:
-        if t.sample_ids != first:
-            raise ValueError(f"feature table {t.feature_name} has "
-                             "mismatched sample ids")
-    return first, {t.feature_name: t.matrix for t in tables}
-
-
-def _cmd_train_components(args) -> int:
-    config = _config_from_args(args)
-    corpus = load_corpus(args.corpus)
-    run_dir = Path(args.run)
-    ids, features = _load_feature_dir(run_dir / "features")
-    if ids != [s.sample_id for s in corpus.samples]:
-        raise ValueError("feature tables do not match the corpus sample order")
-    split = load_split(run_dir / "split.json", len(corpus))
-    out = Path(args.out)
     comp_dir = out / "components"
-    comp_dir.mkdir(parents=True, exist_ok=True)
-    models, manifest = train_components(features, corpus.labels(), split.train,
-                                        split.validation, corpus.family_count,
-                                        config)
-    for name, model in models.items():
+    comp_dir.mkdir(exist_ok=True)
+    for name, model in components.items():
         model.save(comp_dir / manifest.paths[name])
     manifest.save(comp_dir / "manifest.json")
     lines = ["feature,validation_accuracy"]
     lines += [f"{n},{csv_number(manifest.accuracies[n])}" for n in manifest.ascending()]
     (out / "component-accuracy.csv").write_text("\n".join(lines) + "\n")
     _write_resolved_config(out, args, config)
-    log.info("trained %d components to %s", len(models), out)
+    log.info("extracted %d features and trained %d components on %d samples "
+             "to %s", len(features), len(components), len(corpus), out)
     return 0
 
 
+def _load_run(args):
+    """The corpus, and what ``extract`` wrote to --run: the split, the feature
+    matrices, the components with their manifest, and the config it used."""
+    corpus = load_corpus(args.corpus)
+    run_dir, comp_dir = Path(args.run), Path(args.run) / "components"
+    manifest = ComponentManifest.load(comp_dir / "manifest.json")
+    ids = [s.sample_id for s in corpus.samples]
+    features, components = {}, {}
+    for name, file in manifest.paths.items():
+        table = load_features(run_dir / "features" / f"{name}.csv")
+        if table.sample_ids != ids:
+            raise ValueError(f"{run_dir / 'features' / name}.csv: sample ids do "
+                             "not match the corpus sample order")
+        components[name] = ComponentModel.load(comp_dir / file)
+        if components[name].feature_name != name:
+            raise ValueError(f"{comp_dir / file}: holds the {components[name].feature_name}"
+                             f" component, where the manifest names {name}")
+        features[name] = table.matrix
+    split = load_split(run_dir / "split.json", len(corpus))
+    config = load_extractors(run_dir / "models").config
+    return corpus, split, features, components, manifest, config
+
+
 def _cmd_train_fusion(args) -> int:
-    config = _config_from_args(args)
-    corpus, split = _corpus_split(args)
-    preset_name = PRESET_FLAGS[args.preset]
+    corpus, split, features, components, manifest, config = _load_run(args)
     out = Path(args.out)
-    result = run_experiment(corpus, split, config, preset_name=preset_name,
-                            feature_set=args.features)
+    result = score_preset(PRESET_FLAGS[args.preset], args.features, corpus, split,
+                          features, components, manifest, config)
     report = make_report(result.test_probs, result.test_labels,
                          corpus.family_count)
     out.mkdir(parents=True, exist_ok=True)
     result.fusion.save(out / f"fusion-{args.preset}-{args.features}.mfc")
-    result.manifest.save(out / "manifest.json")
+    manifest.save(out / "manifest.json")
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.to_text())
     _write_resolved_config(out, args, config)
@@ -245,8 +265,7 @@ def _cmd_compare_encoders(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    config = _config_from_args(args)
-    corpus, split = _corpus_split(args)
+    corpus, split, features, components, manifest, config = _load_run(args)
     index = {s.sample_id: i for i, s in enumerate(corpus.samples)}
     if args.sample:
         if args.sample not in index:
@@ -257,10 +276,6 @@ def _cmd_explain(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels = corpus.labels()
-    features, _ = extract_features(corpus, split.train, split.validation, config)
-    components, manifest = train_components(features, labels, split.train,
-                                            split.validation,
-                                            corpus.family_count, config)
     fusions = {fset: train_preset("EF1", fset, features, labels, split.train,
                                   split.validation, corpus.family_count,
                                   components, manifest, config)
@@ -299,6 +314,12 @@ def _add_common(p: argparse.ArgumentParser, corpus: bool = True,
         p.add_argument("--config", help="JSON file overriding config fields")
 
 
+def _add_run(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--run", required=True, help="output directory of extract; only read")
+    p.add_argument("--corpus", required=True, help="the run's corpus directory")
+    p.add_argument("--out", required=True, help="output directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="malfusion",
@@ -325,22 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, corpus=False)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("extract", help="fit feature models, emit feature tables")
+    p = sub.add_parser("extract", help="fit feature models and components, emit "
+                                       "the run train-fusion and explain read")
     _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("train-components",
-                       help="train the per-feature classifiers")
-    p.add_argument("--run", required=True,
-                   help="directory produced by extract (its split.json is used)")
-    _add_common(p, split=False)
-    p.set_defaults(func=_cmd_train_components)
-
-    p = sub.add_parser("train-fusion", help="train one fusion preset")
+    p = sub.add_parser("train-fusion", help="train one fusion preset on an extract run")
     p.add_argument("--preset", choices=sorted(PRESET_FLAGS), default="ef1")
     p.add_argument("--features", choices=FEATURE_SET_FLAGS,
                    default="integrated")
-    _add_common(p)
+    _add_run(p)
     p.set_defaults(func=_cmd_train_fusion)
 
     p = sub.add_parser("eval", help="full run: holdout report or k-fold CV")
@@ -348,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", choices=FEATURE_SET_FLAGS,
                    default="integrated")
     protocol = p.add_mutually_exclusive_group()  # CV builds its own folds
-    protocol.add_argument("--cv", type=int, default=0,
+    protocol.add_argument("--cv", type=_fold_count, default=0,
                           help="fold count; 0 uses the fixed holdout split")
     protocol.add_argument("--split", help=SPLIT_HELP)
     _add_common(p, split=False)
@@ -368,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare_encoders)
 
     p = sub.add_parser("explain", help="per-sample case reports across "
-                                       "static/dynamic/integrated models")
+                                       "static/dynamic/integrated models of a run")
     p.add_argument("--sample", help="one sample id; default: whole test split")
-    _add_common(p)
+    _add_run(p)
     p.set_defaults(func=_cmd_explain)
     return parser
 

@@ -356,21 +356,19 @@ def train_preset(preset_name: str, feature_set: str,
 
 @dataclass
 class ExperimentResult:
-    manifest: ComponentManifest
     fusion: FusionModel
     test_probs: np.ndarray
     test_labels: np.ndarray
 
 
-def run_experiment(corpus: Corpus, split, config: PipelineConfig,
-                   preset_name: str = "EF1", feature_set: str = "integrated",
-                   ) -> ExperimentResult:
-    """Full train/evaluate pass for one preset on a prepared split."""
+def score_preset(preset_name: str, feature_set: str, corpus: Corpus,
+                 split: DatasetSplit, features: dict[str, np.ndarray],
+                 components: dict[str, ComponentModel],
+                 manifest: ComponentManifest, config: PipelineConfig,
+                 ) -> ExperimentResult:
+    """Train one preset on fitted features and components, then score the
+    split's test rows."""
     labels = corpus.labels()
-    features, _ = extract_features(corpus, split.train, split.validation, config)
-    components, manifest = train_components(features, labels, split.train,
-                                            split.validation,
-                                            corpus.family_count, config)
     fusion = train_preset(preset_name, feature_set, features, labels,
                           split.train, split.validation, corpus.family_count,
                           components, manifest, config)
@@ -378,4 +376,16 @@ def run_experiment(corpus: Corpus, split, config: PipelineConfig,
     test_batch = {name: mat[test_idx] for name, mat in features.items()
                   if name in fusion.required_features()}
     test_probs = fusion.predict_batch(test_batch)
-    return ExperimentResult(manifest, fusion, test_probs, labels[test_idx])
+    return ExperimentResult(fusion, test_probs, labels[test_idx])
+
+
+def run_experiment(corpus: Corpus, split, config: PipelineConfig,
+                   preset_name: str = "EF1", feature_set: str = "integrated",
+                   ) -> ExperimentResult:
+    """Full train/evaluate pass for one preset on a prepared split."""
+    features, _ = extract_features(corpus, split.train, split.validation, config)
+    components, manifest = train_components(features, corpus.labels(), split.train,
+                                            split.validation, corpus.family_count,
+                                            config)
+    return score_preset(preset_name, feature_set, corpus, split, features,
+                        components, manifest, config)

@@ -64,6 +64,25 @@ def tiny_run(tmp_path_factory, corpus_dir, tiny_config_file):
     return out
 
 
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Names of the stage fits called, through the CLI or the pipeline."""
+    calls = []
+    for module in (cli, P):
+        for name in ("extract_features", "train_components"):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _snapshot(directory):
+    """Every path under ``directory`` with its bytes (None for a directory)."""
+    return {str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+            for p in sorted(directory.rglob("*"))}
+
+
 def _assert_cells_are_numbers(lines):
     """Every cell after a row's label reads back with float(), as csv and
     np.loadtxt readers need."""
@@ -154,25 +173,54 @@ class TestExitCodes:
         assert calls == []
         assert caplog.records[-1].getMessage() == "cooc_window must be a positive integer, got 0"
 
-    def test_explain_unknown_sample_fails_before_any_fit(self, corpus_dir, tmp_path, caplog,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("text, message", [
+        ('{"cooc_windw": 3, "pv_dimm": 8, "pv_dim": 8}',
+         "unknown config fields ['cooc_windw', 'pv_dimm']"),
+        ("[1, 2]", "expected a JSON object of config fields, got list"),
+        ('{"cooc_window": 3', "not JSON (Expecting ',' delimiter"),
+    ], ids=["unknown-fields", "not-an-object", "not-json"])
+    def test_malformed_config_file_is_usage_error(self, corpus_dir, tmp_path, caplog,
+                                                  monkeypatch, text, message):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
         calls = []
-        monkeypatch.setattr(cli, "extract_features", lambda *args, **kwargs: calls.append(1))
+        monkeypatch.setattr(P, "fit_feature", lambda *args, **kwargs: calls.append(1))
+        out = tmp_path / "out"
         with caplog.at_level(logging.ERROR, logger="malfusion"):
-            code = run(["explain", "--sample", "nope", "--corpus", str(corpus_dir),
-                        "--out", str(tmp_path / "cases")])
+            code = run(["extract", "--corpus", str(corpus_dir), "--config", str(config),
+                        "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert caplog.records[-1].getMessage().startswith(f"{config}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("folds", ["1", "-3", "x"])
+    def test_bad_fold_count_is_usage_error(self, corpus_dir, tmp_path, capsys, folds):
+        out = tmp_path / "out"
+        code = run(["eval", "--cv", folds, "--corpus", str(corpus_dir), "--out", str(out)])
+        assert code == 2
+        assert (f"argument --cv: expected 0 or at least 2 folds, got {folds!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_explain_unknown_sample_fails_before_any_fit(self, corpus_dir, tiny_run, tmp_path,
+                                                         caplog, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "train_preset", lambda *args, **kwargs: calls.append(1))
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["explain", "--sample", "nope", "--run", str(tiny_run),
+                        "--corpus", str(corpus_dir), "--out", str(tmp_path / "cases")])
         assert code == 1
         assert calls == []
         assert caplog.records[-1].getMessage() == "no sample 'nope' in corpus"
+        assert not (tmp_path / "cases").exists()
 
 
 class TestPipelineCommands:
-    def test_extract_then_train_components(self, corpus_dir, config_file,
-                                           tmp_path):
-        run_dir = tmp_path / "run"
-        code = run(["extract", "--corpus", str(corpus_dir),
-                    "--config", str(config_file), "--out", str(run_dir)])
-        assert code == 0
+    def test_extract_then_train_components(self, tiny_run):
+        """One extract run holds the features, the extractors, the split and
+        the trained components."""
+        run_dir = tiny_run
         feature_files = sorted(p.name for p in (run_dir / "features").iterdir())
         assert feature_files == [
             "api_freq.csv", "cg_embedding.csv", "cg_lowfreq.csv",
@@ -181,18 +229,12 @@ class TestPipelineCommands:
         assert (run_dir / "split.json").exists()
         assert (run_dir / "models" / "extractors.json").exists()
         resolved = json.loads((run_dir / "config.json").read_text())
-        assert resolved["pipeline_config"]["zigzag_len"] == 60
-
-        comp_dir = tmp_path / "components"
-        code = run(["train-components", "--corpus", str(corpus_dir),
-                    "--run", str(run_dir), "--config", str(config_file),
-                    "--out", str(comp_dir)])
-        assert code == 0
-        models = sorted(p.name for p in (comp_dir / "components").iterdir()
+        assert resolved["pipeline_config"]["zigzag_len"] == TINY_OVERRIDES["zigzag_len"]
+        models = sorted(p.name for p in (run_dir / "components").iterdir()
                         if p.suffix == ".mfc")
-        assert len(models) == 7
-        assert (comp_dir / "components" / "manifest.json").exists()
-        accuracy = (comp_dir / "component-accuracy.csv").read_text()
+        assert models == [f"component-{name[:-4]}.mfc" for name in feature_files]
+        assert (run_dir / "components" / "manifest.json").exists()
+        accuracy = (run_dir / "component-accuracy.csv").read_text()
         assert accuracy.startswith("feature,validation_accuracy\n")
         assert len(accuracy.strip().splitlines()) == 8
 
@@ -215,16 +257,19 @@ class TestPipelineCommands:
         _assert_cells_are_numbers(line for line in first.decode().splitlines()
                                   if line not in headers)
 
-    def test_train_fusion_writes_model_and_report(self, corpus_dir,
-                                                  config_file, tmp_path):
+    def test_train_fusion_writes_model_and_report(self, corpus_dir, tiny_run, tmp_path):
         out = tmp_path / "fusion"
-        code = run(["train-fusion", "--corpus", str(corpus_dir),
-                    "--preset", "lf2", "--features", "static",
-                    "--config", str(config_file), "--out", str(out)])
+        code = run(["train-fusion", "--run", str(tiny_run), "--corpus", str(corpus_dir),
+                    "--preset", "lf2", "--features", "static", "--out", str(out)])
         assert code == 0
         assert (out / "fusion-lf2-static.mfc").exists()
         assert (out / "manifest.json").exists()
         assert (out / "report.csv").read_text().startswith("metric,value\n")
+        assert ((out / "manifest.json").read_bytes()
+                == (tiny_run / "components" / "manifest.json").read_bytes())
+        resolved = json.loads((out / "config.json").read_text())
+        assert resolved["pipeline_config"] == json.loads(
+            (tiny_run / "config.json").read_text())["pipeline_config"]
 
     def test_sweep_emits_requested_rows(self, corpus_dir, config_file,
                                         tmp_path):
@@ -251,13 +296,12 @@ class TestPipelineCommands:
         assert len(lines) == 2
         assert lines[1].startswith("40,")
 
-    def test_explain_single_sample(self, corpus_dir, config_file, tmp_path):
+    def test_explain_single_sample(self, corpus_dir, tiny_run, tmp_path):
         corpus = load_corpus(corpus_dir)
         sample_id = corpus.samples[0].sample_id
         out = tmp_path / "cases"
-        code = run(["explain", "--sample", sample_id,
-                    "--corpus", str(corpus_dir), "--config", str(config_file),
-                    "--out", str(out)])
+        code = run(["explain", "--sample", sample_id, "--run", str(tiny_run),
+                    "--corpus", str(corpus_dir), "--out", str(out)])
         assert code == 0
         case = (out / f"case-{sample_id}.csv").read_text()
         assert case.startswith(f"sample_id,{sample_id}\n")
@@ -271,8 +315,8 @@ class TestPipelineCommands:
 
     def test_explain_scores_the_extracted_rows(self, corpus_dir, tiny_config_file,
                                                tmp_path, monkeypatch):
-        """explain featurizes each sample once, inside extract_features, and
-        builds its cases from those rows."""
+        """extract featurizes each sample once; explain featurizes none and
+        builds its cases from the rows extract wrote."""
         calls = []
         featurize = P.FeatureExtractors.featurize
 
@@ -281,12 +325,18 @@ class TestPipelineCommands:
             return featurize(self, sample, *args, **kwargs)
 
         monkeypatch.setattr(P.FeatureExtractors, "featurize", counted)
-        out = tmp_path / "cases"
-        code = run(["explain", "--corpus", str(corpus_dir),
-                    "--config", str(tiny_config_file), "--out", str(out)])
+        run_dir = tmp_path / "run"
+        code = run(["extract", "--corpus", str(corpus_dir),
+                    "--config", str(tiny_config_file), "--out", str(run_dir)])
         assert code == 0
         corpus = load_corpus(corpus_dir)
         assert sorted(calls) == sorted(s.sample_id for s in corpus.samples)
+        calls.clear()
+        out = tmp_path / "cases"
+        code = run(["explain", "--run", str(run_dir), "--corpus", str(corpus_dir),
+                    "--out", str(out)])
+        assert code == 0
+        assert calls == []
         summary = (out / "cases-summary.csv").read_text().strip().splitlines()
         assert len(summary) - 1 == len(make_splits(corpus, holdout=DEFAULT_HOLDOUT).test)
 
@@ -302,9 +352,8 @@ class TestPipelineCommands:
         assert PvModel.load(tiny_run / "models" / "pv.mfc").vocab.names() == meta["api_vocab"]
 
     @pytest.mark.parametrize("bucket, cell", [("train", "nan"), ("test", "inf")])
-    def test_train_components_rejects_non_finite_cell(self, corpus_dir, tiny_run,
-                                                      tiny_config_file, tmp_path,
-                                                      caplog, bucket, cell):
+    def test_train_fusion_rejects_non_finite_cell(self, corpus_dir, tiny_run, tmp_path,
+                                                  caplog, bucket, cell):
         run_dir = tmp_path / "run"
         shutil.copytree(tiny_run, run_dir)
         corpus = load_corpus(corpus_dir)
@@ -316,11 +365,65 @@ class TestPipelineCommands:
         lines[row] = f"{sample_id},{cell}," + lines[row].split(",", 2)[2]
         table.write_text("\n".join(lines) + "\n")
         with caplog.at_level(logging.ERROR, logger="malfusion"):
-            code = run(["train-components", "--corpus", str(corpus_dir),
-                        "--run", str(run_dir), "--config", str(tiny_config_file),
-                        "--out", str(tmp_path / "components")])
+            code = run(["train-fusion", "--corpus", str(corpus_dir),
+                        "--run", str(run_dir), "--out", str(tmp_path / "fusion")])
         assert code == 1
         assert f"api_freq.csv: row for {sample_id!r} has non-finite values" in caplog.text
+
+
+class TestChainedStages:
+    """train-fusion and explain read an extract run and refit nothing below
+    fusion."""
+
+    @pytest.mark.parametrize("preset, features", [("lf1", "integrated"),
+                                                   ("ens-train", "dynamic")])
+    def test_chained_stages_give_the_one_shot_report(self, corpus_dir, tiny_run,
+                                                     tiny_config_file, tmp_path,
+                                                     preset, features):
+        choice = ["--preset", preset, "--features", features]
+        assert run(["eval", *choice, "--corpus", str(corpus_dir),
+                    "--config", str(tiny_config_file), "--out", str(tmp_path / "eval")]) == 0
+        assert run(["train-fusion", *choice, "--run", str(tiny_run),
+                    "--corpus", str(corpus_dir), "--out", str(tmp_path / "fusion")]) == 0
+        assert ((tmp_path / "fusion" / "report.csv").read_bytes()
+                == (tmp_path / "eval" / "report.csv").read_bytes())
+
+    @pytest.mark.parametrize("argv", [["train-fusion", "--preset", "lf1"], ["explain"]],
+                             ids=["train-fusion", "explain"])
+    def test_run_is_only_read_and_nothing_refit(self, corpus_dir, tiny_run, tmp_path,
+                                                fit_calls, argv):
+        before = _snapshot(tiny_run)
+        assert run([*argv, "--run", str(tiny_run), "--corpus", str(corpus_dir),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert fit_calls == []
+        assert _snapshot(tiny_run) == before
+
+    @pytest.mark.parametrize("command", ["train-fusion", "explain"])
+    @pytest.mark.parametrize("damage", ["no-components", "foreign-ids", "wrong-component"])
+    def test_damaged_run_fails_before_any_fusion_fit(self, corpus_dir, tiny_run, tmp_path,
+                                                     caplog, monkeypatch, command, damage):
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        comp_dir = run_dir / "components"
+        if damage == "no-components":
+            shutil.rmtree(comp_dir)
+            named = comp_dir / "manifest.json"
+        elif damage == "foreign-ids":
+            named = run_dir / "features" / "api_freq.csv"
+            lines = named.read_text().splitlines()
+            lines[1] = "stranger," + lines[1].split(",", 1)[1]
+            named.write_text("\n".join(lines) + "\n")
+        else:
+            named = comp_dir / "component-api_freq.mfc"
+            shutil.copyfile(comp_dir / "component-pe_onehot.mfc", named)
+        calls = []
+        monkeypatch.setattr(P, "train_fusion", lambda *args, **kwargs: calls.append(1))
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run([command, "--run", str(run_dir), "--corpus", str(corpus_dir),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert calls == []
+        assert str(named) in caplog.records[-1].getMessage()
 
 
 class TestSplitOption:
@@ -359,9 +462,17 @@ class TestSplitOption:
         assert code == 2
         assert "not allowed with argument --cv" in capsys.readouterr().err
 
-    def test_train_components_has_no_split_option(self, tmp_path, capsys):
-        code = run(["train-components", "--run", str(tmp_path), "--split",
-                    str(tmp_path / "split.json"), "--corpus", str(tmp_path),
-                    "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("option", ["--split", "--profile", "--config", "--seed"])
+    @pytest.mark.parametrize("command", ["train-fusion", "explain"])
+    def test_run_commands_have_no_fit_options(self, tmp_path, capsys, command, option):
+        """A run holds its split and settings, so no option can contradict it."""
+        code = run([command, "--run", str(tmp_path), option, "1",
+                    "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "unrecognized arguments: --split" in capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_train_components_is_gone(self, tmp_path, capsys):
+        code = run(["train-components", "--run", str(tmp_path),
+                    "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "invalid choice: 'train-components'" in capsys.readouterr().err
