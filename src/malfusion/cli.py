@@ -111,12 +111,14 @@ def _fold_count(text: str) -> int:
     return int(text)
 
 
-def _corpus_split(args):
+def _corpus_split(args, config: PipelineConfig):
+    """The corpus and its split: --split, or the holdout split drawn at the
+    run's config seed, the seed every fit of the run also derives from."""
     corpus = load_corpus(args.corpus)
     if getattr(args, "split", None):
         split = load_split(args.split, len(corpus))
     else:
-        split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=args.seed)
+        split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=config.seed)
     return corpus, split
 
 
@@ -142,7 +144,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _config_from_args(args)
-    corpus, split = _corpus_split(args)
+    corpus, split = _corpus_split(args, config)
     out = Path(args.out)
     features, extractors = extract_features(corpus, split.train,
                                             split.validation, config)
@@ -218,11 +220,11 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.cv:
         report = cross_validate(config, load_corpus(args.corpus), k=args.cv,
-                                seed=args.seed, preset_name=preset_name,
+                                seed=config.seed, preset_name=preset_name,
                                 feature_set=args.features)
         protocol = f"{args.cv}-fold cross-validation"
     else:
-        corpus, split = _corpus_split(args)
+        corpus, split = _corpus_split(args, config)
         result = run_experiment(corpus, split, config, preset_name=preset_name,
                                 feature_set=args.features)
         report = make_report(result.test_probs, result.test_labels,
@@ -237,7 +239,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    corpus, split = _corpus_split(args)
+    corpus, split = _corpus_split(args, config)
     values = ([int(v) for v in args.values.split(",")] if args.values
               else SWEEP_GRIDS[args.parameter])
     table = sweep(args.parameter, values, corpus, split, config)
@@ -252,7 +254,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare_encoders(args) -> int:
     config = _config_from_args(args)
-    corpus, split = _corpus_split(args)
+    corpus, split = _corpus_split(args, config)
     lengths = [int(v) for v in args.lengths.split(",")]
     table = compare_encoders(corpus, lengths, split, config)
     out = Path(args.out)

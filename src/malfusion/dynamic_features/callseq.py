@@ -1,5 +1,6 @@
 """Name-only call-sequence baseline: embeddings -> single-direction
-recurrence -> softmax head. Consumes the first m API names, no parameters."""
+recurrence -> softmax head. Consumes the first m API names, no parameters.
+Trains in float32, like the statement encoder it is compared with."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ class CallSequenceModel(S.Module):
         self.embed = S.Embedding(vocab.size + 1, embed_dim, rng=rng)
         self.rnn = S.LSTM(embed_dim, hidden, rng=rng)
         self.head = S.Dense(hidden, family_count, "softmax", rng=rng)
+        self.to_float32()
 
     def parameters(self):
         return self.embed.parameters() + self.rnn.parameters() + self.head.parameters()

@@ -2,7 +2,8 @@
 
 Counts ordered pairs: positions (s, t) with s < t <= s + w increment entry
 (token_s, token_t). Matrices are row-max normalized to [0, 1] before the
-network, whose layer order is max-pool -> conv -> flatten -> dense.
+network, whose layer order is max-pool -> conv -> flatten -> dense. The
+network trains and runs in float32; ``features_t`` casts its input.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class CoocCnnModel(S.Module):
         flat = kernels * self.pooled_side * self.pooled_side
         self.dense = S.Dense(flat, feature_width, "relu", rng=rng)
         self.head = S.Dense(feature_width, family_count, "softmax", rng=rng)
+        self.to_float32()
 
     def parameters(self):
         return (self.conv.parameters() + self.dense.parameters() + self.head.parameters())
@@ -88,7 +90,7 @@ class CoocCnnModel(S.Module):
     def features_t(self, matrices: np.ndarray) -> S.Tensor:
         """(B, V, V) normalized matrices -> (B, f) penultimate activations."""
         b = matrices.shape[0]
-        x = S.Tensor(np.asarray(matrices, dtype=np.float64)
+        x = S.Tensor(np.asarray(matrices, dtype=np.float32)
                      .reshape(b, 1, self.vocab_size, self.vocab_size))
         pooled = self.pool(x)
         conv = self.conv(pooled)

@@ -29,17 +29,22 @@ under ``no_grad``, so the forward pass keeps only each statement's pooled
 vector; the backward pass reruns one block at a time with a tape and
 backpropagates that block's rows. Training memory thus grows with a block,
 not with traces x statements: one step on 16 traces of 400 five-token
-statements peaked at 104.6 MB under tracemalloc with the whole batch taped,
-and at 24.8 MB in blocks. The forward values do not change. The batch-wide
-``m`` and lead stay; a statement's recurrence and attention read its own
-rows only; and a block is a whole number of the recurrence's step blocks,
-so every BLAS product meets its rows in the same groups as over the whole
-batch. Any batch thus gives the same bytes in blocks as in one pass. The
-block's cost: training runs the word level's forward twice (a step at the
-``train_longtrace`` shape took 331 against 292 ms, medians of 40), and the
-leaves' gradients are summed block by block, so trained weights may differ
-from an unblocked pass in the last bits. A batch that fits in one block,
-such as every ``statement_embed`` call, runs exactly as before.
+statements peaked at 52.4 MB under tracemalloc with the whole batch taped,
+and at 19.9 MB in blocks of 2,048 statements (104.6 and 24.8 MB when the
+model ran in float64, in blocks of 1,024). The forward values do not
+change. The batch-wide ``m`` and lead stay; a statement's recurrence and
+attention read its own rows only; and a block is a whole number of the
+recurrence's step blocks, so every BLAS product meets its rows in the same
+groups as over the whole batch. Any batch thus gives the same bytes in
+blocks as in one pass. The block's cost: training runs the word level's
+forward twice (in float64, a step at the ``train_longtrace`` shape took 331
+against 292 ms, medians of 40), and the leaves' gradients are summed block
+by block, so trained weights may differ from an unblocked pass in the last
+bits. A batch that fits in one block, such as every ``statement_embed``
+call, runs exactly as before.
+
+The model trains and embeds in float32: its parameters are cast once when
+it is built, and every input enters through the token table.
 """
 
 from __future__ import annotations
@@ -57,11 +62,12 @@ STATEMENT_TOKEN_CAP = 16
 # is a whole number of lstm_sequence's step blocks whose gates take about
 # this many bytes over the batch's token steps (at least one step block);
 # the rest of its tape is about 1.4 times that again. At 5 token steps
-# (H = 16, float64) that is 1,024 statements. Fitting the statement encoder
-# at the train_longtrace shape (3 epochs) peaked at 77.0, 76.3 and 96.3 MB
-# RSS with blocks of 512, 1,024 and 2,048 statements, against 168.1 MB taped
-# whole; one 16 x 400 step took 343, 331 and 328 ms (medians of 40,
-# interleaved), against 292 ms taped whole.
+# (H = 16, float32) that is 2,048 statements. The budget was chosen when the
+# model ran in float64, where it made blocks of 1,024: fitting the statement
+# encoder at the train_longtrace shape (3 epochs) then peaked at 77.0, 76.3
+# and 96.3 MB RSS with blocks of 512, 1,024 and 2,048 statements, against
+# 168.1 MB taped whole; one 16 x 400 step took 343, 331 and 328 ms (medians
+# of 40, interleaved), against 292 ms taped whole.
 _WORD_GATE_BYTES = 6 << 20
 
 
@@ -108,6 +114,7 @@ class StatementEncoderModel(S.Module):
         self.sent_rnn = S.BiLSTM(2 * hidden, hidden, rng=rng)
         self.u_as = S.Tensor(rng.uniform(-0.1, 0.1, 2 * hidden), requires_grad=True)
         self.head = S.Dense(2 * hidden, family_count, "softmax", rng=rng)
+        self.to_float32()
 
     def parameters(self):
         return (self.embed.parameters() + self.word_rnn.parameters() + [self.u_ap]

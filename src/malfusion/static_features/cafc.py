@@ -3,7 +3,8 @@
 The encoder path is conv (K kernels, 3x3, stride 1, same padding, rectifier)
 -> flatten -> dense to d; the decoder reconstructs the full adjacency and
 the training target is mean squared reconstruction error against the
-original matrix.
+original matrix. The model trains and embeds in float32: its parameters are
+cast once when it is built, and ``encode`` casts the adjacency.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class CafcModel(S.Module):
         self.conv = S.Conv2d(1, kernels, 3, "relu", rng=rng)
         self.enc = S.Dense(kernels * size * size, embed_dim, "linear", rng=rng)
         self.dec = S.Dense(embed_dim, size * size, "linear", rng=rng)
+        self.to_float32()
 
     def parameters(self):
         return self.conv.parameters() + self.enc.parameters() + self.dec.parameters()
@@ -34,7 +36,7 @@ class CafcModel(S.Module):
     def encode(self, graphs: np.ndarray) -> S.Tensor:
         """(B, S, S) -> (B, d)."""
         b = graphs.shape[0]
-        x = S.Tensor(np.asarray(graphs, dtype=np.float64).reshape(b, 1, self.size, self.size))
+        x = S.Tensor(np.asarray(graphs, dtype=np.float32).reshape(b, 1, self.size, self.size))
         conv = self.conv(x)
         flat = S.reshape(conv, (b, self.kernels * self.size * self.size))
         return self.enc(flat)

@@ -61,6 +61,16 @@ class Module:
         for p in self.parameters():
             p.requires_grad = flag
 
+    def to_float32(self) -> None:
+        """Rebind every parameter's array to a float32 copy of its values.
+
+        A model that trains and runs in single precision calls this once, at
+        the end of its constructor: the layers draw their initial values in
+        float64, so the model keeps the draws of its seed, rounded.
+        """
+        for p in self.parameters():
+            p.data = p.data.astype(np.float32)
+
     def snapshot(self) -> list[np.ndarray]:
         return [p.data.copy() for p in self.parameters()]
 

@@ -389,7 +389,8 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
             rows, width = table.data.shape
             cells = indices.reshape(-1, 1) * width + np.arange(width)
             grad = np.bincount(cells.ravel(), g.ravel(), minlength=rows * width)
-            grad = grad.reshape(rows, width)
+            # bincount sums in float64; the gradient takes the table's dtype
+            grad = grad.reshape(rows, width).astype(table.data.dtype, copy=False)
             if table.grad is None:
                 table.grad = grad
             else:

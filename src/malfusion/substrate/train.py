@@ -283,7 +283,11 @@ def gradient_check(build_loss, params: list[Tensor], *, eps: float = 1e-5,
     ``build_loss()`` must rebuild the scalar loss from current parameter
     values. Checks up to ``max_coords`` coordinates per parameter and
     returns the worst relative error. Parameters must be float64 for the
-    difference quotient to be trustworthy at this epsilon.
+    difference quotient to be trustworthy at this epsilon. The learned
+    extractors cast themselves to float32 when built, so gradient checks
+    build float64 layers directly (or rebind a model's parameters to
+    float64): the ops run in their inputs' dtype, so the checked code is the
+    code those models run.
     """
     loss = build_loss()
     for p in params:

@@ -456,6 +456,26 @@ class TestSplitOption:
         assert code == 1
         assert f"split.json: {message}" in caplog.text
 
+    def test_config_seed_sets_the_split(self, corpus_dir, tmp_path):
+        """``--seed 5`` and a config file's ``"seed": 5`` are one run: the
+        split and every fit take the resolved config's seed."""
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps({**TINY_OVERRIDES, "seed": 5}))
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(TINY_OVERRIDES))
+        runs = []
+        for name, options in (("flag", ["--seed", "5", "--config", str(tiny)]),
+                              ("config", ["--config", str(seeded)])):
+            runs.append(tmp_path / name)
+            assert run(["extract", "--corpus", str(corpus_dir), *options,
+                        "--out", str(runs[-1])]) == 0
+        split = load_split(runs[1] / "split.json", 60)
+        assert split.test == make_splits(load_corpus(corpus_dir), holdout=DEFAULT_HOLDOUT,
+                                         seed=5).test
+        tables = [f"features/{p.name}" for p in (runs[0] / "features").iterdir()]
+        for rel in ["split.json", *tables]:
+            assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
+
     def test_eval_rejects_cv_with_split(self, tmp_path, capsys):
         code = run(["eval", "--cv", "3", "--split", str(tmp_path / "split.json"),
                     "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
