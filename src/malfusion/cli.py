@@ -220,8 +220,7 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.cv:
         report = cross_validate(config, load_corpus(args.corpus), k=args.cv,
-                                seed=config.seed, preset_name=preset_name,
-                                feature_set=args.features)
+                                preset_name=preset_name, feature_set=args.features)
         protocol = f"{args.cv}-fold cross-validation"
     else:
         corpus, split = _corpus_split(args, config)

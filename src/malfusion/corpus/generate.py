@@ -26,13 +26,13 @@ import numpy as np
 from ..seeding import rng_for
 from .io import canonicalize_adjacency
 from .types import (
-    ApiStatement,
     CallGraph,
     CANONICAL_GRAPH_SIZE,
     Corpus,
     CorpusSample,
     CorpusSpec,
     PeImports,
+    Statements,
     TraceFile,
 )
 
@@ -153,8 +153,10 @@ def _sample_graph(rng: np.random.Generator, profile: FamilyProfile,
 
 
 def _sample_trace(rng: np.random.Generator, profile: FamilyProfile,
-                  spec: CorpusSpec, api_names: list[str],
-                  param_names: list[str], sample_id: str) -> TraceFile:
+                  spec: CorpusSpec, names: tuple[str, ...], api_count: int,
+                  sample_id: str) -> TraceFile:
+    """A trace over the generator's one name table: the first ``api_count``
+    names are API names, the rest parameter tokens."""
     lo, hi = spec.trace_len_range
     length = int(rng.integers(lo, hi + 1))
     cum_init = np.cumsum(profile.init_probs)
@@ -169,16 +171,9 @@ def _sample_trace(rng: np.random.Generator, profile: FamilyProfile,
         counts = rng.integers(1, spec.max_params + 1, size=length)
     else:
         counts = np.zeros(length, dtype=np.int64)
-    total = int(counts.sum())
-    picks = rng.choice(len(profile.param_probs), size=total, p=profile.param_probs)
-    statements = []
-    offset = 0
-    for i in range(length):
-        c = int(counts[i])
-        params = tuple(param_names[j] for j in picks[offset : offset + c])
-        offset += c
-        statements.append(ApiStatement(api_names[int(tokens[i])], params))
-    return TraceFile(sample_id, tuple(statements))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    picks = rng.choice(len(profile.param_probs), size=int(offsets[-1]), p=profile.param_probs)
+    return TraceFile(sample_id, Statements(names, tokens, picks + api_count, offsets))
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
@@ -188,6 +183,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     name_pool = max(spec.static_vocab, spec.dynamic_vocab)
     api_names = [f"api{j:03d}" for j in range(name_pool)]
     param_names = [f"p{j:02d}" for j in range(spec.param_vocab)]
+    names = tuple(api_names + param_names)  # every trace's table
     samples: list[CorpusSample] = []
     for f in range(spec.family_count):
         profile = profiles[f]
@@ -196,6 +192,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
             rng = rng_for(spec.seed, "sample", f, i)
             imports = _sample_imports(rng, profile, api_names, sid)
             graph = _sample_graph(rng, profile, spec)
-            trace = _sample_trace(rng, profile, spec, api_names, param_names, sid)
+            trace = _sample_trace(rng, profile, spec, names, name_pool, sid)
             samples.append(CorpusSample(sid, f, trace, graph, imports))
     return Corpus(samples, spec.family_count)

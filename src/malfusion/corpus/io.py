@@ -2,8 +2,12 @@
 
 Formats:
   * Trace: UTF-8 text, one JSON object per line with keys ``sample_id``,
-    ``api``, ``params`` (list of strings).
-  * Call graph: header line ``n <node_count>``, then one ``u v`` edge per line.
+    ``api``, ``params`` (list of strings). A parsed trace holds its own
+    table of the names it uses (interned, so traces share the strings) and
+    id arrays into it (see ``types.Statements``); writing reads the arrays
+    and gives the same bytes as one ``json.dumps`` per statement.
+  * Call graph: header line ``n <node_count>``, then one ``u v`` edge per
+    line; it loads as a canonical ``bool`` adjacency matrix.
   * PE imports: one API name per line.
   * Corpus manifest: CSV with columns sample_id, family, trace_path, cg_path,
     imports_path; artifact paths are relative to the manifest's directory.
@@ -14,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -21,7 +26,6 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .types import (
-    ApiStatement,
     CallGraph,
     Corpus,
     CorpusError,
@@ -30,6 +34,7 @@ from .types import (
     MAX_PARAMS_PER_STATEMENT,
     ParseError,
     PeImports,
+    Statements,
     TraceFile,
 )
 
@@ -74,9 +79,17 @@ def normalize_param(token: str) -> str:
 
 
 def parse_trace(raw_lines: Iterable[str] | TextIO) -> TraceFile:
-    """Parse line records into a TraceFile, normalizing parameter tokens."""
+    """Parse line records into a TraceFile, normalizing parameter tokens.
+
+    The trace holds its own table of the names it uses, interned so that
+    traces share one string object per name; each distinct raw parameter
+    token is normalized once per trace."""
     sample_id: str | None = None
-    statements: list[ApiStatement] = []
+    index: dict[str, int] = {}      # name -> its id in this trace's table
+    raw_ids: dict[str, int] = {}    # raw parameter token -> id of its normal form
+    api_ids: list[int] = []
+    param_ids: list[int] = []
+    offsets = [0]
     line_no = 0
     for line_no, line in enumerate(raw_lines, start=1):
         line = line.strip()
@@ -102,18 +115,29 @@ def parse_trace(raw_lines: Iterable[str] | TextIO) -> TraceFile:
             sample_id = str(sid)
         elif str(sid) != sample_id:
             raise ParseError(f"sample_id {sid!r} does not match {sample_id!r}", line_no)
-        norm = tuple(normalize_param(p) for p in params[:MAX_PARAMS_PER_STATEMENT])
-        statements.append(ApiStatement(api, norm))
-    if not statements:
+        api_ids.append(index.setdefault(api, len(index)))
+        for p in params[:MAX_PARAMS_PER_STATEMENT]:
+            pid = raw_ids.get(p)
+            if pid is None:
+                pid = raw_ids[p] = index.setdefault(normalize_param(p), len(index))
+            param_ids.append(pid)
+        offsets.append(len(param_ids))
+    if not api_ids:
         raise EmptyTraceError("trace stream has no statements")
-    return TraceFile(sample_id, tuple(statements))
+    names = tuple(map(sys.intern, index))
+    return TraceFile(sample_id, Statements(names, api_ids, param_ids, offsets))
 
 
 def serialize_trace(trace: TraceFile) -> str:
-    lines = []
-    for s in trace.statements:
-        lines.append(json.dumps(
-            {"sample_id": trace.sample_id, "api": s.api_name, "params": list(s.params)}))
+    """One ``json.dumps`` record per statement, byte for byte; each name is
+    JSON-encoded once per trace."""
+    s = trace.statements
+    sid = json.dumps(trace.sample_id)
+    quoted = [json.dumps(name) for name in s.names]
+    params, off = s.param_ids.tolist(), s.offsets.tolist()
+    lines = [f'{{"sample_id": {sid}, "api": {quoted[a]}, "params": ['
+             f'{", ".join([quoted[p] for p in params[lo:hi]])}]}}'
+             for a, lo, hi in zip(s.api_ids.tolist(), off, off[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -136,12 +160,12 @@ def canonicalize_adjacency(edges: Iterable[tuple[int, int]], size: int) -> np.nd
         out_deg[u] = out_deg.get(u, 0) + 1
     sources = sorted(out_deg)
     rank = {node: r for r, node in enumerate(sorted(sources, key=lambda i: -out_deg[i]))}
-    adj = np.zeros((size, size), dtype=np.float64)
+    adj = np.zeros((size, size), dtype=np.bool_)
     for u, v in edges:
         ru = rank[u]
         rv = rank[v] if v in rank else len(sources) + v - bisect_left(sources, v)
         if ru < size and rv < size:
-            adj[ru, rv] = 1.0
+            adj[ru, rv] = True
     return adj
 
 

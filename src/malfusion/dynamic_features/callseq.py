@@ -29,10 +29,9 @@ class CallSequenceModel(S.Module):
     def tokenize(self, trace: TraceFile) -> np.ndarray:
         """First seq_len names, left-padded so the final recurrent state
         always reflects the last real call."""
-        idx = [self.vocab.lookup(n) for n in trace.api_names()[: self.seq_len]]
+        idx = trace.indices(self.vocab).ravel()[: self.seq_len]
         out = np.full(self.seq_len, self.pad, dtype=np.int64)
-        if idx:
-            out[self.seq_len - len(idx):] = idx
+        out[self.seq_len - len(idx):] = idx
         return out
 
     def forward(self, tokens: np.ndarray, train: bool = False) -> S.Tensor:

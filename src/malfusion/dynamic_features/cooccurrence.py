@@ -3,7 +3,9 @@
 Counts ordered pairs: positions (s, t) with s < t <= s + w increment entry
 (token_s, token_t). Matrices are row-max normalized to [0, 1] before the
 network, whose layer order is max-pool -> conv -> flatten -> dense. The
-network trains and runs in float32; ``features_t`` casts its input.
+network trains and runs in float32; ``features_t`` casts its input, and
+``train_cooc_cnn`` and ``cooc_features`` cast theirs once, so no stack of
+matrices is held in float64.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def cooccurrence_matrix(trace: TraceFile, vocab: Vocabulary, window: int) -> Coo
         raise CorpusError("window must be at least 1")
     if len(trace) == 0:
         raise EmptyTraceError(f"{trace.sample_id}: empty trace")
-    tokens = np.array([vocab.lookup(s.api_name) for s in trace.statements], dtype=np.int64)
+    tokens = trace.indices(vocab).ravel()
     counts = np.zeros((vocab.size, vocab.size), dtype=np.int64)
     n = len(tokens)
     for off in range(1, window + 1):
@@ -112,10 +114,12 @@ def train_cooc_cnn(matrices: np.ndarray, labels: np.ndarray, family_count: int,
                    feature_width: int = DEFAULT_FEATURE_WIDTH,
                    ) -> tuple[CoocCnnModel, S.TrainHistory]:
     """Train the family classifier over normalized co-occurrence matrices;
-    the ``val`` matrices and labels steer early stopping."""
-    matrices = np.asarray(matrices, dtype=np.float64)
+    the ``val`` matrices and labels steer early stopping. The range is
+    checked on the matrices as given, before they are cast to float32."""
+    matrices = np.asarray(matrices)
     if matrices.min() < 0.0 or matrices.max() > 1.0:
         raise ValueError("matrices must be row-max normalized to [0, 1]")
+    matrices = matrices.astype(np.float32, copy=False)
     model = CoocCnnModel(matrices.shape[1], family_count, pool,
                          feature_width=feature_width,
                          rng=np.random.default_rng(derive_seed(hyper.seed, "cooc-init")))
@@ -124,7 +128,7 @@ def train_cooc_cnn(matrices: np.ndarray, labels: np.ndarray, family_count: int,
 
 
 def cooc_features(model: CoocCnnModel, matrix: np.ndarray) -> FeatureVector:
-    m = np.asarray(matrix, dtype=np.float64)
+    m = np.asarray(matrix, dtype=np.float32)
     if m.shape != (model.vocab_size, model.vocab_size):
         raise ValueError(f"matrix shape {m.shape} does not match vocab "
                          f"{model.vocab_size}")

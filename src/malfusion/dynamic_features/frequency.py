@@ -12,7 +12,5 @@ def api_call_frequency(trace: TraceFile, vocab: Vocabulary) -> FeatureVector:
     """values[i] = count of calls mapping to index i / total calls; sums to 1."""
     if len(trace) == 0:
         raise EmptyTraceError(f"{trace.sample_id}: empty trace")
-    values = np.zeros(vocab.size, dtype=np.float64)
-    for s in trace.statements:
-        values[vocab.lookup(s.api_name)] += 1.0
-    return FeatureVector("api_freq", values / len(trace))
+    counts = np.bincount(trace.indices(vocab).ravel(), minlength=vocab.size)
+    return FeatureVector("api_freq", counts.astype(np.float64) / len(trace))

@@ -89,7 +89,7 @@ class PvModel(S.Module):
 
 
 def _doc_tokens(trace: TraceFile, vocab: Vocabulary) -> np.ndarray:
-    return np.array([vocab.lookup(s.api_name) for s in trace.statements], dtype=np.int64)
+    return trace.indices(vocab).ravel()
 
 
 def _window_context(word_vecs: np.ndarray, tokens: np.ndarray, window: int,

@@ -49,6 +49,8 @@ it is built, and every input enters through the token table.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .. import substrate as S
@@ -78,21 +80,15 @@ def statement_tokens(trace: TraceFile, vocab: Vocabulary, max_statements: int,
     Each row is the API name followed by its parameter tokens, truncated to
     the first ``max_statements`` statements per the truncation policy.
     """
-    pad = vocab.size
-    out = np.full((max_statements, max_tokens), pad, dtype=np.int64)
-    for r, stmt in enumerate(trace.statements[:max_statements]):
-        toks = [stmt.api_name, *stmt.params][:max_tokens]
-        out[r, : len(toks)] = [vocab.lookup(t) for t in toks]
-    return out
+    return trace.indices(vocab, max_tokens, max_statements)
 
 
 def build_token_vocabulary(traces: list[TraceFile], max_named: int) -> Vocabulary:
-    def tokens():
-        for t in traces:
-            for s in t.statements:
-                yield s.api_name
-                yield from s.params
-    return build_vocabulary(tokens(), max_named)
+    """API names and parameter tokens of ``traces``, counted together."""
+    counts: Counter[str] = Counter()
+    for t in traces:
+        counts.update(t.name_counts(params=True))
+    return build_vocabulary(counts, max_named)
 
 
 class StatementEncoderModel(S.Module):

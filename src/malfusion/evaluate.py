@@ -142,13 +142,15 @@ def make_report(predictions, labels, family_count: int,
 
 
 def cross_validate(config: PipelineConfig, corpus: Corpus, k: int = 10,
-                   seed: int = 0, preset_name: str = "EF1",
+                   preset_name: str = "EF1",
                    feature_set: str = "integrated") -> EvalReport:
     """Per fold: rebuild vocabularies, feature models, components, and the
-    fusion head from the training folds only, then score the held-out fold."""
+    fusion head from the training folds only, then score the held-out fold.
+    ``config.seed`` seeds the folds and, through ``derive_seed``, each
+    fold's fits."""
     if k < 2:
         raise EvaluationError("cross-validation needs k >= 2")
-    split = make_splits(corpus, k=k, seed=seed)
+    split = make_splits(corpus, k=k, seed=config.seed)
     folds = [np.asarray(f, dtype=np.int64) for f in split.folds]
 
     outcomes = []

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,10 +236,10 @@ def fit_vocabularies(train_samples: list[CorpusSample], config: PipelineConfig,
     imports = build_vocabulary(
         (name for s in train_samples for name in sorted(s.imports.imports)),
         config.pe_vocab)
-    apis = build_vocabulary(
-        (name for s in train_samples for name in s.trace.api_names()),
-        config.api_vocab)
-    return imports, apis
+    apis: Counter[str] = Counter()
+    for s in train_samples:
+        apis.update(s.trace.name_counts())
+    return imports, build_vocabulary(apis, config.api_vocab)
 
 
 def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
@@ -273,9 +274,11 @@ def fit_feature(name: str, corpus: Corpus, train_idx, val_idx,
                         seed=seed, infer_steps=c.pv_infer_steps,
                         infer_lr=c.pv_infer_lr), None
     if name == "cooc_feat":
-        def cooc(rows):
-            return np.stack([normalized_cooc(s.trace, api_vocab, c.cooc_window)
-                             for s in rows])
+        def cooc(rows):  # the CNN's float32 input, filled one matrix at a time
+            out = np.empty((len(rows), api_vocab.size, api_vocab.size), dtype=np.float32)
+            for matrix, s in zip(out, rows):
+                matrix[...] = normalized_cooc(s.trace, api_vocab, c.cooc_window)
+            return out
         return train_cooc_cnn(cooc(train), labels[train_idx], corpus.family_count,
                               pool=c.cooc_pool, hyper=hyper(c.cooc_epochs),
                               val=(cooc(val), labels[val_idx]))

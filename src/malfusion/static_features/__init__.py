@@ -4,8 +4,6 @@ from .onehot import pe_import_onehot
 from .dctzigzag import (
     dct2,
     extract_lowfreq,
-    idct2,
-    unzigzag,
     zigzag_positions,
     zigzag_scan,
 )
@@ -16,10 +14,8 @@ __all__ = [
     "cg_embed",
     "dct2",
     "extract_lowfreq",
-    "idct2",
     "pe_import_onehot",
     "train_cafc",
-    "unzigzag",
     "zigzag_positions",
     "zigzag_scan",
 ]

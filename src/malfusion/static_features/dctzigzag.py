@@ -34,14 +34,6 @@ def dct2(matrix: np.ndarray) -> np.ndarray:
     return c @ m @ c.T
 
 
-def idct2(coeffs: np.ndarray) -> np.ndarray:
-    x = np.asarray(coeffs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"idct2 expects a square matrix, got shape {x.shape}")
-    c = _cosine_basis(x.shape[0])
-    return c.T @ x @ c
-
-
 @lru_cache(maxsize=8)
 def zigzag_positions(size: int) -> tuple[tuple[int, int], ...]:
     """(row, col) positions in JPEG scan order: anti-diagonals s = i + j
@@ -69,16 +61,6 @@ def zigzag_scan(matrix: np.ndarray, length: int) -> np.ndarray:
     cols = np.fromiter((p[1] for p in pos[:take]), dtype=np.int64)
     out[:take] = m[rows, cols]
     return out
-
-
-def unzigzag(vector: np.ndarray, size: int) -> np.ndarray:
-    """Place a full-length scan back into matrix positions (inverse of a
-    complete zigzag_scan; extra entries are ignored, missing ones are 0)."""
-    v = np.asarray(vector, dtype=np.float64)
-    m = np.zeros((size, size), dtype=np.float64)
-    for value, (i, j) in zip(v, zigzag_positions(size)):
-        m[i, j] = value
-    return m
 
 
 def extract_lowfreq(cg: CallGraph, length: int) -> FeatureVector:

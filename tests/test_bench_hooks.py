@@ -16,6 +16,7 @@ import malfusion.pipeline as P
 import malfusion.substrate as S
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import requestmix  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -135,3 +136,42 @@ def test_train_reaches_the_substrate_hooks_once_per_batch(monkeypatch):
     S.train(S.MLP(4, (6,), 3, rng=rng), (x, y), (x[:6], y[:6]), hyper)
     batches = hyper.epochs * math.ceil(len(y) / hyper.batch_size)
     assert counts == {"step": batches, "backward": batches}
+
+
+def _fresh(sample):
+    """``sample`` with its trace rebuilt from new ``ApiStatement`` pairs."""
+    stmts = tuple(C.ApiStatement(s.api_name, s.params)
+                  for s in sample.trace.statements)
+    return C.CorpusSample(sample.sample_id, sample.family,
+                          C.TraceFile(sample.trace.sample_id, stmts),
+                          sample.callgraph, sample.imports)
+
+
+def test_requests_from_compact_pool_samples_featurize_as_from_fresh_ones(tmp_path):
+    """The benchmark client builds requests from a generated pool (one
+    shared name table) and the harness corpus is loaded (a table per trace):
+    each request kind must featurize byte for byte as the same request
+    built from fresh statements."""
+    corpus, split = _tiny()
+    _, extractors = P.extract_features(corpus, split.train, split.validation, TINY)
+    shape = workloads.SHAPES["classify_stream"]
+    generated = workloads.stream_pool(shape, 7, 1)[0]
+    loaded = C.load_corpus(C.write_corpus(C.Corpus([generated], shape.family_count), tmp_path))
+    assert loaded.samples[0].trace.statements.names != generated.trace.statements.names
+    for base in (generated, loaded.samples[0]):
+        for kind in sorted(set(requestmix.BLOCK_MIX)):
+            request = requestmix.make_request(base, kind, f"r-{kind}")
+            fresh = requestmix.make_request(_fresh(base), kind, f"r-{kind}")
+            assert request.trace == fresh.trace
+            if kind == "edgeless_graph":
+                adjacency = request.callgraph.adjacency
+                assert adjacency.dtype == np.bool_ and not adjacency.any()
+            if kind in requestmix.FAILING_KINDS:
+                for sample in (request, fresh):
+                    with pytest.raises(C.EmptyTraceError):
+                        extractors.featurize(sample)
+                continue
+            got, want = extractors.featurize(request), extractors.featurize(fresh)
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].values.tobytes() == want[name].values.tobytes(), (kind, name)

@@ -658,3 +658,131 @@ class TestCallSequenceEncoder:
             tr, labels[split.train], 4, _name_vocab(tr), seq_len=120, hyper=hyper,
             val=(va, labels[split.validation]), embed_dim=16, hidden=16)
         assert hist.val_accuracy[hist.best_epoch] > 0.25 + 0.3
+
+
+# -- the compact trace's tokenizers against per-statement lookups ------------------
+
+
+def _ref_api_indices(trace, vocab):
+    return np.array([vocab.lookup(s.api_name) for s in trace.statements], dtype=np.int64)
+
+
+def _ref_statement_tokens(trace, vocab, max_statements, max_tokens):
+    out = np.full((max_statements, max_tokens), vocab.size, dtype=np.int64)
+    for r, stmt in enumerate(trace.statements[:max_statements]):
+        toks = [stmt.api_name, *stmt.params][:max_tokens]
+        out[r, :len(toks)] = [vocab.lookup(t) for t in toks]
+    return out
+
+
+def _ref_api_call_frequency(trace, vocab):
+    values = np.zeros(vocab.size)
+    for s in trace.statements:
+        values[vocab.lookup(s.api_name)] += 1.0
+    return values / len(trace)
+
+
+def _ref_cooc_counts(trace, vocab, window):
+    tokens = _ref_api_indices(trace, vocab)
+    counts = np.zeros((vocab.size, vocab.size), dtype=np.int64)
+    for off in range(1, min(window, len(tokens) - 1) + 1):
+        np.add.at(counts, (tokens[:-off], tokens[off:]), 1)
+    return counts
+
+
+def _ref_callseq_tokens(trace, vocab, seq_len):
+    idx = [vocab.lookup(s.api_name) for s in trace.statements][:seq_len]
+    out = np.full(seq_len, vocab.size, dtype=np.int64)
+    if idx:
+        out[seq_len - len(idx):] = idx
+    return out
+
+
+def _tokenizer_traces():
+    """Generated traces (one shared name table), the same traces parsed back
+    (a table each), and hand-built ones: unseen names, a statement at the
+    parameter cap, statements with no parameters, one statement."""
+    generated = [s.trace for s in C.generate_corpus(
+        C.CorpusSpec(family_count=3, samples_per_family=2, trace_len_range=(5, 30),
+                     seed=5)).samples]
+    parsed = [C.parse_trace(C.serialize_trace(t).splitlines()) for t in generated]
+    capped = tuple(f"p{j:02d}" for j in range(C.MAX_PARAMS_PER_STATEMENT))
+    built = [
+        C.TraceFile("unseen", (C.ApiStatement("zzz_unseen", ("qqq_unseen", "p01")),
+                               C.ApiStatement("api001", capped),
+                               C.ApiStatement("api002"),
+                               C.ApiStatement("zzz_unseen", ("p01",)))),
+        C.TraceFile("one", (C.ApiStatement("api003", ("p02", "zzz_unseen")),)),
+        C.TraceFile("bare", (C.ApiStatement("api001"), C.ApiStatement("api001"))),
+    ]
+    return generated, generated + parsed + built
+
+
+class TestTokenizersMatchLookup:
+    """Every tokenizer maps a trace through one ``np.take`` over its name
+    table; each must give the indices a per-statement ``vocab.lookup`` gives."""
+
+    FIT, TRACES = _tokenizer_traces()
+    # small caps, so some names of the fit traces map to UNKNOWN too
+    API = C.build_vocabulary((s.api_name for t in FIT for s in t.statements), 12)
+    TOKENS = C.build_vocabulary(
+        (tok for t in FIT for s in t.statements for tok in (s.api_name, *s.params)), 25)
+
+    def test_api_indices(self):
+        for trace in self.TRACES:
+            assert np.array_equal(PV._doc_tokens(trace, self.API),
+                                  _ref_api_indices(trace, self.API)), trace.sample_id
+
+    @pytest.mark.parametrize("max_statements", [1, 3, 40])
+    @pytest.mark.parametrize("max_tokens", [1, 3, D.STATEMENT_TOKEN_CAP])
+    def test_statement_tokens_cut_and_pad(self, max_statements, max_tokens):
+        for trace in self.TRACES:
+            got = D.statement_tokens(trace, self.TOKENS, max_statements, max_tokens)
+            want = _ref_statement_tokens(trace, self.TOKENS, max_statements, max_tokens)
+            assert got.dtype == want.dtype and np.array_equal(got, want), trace.sample_id
+
+    def test_frequency_and_cooccurrence_bytes(self):
+        for trace in self.TRACES:
+            freq = D.api_call_frequency(trace, self.API).values
+            assert freq.tobytes() == _ref_api_call_frequency(trace, self.API).tobytes()
+            for window in (1, 2, 5):
+                counts = D.cooccurrence_matrix(trace, self.API, window).counts
+                assert np.array_equal(counts, _ref_cooc_counts(trace, self.API, window))
+
+    @pytest.mark.parametrize("seq_len", [1, 4, 64])
+    def test_call_sequence_tokens(self, seq_len):
+        model = D.CallSequenceModel(self.API, 3, seq_len=seq_len, hidden=2,
+                                    rng=np.random.default_rng(0))
+        for trace in self.TRACES:
+            assert np.array_equal(model.tokenize(trace),
+                                  _ref_callseq_tokens(trace, self.API, seq_len))
+
+    def test_vocabularies_count_names_as_before(self):
+        from malfusion.pipeline import fit_vocabularies
+        samples = [C.CorpusSample(t.sample_id, 0, t, C.CallGraph(0, np.zeros((2, 2))),
+                                  C.PeImports(t.sample_id, frozenset({"k32"})))
+                   for t in self.TRACES]
+        config = PipelineConfig.desk(api_vocab=12)
+        _, apis = fit_vocabularies(samples, config)
+        assert apis == C.build_vocabulary(
+            (s.api_name for t in self.TRACES for s in t.statements), 12)
+        want = C.build_vocabulary(
+            (tok for t in self.TRACES for s in t.statements for tok in (s.api_name, *s.params)),
+            25)
+        assert D.build_token_vocabulary(self.TRACES, 25) == want
+
+    def test_empty_trace_raises_where_it_did(self):
+        empty = C.TraceFile("empty", ())
+        assert len(empty) == 0 and empty.api_names() == []
+        with pytest.raises(C.EmptyTraceError):
+            D.api_call_frequency(empty, self.API)
+        with pytest.raises(C.EmptyTraceError):
+            D.cooccurrence_matrix(empty, self.API, 2)
+        with pytest.raises(C.EmptyTraceError):
+            D.pv_embed(_train_pv(self.FIT[:2], dim=4, epochs=1), empty)
+        model = D.StatementEncoderModel(self.TOKENS, 3, embed_dim=4, hidden=3,
+                                        max_statements=5, rng=np.random.default_rng(0))
+        with pytest.raises(C.EmptyTraceError):
+            D.statement_embed(model, empty)
+        # the token arrays of an empty trace are all padding
+        assert (D.statement_tokens(empty, self.TOKENS, 2) == self.TOKENS.size).all()

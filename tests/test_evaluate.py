@@ -38,7 +38,7 @@ def _micro_corpus():
 
 
 def _run_micro_cv():
-    return E.cross_validate(_micro_config(), _micro_corpus(), k=3, seed=1)
+    return E.cross_validate(_micro_config(seed=1), _micro_corpus(), k=3)
 
 
 @lru_cache(maxsize=1)

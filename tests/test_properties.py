@@ -43,6 +43,50 @@ def test_trace_round_trip(trace):
     assert C.parse_trace(io.StringIO(C.serialize_trace(trace))) == trace
 
 
+# the compact trace: any statements, from no parameters up to the cap
+_full_params = st.lists(st.sampled_from(["a", "b", "api0", "p\u00e9", ""]),
+                        max_size=C.MAX_PARAMS_PER_STATEMENT).map(tuple)
+_any_statements = st.lists(
+    st.builds(C.ApiStatement, st.sampled_from(["api0", "api1", "a", "\u00e9"]) | st.text(min_size=1),
+              _full_params | _params.map(tuple)),
+    max_size=12).map(tuple)
+
+
+@given(st.text(), _any_statements)
+def test_compact_trace_holds_its_statements(sid, stmts):
+    trace = C.TraceFile(sid, stmts)
+    assert trace.statements == stmts and stmts == trace.statements
+    assert tuple(trace.statements) == stmts
+    assert len(trace) == len(stmts) == len(trace.statements)
+    assert trace.api_names() == [s.api_name for s in stmts]
+    assert C.TraceFile(sid, trace.statements) == trace
+    assert C.TraceFile(sid, list(stmts)) == trace
+
+
+@given(st.text(), _any_statements, st.slices(14))
+def test_compact_trace_slices_like_a_tuple(sid, stmts, key):
+    trace = C.TraceFile(sid, stmts)
+    part = trace.statements[key]
+    assert part == stmts[key]
+    assert C.TraceFile(sid, part) == C.TraceFile(sid, stmts[key])
+    assert trace.statements + stmts == stmts + trace.statements == stmts + stmts
+    for k in range(-len(stmts), len(stmts)):
+        assert trace.statements[k] == stmts[k]
+
+
+@given(st.text(), _any_statements.filter(len))
+def test_compact_trace_serializes_as_json_dumps_per_statement(sid, stmts):
+    """Written from the arrays, each line is the bytes ``json.dumps`` gives,
+    and the trace reads back equal (parameters come back normalized)."""
+    trace = C.TraceFile(sid, stmts)
+    want = "".join(json.dumps({"sample_id": sid, "api": s.api_name, "params": list(s.params)})
+                   + "\n" for s in stmts)
+    assert C.serialize_trace(trace) == want
+    back = C.parse_trace(io.StringIO(want))
+    assert back == C.TraceFile(sid, tuple(C.ApiStatement(s.api_name, tuple(
+        normalize_param(p) for p in s.params)) for s in stmts))
+
+
 @given(_edge_lists())
 def test_callgraph_round_trip(lines):
     graph = C.parse_callgraph(lines, GRAPH_SIZE)

@@ -7,6 +7,7 @@ import malfusion.corpus as C
 import malfusion.static_features as ST
 import malfusion.substrate as S
 from malfusion.pipeline import PipelineConfig
+from malfusion.static_features.dctzigzag import _cosine_basis
 
 RECON_TOL = 1e-9
 
@@ -48,6 +49,20 @@ def _dct2_double_sum_fast(m):
     return scale[:, None] * scale[None, :] * out
 
 
+def _idct2(coeffs):
+    """Reference inverse of ``dct2``: the orthonormal basis, transposed."""
+    c = _cosine_basis(coeffs.shape[0])
+    return c.T @ coeffs @ c
+
+
+def _unzigzag(vector, size):
+    """Place a complete zigzag scan back into its matrix positions."""
+    m = np.zeros((size, size))
+    for value, (i, j) in zip(vector, ST.zigzag_positions(size)):
+        m[i, j] = value
+    return m
+
+
 class TestDct2:
     def test_zero_matrix(self):
         assert np.array_equal(ST.dct2(np.zeros((6, 6))), np.zeros((6, 6)))
@@ -77,7 +92,7 @@ class TestDct2:
         for size in (8, 64):
             for _ in range(100):
                 m = rng.normal(size=(size, size))
-                np.testing.assert_allclose(ST.idct2(ST.dct2(m)), m, atol=RECON_TOL)
+                np.testing.assert_allclose(_idct2(ST.dct2(m)), m, atol=RECON_TOL)
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
@@ -88,8 +103,6 @@ class TestDct2:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ST.dct2(np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            ST.idct2(np.zeros((3, 4)))
 
 
 class TestZigzag:
@@ -148,7 +161,7 @@ class TestExtractLowfreq:
         adj = (rng.random((16, 16)) < 0.2).astype(float)
         cg = C.CallGraph(16, adj)
         coeffs = ST.extract_lowfreq(cg, 16 * 16).values
-        back = ST.idct2(ST.unzigzag(coeffs, 16))
+        back = _idct2(_unzigzag(coeffs, 16))
         np.testing.assert_allclose(back, adj, atol=RECON_TOL)
 
 
