@@ -24,6 +24,7 @@ from pathlib import Path
 from .components import ComponentManifest, ComponentModel
 from .corpus import (
     DEFAULT_HOLDOUT,
+    CorpusError,
     CorpusSpec,
     generate_corpus,
     load_corpus,
@@ -134,6 +135,10 @@ def _cmd_gen(args) -> int:
         trace_len_range=(args.trace_min, args.trace_max),
         max_params=args.max_params,
         graph_nodes_range=(args.graph_min, args.graph_max), seed=args.seed)
+    try:
+        spec.validate()
+    except CorpusError as e:
+        raise ConfigError(str(e)) from None
     corpus = generate_corpus(spec)
     out = Path(args.out)
     write_corpus(corpus, out)
@@ -401,7 +406,7 @@ def run(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except ConfigError as e:  # a bad --config or --values value, before any fit
+    except ConfigError as e:  # a bad setting or --config file, before any work
         log.error("%s", e)
         return 2
     except Exception as e:  # runtime failure -> exit 1 with a message

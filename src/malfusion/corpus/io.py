@@ -292,7 +292,14 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
             raise ParseError(f"manifest missing columns {sorted(missing)}")
         for row in reader:
             sid = row["sample_id"]
-            family = int(row["family"])
+            blank = [c for c in MANIFEST_COLUMNS if not row[c]]
+            if blank:
+                raise ParseError(f"{manifest}: line {reader.line_num}: no {blank[0]} cell")
+            try:
+                family = int(row["family"])
+            except ValueError:
+                raise ParseError(f"{manifest}: line {reader.line_num}: family "
+                                 f"{row['family']!r} is not an integer") from None
             max_family = max(max_family, family)
             trace = _read_artifact(root, row["trace_path"], parse_trace)
             cg = _read_artifact(root, row["cg_path"],

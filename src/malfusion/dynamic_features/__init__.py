@@ -5,7 +5,6 @@ from .frequency import api_call_frequency
 from .pv import PvModel, pv_embed, train_pv
 from .cooccurrence import (
     CoocCnnModel,
-    CoocMatrix,
     DEFAULT_FEATURE_WIDTH,
     cooc_features,
     cooccurrence_matrix,
@@ -26,7 +25,6 @@ from .callseq import CallSequenceModel, train_call_sequence_encoder
 __all__ = [
     "CallSequenceModel",
     "CoocCnnModel",
-    "CoocMatrix",
     "DEFAULT_FEATURE_WIDTH",
     "PvModel",
     "STATEMENT_TOKEN_CAP",

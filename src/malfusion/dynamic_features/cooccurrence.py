@@ -10,8 +10,6 @@ matrices is held in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import substrate as S
@@ -22,24 +20,8 @@ from ..seeding import derive_seed
 DEFAULT_FEATURE_WIDTH = 64
 
 
-@dataclass
-class CoocMatrix:
-    counts: np.ndarray  # (V, V) nonnegative integers
-    window: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise CorpusError(f"co-occurrence counts must be square, got {c.shape}")
-        if (c < 0).any():
-            raise CorpusError("co-occurrence counts must be nonnegative")
-        self.counts = c.astype(np.int64)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def cooccurrence_matrix(trace: TraceFile, vocab: Vocabulary, window: int) -> CoocMatrix:
+def cooccurrence_matrix(trace: TraceFile, vocab: Vocabulary, window: int) -> np.ndarray:
+    """(V, V) int64 counts of the ordered pairs within ``window``."""
     if window < 1:
         raise CorpusError("window must be at least 1")
     if len(trace) == 0:
@@ -51,7 +33,7 @@ def cooccurrence_matrix(trace: TraceFile, vocab: Vocabulary, window: int) -> Coo
         if off >= n:
             break
         np.add.at(counts, (tokens[:-off], tokens[off:]), 1)
-    return CoocMatrix(counts, window)
+    return counts
 
 
 def row_max_normalize(counts: np.ndarray) -> np.ndarray:
@@ -62,7 +44,7 @@ def row_max_normalize(counts: np.ndarray) -> np.ndarray:
 
 
 def normalized_cooc(trace: TraceFile, vocab: Vocabulary, window: int) -> np.ndarray:
-    return row_max_normalize(cooccurrence_matrix(trace, vocab, window).counts)
+    return row_max_normalize(cooccurrence_matrix(trace, vocab, window))
 
 
 class CoocCnnModel(S.Module):

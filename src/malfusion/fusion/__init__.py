@@ -7,8 +7,6 @@ from .topology import (
     FusionTopology,
     Node,
     TopologyError,
-    emit_topology,
-    parse_topology,
     preset,
 )
 
@@ -20,8 +18,6 @@ __all__ = [
     "FusionTopology",
     "Node",
     "TopologyError",
-    "emit_topology",
-    "parse_topology",
     "predict_fusion",
     "preset",
     "train_fusion",

@@ -25,7 +25,7 @@ from .. import substrate as S
 from ..components import ComponentModel, check_probability_vector
 from ..features import FeatureVector
 from ..seeding import derive_seed
-from .topology import FusionTopology, emit_topology, parse_topology
+from .topology import FusionTopology, Node
 
 
 class FusionError(ValueError):
@@ -157,7 +157,8 @@ class FusionModel(S.Module):
     # -- persistence ---------------------------------------------------------------
 
     def config(self):
-        return {"topology": emit_topology(self.topology),
+        return {"topology": [[n.node_id, n.kind, n.args, n.deps]
+                             for n in self.topology.nodes],
                 "feature_lengths": self.feature_lengths,
                 "family_count": self.family_count,
                 "dense_width": self.dense_width,
@@ -169,7 +170,9 @@ class FusionModel(S.Module):
     def from_config(cls, config):
         components = {name: ComponentModel.from_config(c)
                       for name, c in config["components"].items()}
-        return cls(parse_topology(config["topology"]), config["feature_lengths"],
+        topology = FusionTopology([Node(node_id, kind, tuple(args), tuple(deps))
+                                   for node_id, kind, args, deps in config["topology"]])
+        return cls(topology, config["feature_lengths"],
                    config["family_count"], S.Hyperparams.from_dict(config["hyper"]),
                    components or None, config["dense_width"])
 

@@ -1,7 +1,7 @@
-"""Fusion topology DAG, its text DSL, and the eight preset structures.
+"""Fusion topology DAG and the eight preset structures.
 
-DSL: one node per line, ``node_id kind [args...] [<- dep1 dep2 ...]``.
-Kinds: feature-input(feature_name), component-output(feature_name), concat,
+A topology lists its nodes in topological order. Kinds:
+feature-input(feature_name), component-output(feature_name), concat,
 dense-block(width), softmax-head, pretrained-subclassifier, ovr-ensemble(mode).
 The root (the unique node nothing depends on) must emit a probability vector.
 """
@@ -110,36 +110,6 @@ class FusionTopology:
             else:
                 raise TopologyError(f"{n.node_id}: unknown kind {n.kind!r}")
         return widths
-
-
-def emit_topology(topo: FusionTopology) -> str:
-    lines = []
-    for n in topo.nodes:
-        line = f"{n.node_id} {n.kind}"
-        if n.args:
-            line += " " + " ".join(n.args)
-        if n.deps:
-            line += " <- " + " ".join(n.deps)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def parse_topology(text: str) -> FusionTopology:
-    nodes = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "<-" in line:
-            head, _, tail = line.partition("<-")
-            deps = tuple(tail.split())
-        else:
-            head, deps = line, ()
-        parts = head.split()
-        if len(parts) < 2:
-            raise TopologyError(f"line {line_no}: expected 'node_id kind ...'")
-        nodes.append(Node(parts[0], parts[1], tuple(parts[2:]), deps))
-    return FusionTopology(nodes)
 
 
 # preset construction -------------------------------------------------------------

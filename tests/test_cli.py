@@ -137,6 +137,36 @@ class TestExitCodes:
         assert code == 1
         assert f"{rel}: {message}" in caplog.text
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda cells: ["x", *cells[1:]], "family 'x' is not an integer"),
+        (lambda cells: cells[:-1], "no imports_path cell"),
+    ], ids=["family-not-integer", "missing-imports-path"])
+    def test_bad_manifest_row_is_named(self, corpus_dir, tmp_path, caplog, damage, message):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        manifest = corpus / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        sid, *cells = lines[3].split(",")
+        lines[3] = ",".join([sid, *damage(cells)])
+        manifest.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["eval", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert caplog.records[-1].getMessage() == f"{manifest}: line 4: {message}"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--families", "1"], "need at least 2 families"),
+        (["--overlap-noise", "1.5"], "overlap_noise outside [0, 1]"),
+        (["--trace-min", "5", "--trace-max", "2"], "bad trace length range"),
+    ], ids=["one-family", "noise-above-one", "trace-range-reversed"])
+    def test_bad_corpus_setting_is_usage_error(self, tmp_path, caplog, argv, message):
+        out = tmp_path / "corpus"
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["gen", *argv, "--out", str(out)])
+        assert code == 2
+        assert caplog.records[-1].getMessage() == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["sweep", "--parameter", "zigzag_len", "--values", "8,x"],
                                       ["compare-encoders", "--lengths", "30,abc"]],
                              ids=["values", "lengths"])
@@ -256,6 +286,23 @@ class TestPipelineCommands:
                    "confusion_true,confusion_pred,count"}
         _assert_cells_are_numbers(line for line in first.decode().splitlines()
                                   if line not in headers)
+
+    def test_extract_and_train_fusion_rerun_byte_identical(self, corpus_dir,
+                                                           tiny_config_file, tmp_path):
+        """Every file of a rerun matches, saved models included; config.json
+        records --out, so it is left out."""
+        snapshots = []
+        for name in ("a", "b"):
+            extract, fusion = tmp_path / name / "extract", tmp_path / name / "fusion"
+            assert run(["extract", "--corpus", str(corpus_dir), "--config",
+                        str(tiny_config_file), "--out", str(extract)]) == 0
+            assert run(["train-fusion", "--preset", "if1", "--run", str(extract),
+                        "--corpus", str(corpus_dir), "--out", str(fusion)]) == 0
+            files = _snapshot(tmp_path / name)
+            snapshots.append({path: data for path, data in files.items()
+                              if not path.endswith("config.json")})
+        assert "fusion/fusion-if1-integrated.mfc" in snapshots[0]
+        assert snapshots[0] == snapshots[1]
 
     def test_train_fusion_writes_model_and_report(self, corpus_dir, tiny_run, tmp_path):
         out = tmp_path / "fusion"

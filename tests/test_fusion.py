@@ -1,4 +1,5 @@
-"""Fusion topology DSL, the eight presets, and the training/freeze contracts."""
+"""Fusion topology checks, the eight presets, the training/freeze contracts,
+and the saved model's round trip."""
 
 import hashlib
 
@@ -119,17 +120,12 @@ class TestPresets:
             FU.preset("LF1", _manifest(accs), dense_width=128)
 
 
-class TestDsl:
-    @pytest.mark.parametrize("name", FU.PRESET_NAMES)
-    def test_parse_emit_identity(self, name):
-        topo = FU.preset(name, _manifest(), dense_width=128)
-        text = FU.emit_topology(topo)
-        assert FU.parse_topology(text).nodes == topo.nodes
-
+class TestTopologyChecks:
     def test_cycle_rejected(self):
-        text = "a dense-block 8 <- b\nb dense-block 8 <- a\nroot softmax-head <- b\n"
-        with pytest.raises(FU.TopologyError):
-            FU.parse_topology(text)
+        with pytest.raises(FU.TopologyError, match="forward reference"):
+            FU.FusionTopology([FU.Node("a", "dense-block", ("8",), ("b",)),
+                               FU.Node("b", "dense-block", ("8",), ("a",)),
+                               FU.Node("root", "softmax-head", (), ("b",))])
 
     def test_two_roots_rejected(self):
         with pytest.raises(FU.TopologyError, match="root"):
@@ -211,13 +207,15 @@ class TestTraining:
         assert len(hists) == topo_stages
 
 
-class TestEveryPreset:
-    @pytest.fixture(scope="class")
-    def trained_components(self):
-        features, labels, tr, va = _toy_setup(names=FEATURE_NAMES)
-        components, manifest = _toy_components(features, labels, tr, va)
-        return features, labels, tr, va, components, manifest
+@pytest.fixture(scope="module")
+def trained_components():
+    """Components over every feature, so each preset builds its full shape."""
+    features, labels, tr, va = _toy_setup(names=FEATURE_NAMES)
+    components, manifest = _toy_components(features, labels, tr, va)
+    return features, labels, tr, va, components, manifest
 
+
+class TestEveryPreset:
     @pytest.mark.parametrize("name", FU.PRESET_NAMES)
     @pytest.mark.parametrize("feature_set", sorted(FU.FEATURE_SETS))
     def test_trains_every_stage_and_leaves_components(self, trained_components,
@@ -279,3 +277,19 @@ class TestPredict:
         sample = {n: FeatureVector(n, m[1]) for n, m in features.items()}
         assert np.array_equal(FU.predict_fusion(back, sample),
                               FU.predict_fusion(model, sample))
+
+    @pytest.mark.parametrize("name", FU.PRESET_NAMES)
+    def test_every_preset_reloads_identically(self, trained_components,
+                                              tmp_path, name):
+        features, labels, tr, va, components, manifest = trained_components
+        topo = FU.preset(name, manifest, dense_width=16)
+        hyper = S.Hyperparams(epochs=3, batch_size=16, seed=5, patience=3)
+        model, _ = FU.train_fusion(topo, features, labels, tr, va,
+                                   components=components, hyper=hyper,
+                                   family_count=4, dense_width=16)
+        path = tmp_path / f"fusion-{name}.mfc"
+        model.save(path)
+        back = FU.FusionModel.load(path)
+        assert back.topology.nodes == model.topology.nodes
+        assert (back.predict_batch(features).tobytes()
+                == model.predict_batch(features).tobytes())

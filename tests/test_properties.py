@@ -1,8 +1,10 @@
-"""Property-based tests: file-format and topology round trips, parser and
-container robustness, split invariants, the noise-table lookup."""
+"""Property-based tests: file-format round trips, parser and container
+robustness, split invariants, the noise-table lookup; and a fusion model's
+damaged topology meta."""
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -182,43 +184,6 @@ def test_folds_partition_and_balance_each_family(labels, k, seed):
         assert max(counts) - min(counts) <= 1
 
 
-_token = st.from_regex(r"[a-z0-9_]+", fullmatch=True)
-_KINDS = ("feature-input", "component-output", "concat", "dense-block", "softmax-head",
-          "pretrained-subclassifier", "ovr-ensemble")
-
-
-@st.composite
-def _topologies(draw):
-    """Topologies the DSL accepts: deps name earlier nodes, and every node but
-    the last feeds a later one, so the last is the one root."""
-    ids = draw(st.lists(_token, min_size=1, max_size=8, unique=True))
-    nodes = []
-    for i, node_id in enumerate(ids):
-        root = i == len(ids) - 1
-        kind = draw(st.sampled_from(FU.topology.PROB_EMITTERS if root else _KINDS))
-        args = draw(st.lists(_token, max_size=2))
-        deps = draw(st.lists(st.sampled_from(ids[:i]), max_size=3)) if i else []
-        if root:
-            used = {d for node in nodes for d in node.deps} | set(deps)
-            deps += [d for d in ids[:i] if d not in used]
-        nodes.append(FU.Node(node_id, kind, tuple(args), tuple(deps)))
-    return FU.FusionTopology(nodes)
-
-
-@given(_topologies())
-def test_topology_round_trip(topology):
-    assert FU.parse_topology(FU.emit_topology(topology)).nodes == topology.nodes
-
-
-@given(_topologies(), _token, st.data())
-def test_one_token_line_names_its_line_number(topology, token, data):
-    lines = FU.emit_topology(topology).splitlines()
-    at = data.draw(st.integers(0, len(lines)))
-    lines.insert(at, token)
-    with pytest.raises(FU.TopologyError, match=rf"^line {at + 1}: "):
-        FU.parse_topology("\n".join(lines))
-
-
 @pytest.fixture(scope="module")
 def container(tmp_path_factory):
     path = tmp_path_factory.mktemp("container") / "component.mfc"
@@ -249,6 +214,31 @@ def test_damaged_container_loads_or_raises_container_error(container, damage):
         CO.ComponentModel.load(path)
     except S.ContainerError:
         pass
+
+
+# each rewrites a saved fusion model's topology meta, a list of
+# [node_id, kind, args, deps] entries
+_TOPOLOGY_DAMAGE = {
+    "text": lambda nodes: "f feature-input api_freq\nd dense-block 4 <- f\n"
+                          "root softmax-head <- d\n",
+    "two-field-entry": lambda nodes: [nodes[0][:2], *nodes[1:]],
+    "forward-reference": lambda nodes: nodes[::-1],
+    "dict": lambda nodes: {node[0]: node[1:] for node in nodes},
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_TOPOLOGY_DAMAGE))
+def test_damaged_fusion_topology_is_a_container_error(tmp_path, damage):
+    path = tmp_path / "fusion.mfc"
+    topology = FU.FusionTopology([FU.Node("f", "feature-input", ("api_freq",)),
+                                  FU.Node("d", "dense-block", ("4",), ("f",)),
+                                  FU.Node("root", "softmax-head", (), ("d",))])
+    FU.FusionModel(topology, {"api_freq": 3}, 2, S.Hyperparams(), None, 4).save(path)
+    meta, arrays = S.load_container(path)
+    meta["config"]["topology"] = _TOPOLOGY_DAMAGE[damage](meta["config"]["topology"])
+    S.save_container(path, meta, arrays)
+    with pytest.raises(S.ContainerError, match=f"^{re.escape(str(path))}: bad fusion config "):
+        FU.FusionModel.load(path)
 
 
 # positive weights whose running sums stay strictly increasing: the smallest
