@@ -50,9 +50,6 @@ class ComponentModel(S.Module):
         self.val_accuracy = val_accuracy
         self.mlp = S.MLP(input_width, hidden, family_count, rng=rng)
 
-    def parameters(self):
-        return self.mlp.parameters()
-
     def forward(self, x, train: bool = False) -> S.Tensor:
         return self.mlp.forward(x, train)
 

@@ -239,6 +239,9 @@ def serialize_imports(imports: PeImports) -> str:
 
 MANIFEST_COLUMNS = ("sample_id", "family", "trace_path", "cg_path", "imports_path")
 MANIFEST_NAME = "manifest.csv"
+# characters a sample id may not hold: the id is an unquoted cell of the
+# feature and report tables and a part of per-sample file names
+_UNSAFE_ID = re.compile(r"[,\r\n/\\]")
 
 
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
@@ -289,12 +292,20 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         reader = csv.DictReader(fh)
         missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())
         if missing:
-            raise ParseError(f"manifest missing columns {sorted(missing)}")
+            raise ParseError(f"{manifest}: missing columns {sorted(missing)}")
+        first_line: dict[str, int] = {}  # sample id -> the line that gave it
         for row in reader:
             sid = row["sample_id"]
             blank = [c for c in MANIFEST_COLUMNS if not row[c]]
             if blank:
                 raise ParseError(f"{manifest}: line {reader.line_num}: no {blank[0]} cell")
+            unsafe = _UNSAFE_ID.search(sid)
+            if unsafe:
+                raise ParseError(f"{manifest}: line {reader.line_num}: sample_id {sid!r} "
+                                 f"holds {unsafe.group()!r}")
+            if first_line.setdefault(sid, reader.line_num) != reader.line_num:
+                raise ParseError(f"{manifest}: line {reader.line_num}: sample_id {sid!r} "
+                                 f"repeats line {first_line[sid]}")
             try:
                 family = int(row["family"])
             except ValueError:

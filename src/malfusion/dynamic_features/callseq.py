@@ -23,9 +23,6 @@ class CallSequenceModel(S.Module):
         self.head = S.Dense(hidden, family_count, "softmax", rng=rng)
         self.to_float32()
 
-    def parameters(self):
-        return self.embed.parameters() + self.rnn.parameters() + self.head.parameters()
-
     def tokenize(self, trace: TraceFile) -> np.ndarray:
         """First seq_len names, left-padded so the final recurrent state
         always reflects the last real call."""

@@ -61,23 +61,18 @@ class CoocCnnModel(S.Module):
         self.kernels = kernels
         self.feature_width = feature_width
         self.pooled_side = -(-vocab_size // pool)  # ceil
-        self.pool = S.MaxPool2d(pool)
         self.conv = S.Conv2d(1, kernels, 3, "relu", rng=rng)
         flat = kernels * self.pooled_side * self.pooled_side
         self.dense = S.Dense(flat, feature_width, "relu", rng=rng)
         self.head = S.Dense(feature_width, family_count, "softmax", rng=rng)
         self.to_float32()
 
-    def parameters(self):
-        return (self.conv.parameters() + self.dense.parameters() + self.head.parameters())
-
     def features_t(self, matrices: np.ndarray) -> S.Tensor:
         """(B, V, V) normalized matrices -> (B, f) penultimate activations."""
         b = matrices.shape[0]
         x = S.Tensor(np.asarray(matrices, dtype=np.float32)
                      .reshape(b, 1, self.vocab_size, self.vocab_size))
-        pooled = self.pool(x)
-        conv = self.conv(pooled)
+        conv = self.conv(S.maxpool2d(x, self.pool_size))
         flat = S.reshape(conv, (b, self.conv.out_channels * self.pooled_side**2))
         return self.dense(flat)
 

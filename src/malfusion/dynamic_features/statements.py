@@ -112,10 +112,6 @@ class StatementEncoderModel(S.Module):
         self.head = S.Dense(2 * hidden, family_count, "softmax", rng=rng)
         self.to_float32()
 
-    def parameters(self):
-        return (self.embed.parameters() + self.word_rnn.parameters() + [self.u_ap]
-                + self.sent_rnn.parameters() + [self.u_as] + self.head.parameters())
-
     def tokenize(self, trace: TraceFile) -> np.ndarray:
         return statement_tokens(trace, self.vocab, self.max_statements, self.max_tokens)
 

@@ -1,5 +1,9 @@
 """Fusion model construction, two-phase training, inference.
 
+``FusionModel.__init__`` builds the nodes in one pass: it checks each
+node's arity, computes its output width (``widths``) and builds its module,
+so a width or arity mismatch raises ``TopologyError`` before any training.
+
 ``FusionModel.eval_nodes`` is the one walk over the DAG: it evaluates every
 node in topological order and takes the values it is given as known.
 
@@ -25,7 +29,7 @@ from .. import substrate as S
 from ..components import ComponentModel, check_probability_vector
 from ..features import FeatureVector
 from ..seeding import derive_seed
-from .topology import FusionTopology, Node
+from .topology import FusionTopology, Node, TopologyError
 
 
 class FusionError(ValueError):
@@ -46,9 +50,6 @@ class _OvrEnsemble(S.Module):
             self.w = S.Tensor(rng.uniform(0.0, 1.0, (n_inputs, family_count)),
                               requires_grad=True)
             self.b = S.Tensor(np.zeros(family_count), requires_grad=True)
-
-    def parameters(self):
-        return [self.w, self.b] if self.mode == "trainable" else []
 
     def scores(self, stacked: S.Tensor) -> S.Tensor:
         """(B, M, F) component probabilities -> (B, F) binary scores."""
@@ -75,41 +76,51 @@ class FusionModel(S.Module):
         self.family_count = family_count
         self.hyper = hyper
         self.dense_width = dense_width
-        widths = topology.widths(feature_lengths, family_count, dense_width)
-        self.components: dict[str, ComponentModel] = {}
+        self.widths: dict[str, int] = {}  # each node's output width
+        # assigned before the components: parameters() lists the modules' first
         self.modules: dict[str, S.Module] = {}
+        self.components: dict[str, ComponentModel] = {}
         for node in topology.nodes:
-            seed_rng = np.random.default_rng(derive_seed(hyper.seed, "fusion", node.node_id))
-            in_width = widths[node.deps[0]] if node.deps else 0
-            if node.kind == "component-output":
+            nid, kind, deps = node.node_id, node.kind, node.deps
+            if kind in ("dense-block", "softmax-head", "pretrained-subclassifier"):
+                if len(deps) != 1:
+                    raise TopologyError(f"{nid}: {kind} takes one input")
+            in_width = self.widths[deps[0]] if deps else 0
+            seed_rng = np.random.default_rng(derive_seed(hyper.seed, "fusion", nid))
+            width = family_count
+            if kind == "feature-input":
+                if node.args[0] not in feature_lengths:
+                    raise TopologyError(f"{nid}: no length for feature {node.args[0]!r}")
+                width = feature_lengths[node.args[0]]
+            elif kind == "component-output":
                 if components is None or node.args[0] not in components:
-                    raise FusionError(f"{node.node_id}: no trained component "
-                                      f"for {node.args[0]!r}")
+                    raise FusionError(f"{nid}: no trained component for {node.args[0]!r}")
                 comp = components[node.args[0]]
                 comp.set_trainable(False)
-                self.components[node.node_id] = comp
-            elif node.kind == "dense-block":
-                self.modules[node.node_id] = S.Dense(
-                    in_width, widths[node.node_id], "relu", rng=seed_rng)
-            elif node.kind == "softmax-head":
-                self.modules[node.node_id] = S.Dense(
-                    in_width, family_count, "softmax", rng=seed_rng)
-            elif node.kind == "pretrained-subclassifier":
-                self.modules[node.node_id] = S.MLP(
-                    in_width, (dense_width,), family_count, rng=seed_rng)
-            elif node.kind == "ovr-ensemble":
-                self.modules[node.node_id] = _OvrEnsemble(
-                    len(node.deps), family_count, node.args[0], rng=seed_rng)
-
-    # -- parameters ------------------------------------------------------------
-
-    def parameters(self):
-        params: list[S.Tensor] = []
-        for module in self.modules.values():
-            params.extend(module.parameters())
-        for comp in self.components.values():
-            params.extend(comp.parameters())
-        return params
+                self.components[nid] = comp
+            elif kind == "concat":
+                if not deps:
+                    raise TopologyError(f"{nid}: concat needs inputs")
+                width = sum(self.widths[d] for d in deps)
+            elif kind == "dense-block":
+                width = int(node.args[0]) if node.args else dense_width
+                self.modules[nid] = S.Dense(in_width, width, "relu", rng=seed_rng)
+            elif kind == "softmax-head":
+                self.modules[nid] = S.Dense(in_width, family_count, "softmax", rng=seed_rng)
+            elif kind == "pretrained-subclassifier":
+                self.modules[nid] = S.MLP(in_width, (dense_width,), family_count, rng=seed_rng)
+            elif kind == "ovr-ensemble":
+                if node.args[0] not in ("fixed", "trainable"):
+                    raise TopologyError(f"{nid}: ensemble mode must be fixed or trainable")
+                for d in deps:
+                    if self.widths[d] != family_count:
+                        raise TopologyError(f"{nid}: ensemble input {d!r} has width "
+                                            f"{self.widths[d]}, expected {family_count}")
+                self.modules[nid] = _OvrEnsemble(len(deps), family_count, node.args[0],
+                                                 rng=seed_rng)
+            else:
+                raise TopologyError(f"{nid}: unknown kind {kind!r}")
+            self.widths[nid] = width
 
     def required_features(self) -> list[str]:
         return sorted(set(self.topology.feature_inputs()))

@@ -4,6 +4,8 @@ A topology lists its nodes in topological order. Kinds:
 feature-input(feature_name), component-output(feature_name), concat,
 dense-block(width), softmax-head, pretrained-subclassifier, ovr-ensemble(mode).
 The root (the unique node nothing depends on) must emit a probability vector.
+A topology checks only its shape; each node's arity and width are checked
+when a ``FusionModel`` is built from it, in the pass that builds the node.
 """
 
 from __future__ import annotations
@@ -72,44 +74,6 @@ class FusionTopology:
         """Feature names consumed anywhere, via raw inputs or components."""
         return [n.args[0] for n in self.nodes
                 if n.kind in ("feature-input", "component-output")]
-
-    def widths(self, feature_lengths: dict[str, int], family_count: int,
-               dense_width: int) -> dict[str, int]:
-        """Output width per node; raises on any width or arity mismatch."""
-        widths: dict[str, int] = {}
-        for n in self.nodes:
-            if n.kind == "feature-input":
-                name = n.args[0]
-                if name not in feature_lengths:
-                    raise TopologyError(f"{n.node_id}: no length for feature {name!r}")
-                widths[n.node_id] = feature_lengths[name]
-            elif n.kind == "component-output":
-                widths[n.node_id] = family_count
-            elif n.kind == "concat":
-                if not n.deps:
-                    raise TopologyError(f"{n.node_id}: concat needs inputs")
-                widths[n.node_id] = sum(widths[d] for d in n.deps)
-            elif n.kind == "dense-block":
-                if len(n.deps) != 1:
-                    raise TopologyError(f"{n.node_id}: dense-block takes one input")
-                widths[n.node_id] = int(n.args[0]) if n.args else dense_width
-            elif n.kind in ("softmax-head", "pretrained-subclassifier"):
-                if len(n.deps) != 1:
-                    raise TopologyError(f"{n.node_id}: {n.kind} takes one input")
-                widths[n.node_id] = family_count
-            elif n.kind == "ovr-ensemble":
-                if n.args[0] not in ("fixed", "trainable"):
-                    raise TopologyError(f"{n.node_id}: ensemble mode must be "
-                                        "fixed or trainable")
-                for d in n.deps:
-                    if widths[d] != family_count:
-                        raise TopologyError(
-                            f"{n.node_id}: ensemble input {d!r} has width "
-                            f"{widths[d]}, expected {family_count}")
-                widths[n.node_id] = family_count
-            else:
-                raise TopologyError(f"{n.node_id}: unknown kind {n.kind!r}")
-        return widths
 
 
 # preset construction -------------------------------------------------------------

@@ -30,9 +30,6 @@ class CafcModel(S.Module):
         self.dec = S.Dense(embed_dim, size * size, "linear", rng=rng)
         self.to_float32()
 
-    def parameters(self):
-        return self.conv.parameters() + self.enc.parameters() + self.dec.parameters()
-
     def encode(self, graphs: np.ndarray) -> S.Tensor:
         """(B, S, S) -> (B, d)."""
         b = graphs.shape[0]

@@ -1,9 +1,10 @@
-"""Neural building blocks: dense, conv, pooling, embedding, recurrent cells.
+"""Neural building blocks: dense, conv, embedding, recurrent cells.
 
 Initialization follows uniform fan-in scaling for dense/conv weights and a
-small uniform range for recurrent weights. Every layer exposes
-``parameters()``; models compose layers and inherit the same protocol
-through ``Module``, which also gives every model one ``save``/``load`` pair.
+small uniform range for recurrent weights. A layer or model states its
+structure once, as attributes: ``Module.parameters()`` collects its tensors
+and its sub-modules' from those attributes, and ``Module`` also gives every
+model one ``save``/``load`` pair.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ RECURRENT_INIT_SCALE = 0.08
 class Module:
     """Base for anything with trainable parameters and a forward pass.
 
+    ``parameters()`` walks the attributes in the order they were assigned:
+    each ``Tensor`` attribute is a parameter, and each ``Module`` attribute,
+    alone or held in a list or dict, adds its own parameters in place. That
+    order is a contract: it is the order of a saved model's ``p0, p1, ...``
+    arrays and of the optimizer's arena, so a model assigns its attributes
+    in the order its saved files hold them.
+
     A model that is saved declares its container ``kind`` and a JSON
     ``config()`` of constructor arguments; ``from_config`` rebuilds it
     (override it where an argument is not plain JSON).
@@ -34,7 +42,17 @@ class Module:
     kind: str = ""
 
     def parameters(self) -> list[Tensor]:
-        return []
+        params: list[Tensor] = []
+        for value in vars(self).values():
+            if isinstance(value, (list, dict)):
+                for item in (value.values() if isinstance(value, dict) else value):
+                    if isinstance(item, Module):
+                        params += item.parameters()
+            elif isinstance(value, Module):
+                params += value.parameters()
+            elif isinstance(value, Tensor):
+                params.append(value)
+        return params
 
     def buffers(self) -> list[np.ndarray]:
         """Non-parameter state that inference reads, updated in place."""
@@ -95,9 +113,6 @@ class Dense(Module):
         self.w = Tensor(_fan_in_uniform(rng, (in_dim, out_dim), in_dim), requires_grad=True)
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def parameters(self):
-        return [self.w, self.b]
-
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[-1] != self.in_dim:
             raise T.ShapeError(f"dense layer expects width {self.in_dim}, got {x.data.shape[-1]}")
@@ -121,19 +136,8 @@ class Conv2d(Module):
                         requires_grad=True)
         self.b = Tensor(np.zeros(out_channels), requires_grad=True)
 
-    def parameters(self):
-        return [self.w, self.b]
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.activate(T.conv2d(x, self.w, self.b), self.activation)
-
-
-class MaxPool2d(Module):
-    def __init__(self, pool: int):
-        self.pool = pool
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.maxpool2d(x, self.pool)
 
 
 class Embedding(Module):
@@ -141,9 +145,6 @@ class Embedding(Module):
         self.num_embeddings = num_embeddings
         self.dim = dim
         self.table = Tensor(rng.uniform(-0.1, 0.1, size=(num_embeddings, dim)), requires_grad=True)
-
-    def parameters(self):
-        return [self.table]
 
     def __call__(self, indices: np.ndarray) -> Tensor:
         return T.embedding(self.table, indices)
@@ -160,9 +161,6 @@ class LSTM(Module):
         b[hidden : 2 * hidden] = 1.0  # forget-gate bias
         self.b = Tensor(b, requires_grad=True)
 
-    def parameters(self):
-        return [self.w, self.u, self.b]
-
     def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
         """Run over (B, T, in), returning stacked hidden states (B, T, hidden)."""
         return T.lstm_sequence(xs, [self.parameters()], [reverse])
@@ -175,9 +173,6 @@ class BiLSTM(Module):
         self.fwd = LSTM(in_dim, hidden, rng=rng)
         self.bwd = LSTM(in_dim, hidden, rng=rng)
         self.hidden = hidden
-
-    def parameters(self):
-        return self.fwd.parameters() + self.bwd.parameters()
 
     def run(self, xs: Tensor, lead: int = 0, pad: Tensor | None = None) -> Tensor:
         """(B, T, in) -> (B, T, 2*hidden), both directions stepped together.
@@ -225,10 +220,6 @@ class MLP(Module):
             self.layers.append(Dense(prev, width, "relu", rng=rng))
             prev = width
         self.head = Dense(prev, out_dim, "softmax", rng=rng)
-
-    def parameters(self):
-        params = [p for layer in self.layers for p in layer.parameters()]
-        return params + self.head.parameters()
 
     def forward(self, x, train: bool = False) -> Tensor:
         t = x if isinstance(x, Tensor) else Tensor(x)

@@ -154,6 +154,46 @@ class TestExitCodes:
         assert code == 1
         assert caplog.records[-1].getMessage() == f"{manifest}: line 4: {message}"
 
+    @pytest.mark.parametrize("damage, line, message", [
+        (lambda sid, prev: prev, 4, "sample_id {prev!r} repeats line 3"),
+        (lambda sid, prev: f'"{sid},x"', 4, "sample_id '{sid},x' holds ','"),
+        (lambda sid, prev: f'"{sid}\nx"', 5, "sample_id '{sid}\\nx' holds '\\n'"),
+        (lambda sid, prev: f"{sid}/x", 4, "sample_id '{sid}/x' holds '/'"),
+        (lambda sid, prev: f"{sid}\\x", 4, "sample_id '{sid}\\\\x' holds '\\\\'"),
+    ], ids=["repeated", "comma", "line-break", "slash", "backslash"])
+    def test_bad_sample_id_is_named_before_any_fit(self, corpus_dir, tmp_path, caplog,
+                                                   monkeypatch, damage, line, message):
+        """An id that repeats or that a table cell or file name cannot hold
+        fails the corpus load; a quoted line break makes the row end on line 5."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        manifest = corpus / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        prev, sid = lines[2].split(",")[0], lines[3].split(",")[0]
+        lines[3] = lines[3].replace(sid, damage(sid, prev), 1)
+        manifest.write_text("\n".join(lines) + "\n")
+        calls = []
+        monkeypatch.setattr(P, "fit_feature", lambda *args, **kwargs: calls.append(1))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["extract", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 1
+        assert calls == []
+        assert not (out / "features").exists()
+        assert (caplog.records[-1].getMessage()
+                == f"{manifest}: line {line}: " + message.format(sid=sid, prev=prev))
+
+    def test_missing_manifest_column_names_the_manifest(self, corpus_dir, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        manifest = corpus / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("imports_path", "imports", 1))
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["eval", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert (caplog.records[-1].getMessage()
+                == f"{manifest}: missing columns ['imports_path']")
+
     @pytest.mark.parametrize("argv, message", [
         (["--families", "1"], "need at least 2 families"),
         (["--overlap-noise", "1.5"], "overlap_noise outside [0, 1]"),

@@ -30,6 +30,19 @@ def _weights_digest(module):
     return h.hexdigest()
 
 
+WIDE_LENGTHS = {"pe_onehot": 252, "cg_embedding": 64, "cg_lowfreq": 350, "api_freq": 287,
+                "pv_trace": 400, "cooc_feat": 64, "stmt_embed": 32}
+
+
+@pytest.fixture(scope="module")
+def untrained_components():
+    """Untrained components over every feature, 80 families: enough to build
+    any preset's fusion model and read its widths."""
+    return {name: CO.ComponentModel(name, width, 80, S.Hyperparams(),
+                                    rng=np.random.default_rng(0))
+            for name, width in WIDE_LENGTHS.items()}
+
+
 TOY_WIDTHS = {"pe_onehot": 12, "cg_embedding": 8, "cg_lowfreq": 10, "api_freq": 9,
               "pv_trace": 11, "cooc_feat": 7, "stmt_embed": 6}
 
@@ -68,13 +81,12 @@ def _toy_components(features, labels, train_idx, val_idx, family_count=4):
 class TestPresets:
     @pytest.mark.parametrize("name", FU.PRESET_NAMES)
     @pytest.mark.parametrize("feature_set", sorted(FU.FEATURE_SETS))
-    def test_every_preset_builds_and_width_checks(self, name, feature_set):
+    def test_every_preset_builds_and_width_checks(self, untrained_components, name,
+                                                  feature_set):
         topo = FU.preset(name, _manifest(), feature_set, dense_width=128)
-        lengths = {"pe_onehot": 252, "cg_embedding": 64, "cg_lowfreq": 350,
-                   "api_freq": 287, "pv_trace": 400, "cooc_feat": 64,
-                   "stmt_embed": 32}
-        widths = topo.widths(lengths, 80, 128)
-        assert widths[topo.root.node_id] == 80
+        model = FU.FusionModel(topo, WIDE_LENGTHS, 80, S.Hyperparams(),
+                               untrained_components, 128)
+        assert model.widths[topo.root.node_id] == 80
 
     def test_reachable_features_match_declared_set(self):
         for name in FU.PRESET_NAMES:
@@ -82,11 +94,11 @@ class TestPresets:
                 topo = FU.preset(name, _manifest(), feature_set, dense_width=128)
                 assert set(topo.feature_inputs()) == set(expected), (name, feature_set)
 
-    def test_lf2_concat_width_560_at_80_families(self):
+    def test_lf2_concat_width_560_at_80_families(self, untrained_components):
         topo = FU.preset("LF2", _manifest(), dense_width=128)
-        widths = topo.widths({}, 80, 128)
+        model = FU.FusionModel(topo, {}, 80, S.Hyperparams(), untrained_components, 128)
         concat = next(n for n in topo.nodes if n.kind == "concat")
-        assert widths[concat.node_id] == 7 * 80 == 560
+        assert model.widths[concat.node_id] == 7 * 80 == 560
 
     def test_cascade_order_is_ascending_accuracy(self):
         for preset_name in ("EF2", "LF1"):
@@ -139,8 +151,80 @@ class TestTopologyChecks:
 
     def test_width_mismatch_rejected_before_training(self):
         topo = FU.preset("EF1", _manifest(), "static", dense_width=128)
-        with pytest.raises(FU.TopologyError):
-            topo.widths({"pe_onehot": 252}, 80, 128)  # two features missing
+        with pytest.raises(FU.TopologyError):  # two features missing
+            FU.FusionModel(topo, {"pe_onehot": 252}, 80, S.Hyperparams(), None, 128)
+
+
+def _build(nodes, family_count=4, dense_width=6):
+    """A fusion model over feature inputs a (width 4) and b (width 3)."""
+    return FU.FusionModel(FU.FusionTopology(nodes), {"a": 4, "b": 3}, family_count,
+                          S.Hyperparams(), None, dense_width)
+
+
+_A, _B = FU.Node("fa", "feature-input", ("a",)), FU.Node("fb", "feature-input", ("b",))
+
+
+class TestBuildChecks:
+    """Each arity and width check runs as the fusion model builds its nodes."""
+
+    @pytest.mark.parametrize("kind", ["dense-block", "softmax-head",
+                                      "pretrained-subclassifier"])
+    def test_wrong_input_count(self, kind):
+        nodes = [_A, _B, FU.Node("x", kind, ("8",), ("fa", "fb")),
+                 FU.Node("root", "softmax-head", (), ("x",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == f"x: {kind} takes one input"
+
+    def test_feature_without_length(self):
+        nodes = [FU.Node("fz", "feature-input", ("z",)),
+                 FU.Node("root", "softmax-head", (), ("fz",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "fz: no length for feature 'z'"
+
+    def test_concat_without_inputs(self):
+        nodes = [FU.Node("cat", "concat"), FU.Node("root", "softmax-head", (), ("cat",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "cat: concat needs inputs"
+
+    def test_dense_block_without_width_takes_dense_width(self):
+        nodes = [_A, _B, FU.Node("cat", "concat", (), ("fa", "fb")),
+                 FU.Node("d", "dense-block", (), ("cat",)),
+                 FU.Node("root", "softmax-head", (), ("d",))]
+        model = _build(nodes, dense_width=6)
+        assert model.widths == {"fa": 4, "fb": 3, "cat": 7, "d": 6, "root": 4}
+        assert model.modules["d"].w.data.shape == (7, 6)
+
+    def test_bad_ensemble_mode(self):
+        nodes = [_A, FU.Node("root", "ovr-ensemble", ("weighted",), ("fa",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "root: ensemble mode must be fixed or trainable"
+
+    def test_ensemble_input_of_wrong_width(self):
+        nodes = [_A, _B, FU.Node("root", "ovr-ensemble", ("fixed",), ("fa", "fb"))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)  # fa is 4 wide, as many as the families; fb is 3
+        assert str(exc.value) == "root: ensemble input 'fb' has width 3, expected 4"
+
+    def test_unknown_kind(self):
+        nodes = [_A, FU.Node("x", "mystery", (), ("fa",)),
+                 FU.Node("root", "softmax-head", (), ("x",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "x: unknown kind 'mystery'"
+
+    def test_damaged_saved_topology_names_the_file(self, tmp_path):
+        nodes = [_A, FU.Node("root", "softmax-head", (), ("fa",))]
+        path = tmp_path / "fusion.mfc"
+        _build(nodes).save(path)
+        path.write_bytes(path.read_bytes().replace(b'"feature-input"', b'"feature-inpux"'))
+        with pytest.raises(S.ContainerError) as exc:
+            FU.FusionModel.load(path)
+        assert str(exc.value) == (f"{path}: bad fusion config "
+                                  """(TopologyError("fa: unknown kind 'feature-inpux'"))""")
 
 
 class TestTraining:

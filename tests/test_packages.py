@@ -47,6 +47,23 @@ def _top_level_names(tree: ast.Module):
             yield node.target.id, node
 
 
+def test_parameters_is_defined_once():
+    """A model's parameters come from its attributes through
+    ``Module.parameters``; only ``_JointView``, which hands the optimizer
+    another model's trainable subset, overrides it."""
+    defining = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = {item.name for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                names |= {target.id for item in node.body if isinstance(item, ast.Assign)
+                          for target in item.targets if isinstance(target, ast.Name)}
+                if "parameters" in names:
+                    defining.append(node.name)
+    assert sorted(defining) == ["Module", "_JointView"]
+
+
 def test_every_top_level_name_is_reached():
     """Each name of a module is referenced by another module, by its own
     module outside its definition, or by the benchmark."""

@@ -48,12 +48,11 @@ class TestGradientChecks:
     def test_conv2d_maxpool(self):
         rng = _rng(3)
         conv = S.Conv2d(1, 3, 3, rng=rng)
-        pool = S.MaxPool2d(2)
         x = S.Tensor(rng.normal(0, 1, (2, 1, 8, 8)))
         target = rng.normal(0, 1, (2, 3, 4, 4))
 
         def loss():
-            return S.mse(pool(conv(x)), target)
+            return S.mse(S.maxpool2d(conv(x), 2), target)
 
         assert S.gradient_check(loss, conv.parameters()) < TOL
 
@@ -328,11 +327,11 @@ def _mlp_case():
 
 def _cnn_case():
     rng = _rng(41)
-    conv, pool = S.Conv2d(1, 3, 3, rng=rng), S.MaxPool2d(2)
+    conv = S.Conv2d(1, 3, 3, rng=rng)
     head = S.Dense(48, 3, "softmax", rng=rng)
     x = S.Tensor(rng.normal(0, 1, (2, 1, 8, 8)))
     params = conv.parameters() + head.parameters()
-    return params, lambda: S.cross_entropy(head(S.reshape(pool(conv(x)), (2, 48))), [0, 2])
+    return params, lambda: S.cross_entropy(head(S.reshape(S.maxpool2d(conv(x), 2), (2, 48))), [0, 2])
 
 
 def _bilstm_attention_case():
