@@ -1,10 +1,11 @@
 """Batch entry point wiring every module into reproducible experiment runs.
 
 Stages chain: ``gen`` writes a corpus; ``extract`` fits every stage below
-fusion and writes split.json, features/, models/ (extractors and config),
-components/ and component-accuracy.csv; ``train-fusion`` and ``explain``
-read that run (--run) and its corpus and fit only fusion models, under the
-run's config. ``eval`` is the one-shot run, holdout or k-fold.
+fusion and writes split.json, features/, models/ (the fitted extractors),
+components/, component-accuracy.csv and config.json; ``train-fusion`` and
+``explain`` read that run (--run) and its corpus and fit only fusion models,
+under the pipeline config recorded in the run's config.json. ``eval`` is
+the one-shot run, holdout or k-fold.
 
 Each subcommand validates its arguments, runs, writes artifacts under --out
 together with a resolved config.json, and logs progress to standard error.
@@ -46,7 +47,6 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     extract_features,
-    load_extractors,
     load_split,
     run_experiment,
     save_extractors,
@@ -196,7 +196,12 @@ def _load_run(args):
                              f" component, where the manifest names {name}")
         features[name] = table.matrix
     split = load_split(run_dir / "split.json", len(corpus))
-    config = load_extractors(run_dir / "models").config
+    try:
+        config = PipelineConfig.from_dict(
+            json.loads((run_dir / "config.json").read_text())["pipeline_config"])
+    except (KeyError, TypeError, ValueError) as e:  # a bad value is a damaged run, not usage
+        raise ValueError(f"{run_dir / 'config.json'}: bad or missing pipeline_config "
+                         f"({e!r})") from None
     return corpus, split, features, components, manifest, config
 
 

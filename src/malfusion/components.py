@@ -10,12 +10,14 @@ cascade fusion presets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import substrate as S
+from .corpus import read_json_object
 from .features import FEATURE_NAMES
 from .seeding import derive_seed
 
@@ -114,11 +116,23 @@ class ComponentManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "ComponentManifest":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a saved manifest; any fault raises ``ComponentError`` naming
+        ``path``."""
+        entries = read_json_object(path, ComponentError).get("components")
+        if not isinstance(entries, dict):
+            raise ComponentError(f"{path}: no components object")
         accs, paths = {}, {}
-        for name, entry in doc.get("components", {}).items():
-            accs[name] = float(entry["accuracy"])
+        for name, entry in entries.items():
+            accuracy = entry.get("accuracy") if isinstance(entry, dict) else None
+            if (isinstance(accuracy, bool) or not isinstance(accuracy, (int, float))
+                    or not math.isfinite(accuracy)):
+                raise ComponentError(f"{path}: component {name!r} has no accuracy "
+                                     f"that is a finite number")
+            accs[name] = float(accuracy)
             if "path" in entry:
+                if not isinstance(entry["path"], str):
+                    raise ComponentError(f"{path}: component {name!r} has a path "
+                                         "that is not a string")
                 paths[name] = entry["path"]
         return cls(accs, paths)
 

@@ -26,6 +26,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .types import (
+    CANONICAL_GRAPH_SIZE,
     CallGraph,
     Corpus,
     CorpusError,
@@ -278,14 +279,39 @@ def _read_artifact(root: Path, rel: str, parse):
         raise
 
 
+def read_json_object(path: str | Path, error: type[Exception]) -> dict:
+    """The JSON object in ``path``; ``error`` naming the path if the file
+    holds anything else."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
+        raise error(f"{path}: not JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _read_meta(path: Path) -> dict:
+    """corpus.json, if there is one: a JSON object whose ``family_count`` and
+    ``canonical_size``, where given, are integers of at least 1."""
+    if not path.exists():
+        return {}
+    meta = read_json_object(path, ParseError)
+    for key in ("family_count", "canonical_size"):
+        value = meta.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ParseError(f"{path}: {key} must be an integer of at least 1, "
+                             f"got {value!r}")
+    return meta
+
+
 def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest = Path(manifest_path)
     if manifest.is_dir():
         manifest = manifest / MANIFEST_NAME
     root = manifest.parent
-    meta_path = root / "corpus.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-    canonical_size = int(meta.get("canonical_size", 64))
+    meta = _read_meta(root / "corpus.json")
+    canonical_size = meta.get("canonical_size", CANONICAL_GRAPH_SIZE)
     samples: list[CorpusSample] = []
     max_family = -1
     with manifest.open(newline="", encoding="utf-8") as fh:
@@ -318,5 +344,5 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
             imports = _read_artifact(root, row["imports_path"],
                                      lambda fh: parse_imports(fh, sid))
             samples.append(CorpusSample(sid, family, trace, cg, imports))
-    family_count = int(meta.get("family_count", max_family + 1))
+    family_count = meta.get("family_count", max_family + 1)
     return Corpus(samples, family_count)

@@ -1,10 +1,9 @@
-"""Fusion topologies and composed classifiers."""
+"""Fusion structures and composed classifiers."""
 
 from .model import FusionError, FusionModel, predict_fusion, train_fusion
 from .topology import (
     FEATURE_SETS,
     PRESET_NAMES,
-    FusionTopology,
     Node,
     TopologyError,
     preset,
@@ -15,7 +14,6 @@ __all__ = [
     "PRESET_NAMES",
     "FusionError",
     "FusionModel",
-    "FusionTopology",
     "Node",
     "TopologyError",
     "predict_fusion",

@@ -1,8 +1,12 @@
 """Fusion model construction, two-phase training, inference.
 
-``FusionModel.__init__`` builds the nodes in one pass: it checks each
-node's arity, computes its output width (``widths``) and builds its module,
-so a width or arity mismatch raises ``TopologyError`` before any training.
+A fusion model is its node list (``nodes``, in topological order).
+``FusionModel.__init__`` checks and builds the nodes in one pass: each
+node's id is new, its dependencies are defined earlier, its arity and
+arguments fit its kind; it computes the node's output width (``widths``)
+and builds its module. After the pass it checks that exactly one node,
+the ``root``, is depended on by none and that it emits probabilities. So
+a malformed structure raises ``TopologyError`` before any training.
 
 ``FusionModel.eval_nodes`` is the one walk over the DAG: it evaluates every
 node in topological order and takes the values it is given as known.
@@ -29,11 +33,19 @@ from .. import substrate as S
 from ..components import ComponentModel, check_probability_vector
 from ..features import FeatureVector
 from ..seeding import derive_seed
-from .topology import FusionTopology, Node, TopologyError
+from .topology import PROB_EMITTERS, Node, TopologyError
 
 
 class FusionError(ValueError):
     pass
+
+
+_INPUT_KINDS = ("feature-input", "component-output")
+
+
+def _feature_names(nodes: list[Node]) -> list[str]:
+    """Feature names read anywhere in ``nodes``, via raw inputs or components."""
+    return sorted({a for n in nodes if n.kind in _INPUT_KINDS for a in n.args[:1]})
 
 
 class _OvrEnsemble(S.Module):
@@ -68,10 +80,10 @@ def _renormalize(scores: S.Tensor) -> S.Tensor:
 class FusionModel(S.Module):
     kind = "fusion"
 
-    def __init__(self, topology: FusionTopology, feature_lengths: dict[str, int],
+    def __init__(self, nodes: list[Node], feature_lengths: dict[str, int],
                  family_count: int, hyper: S.Hyperparams,
                  components: dict[str, ComponentModel] | None, dense_width: int):
-        self.topology = topology
+        self.nodes = list(nodes)
         self.feature_lengths = dict(feature_lengths)
         self.family_count = family_count
         self.hyper = hyper
@@ -80,22 +92,34 @@ class FusionModel(S.Module):
         # assigned before the components: parameters() lists the modules' first
         self.modules: dict[str, S.Module] = {}
         self.components: dict[str, ComponentModel] = {}
-        for node in topology.nodes:
-            nid, kind, deps = node.node_id, node.kind, node.deps
+        kinds: dict[str, str] = {}  # the kind of each node built so far
+        depended: set[str] = set()
+        for node in self.nodes:
+            nid, kind, args, deps = node.node_id, node.kind, node.args, node.deps
+            if nid in kinds:
+                raise TopologyError(f"duplicate node id {nid!r}")
+            for dep in deps:
+                if dep not in kinds:
+                    raise TopologyError(
+                        f"node {nid!r} depends on {dep!r} which is not "
+                        "defined earlier (cycle or forward reference)")
+            depended.update(deps)
             if kind in ("dense-block", "softmax-head", "pretrained-subclassifier"):
                 if len(deps) != 1:
                     raise TopologyError(f"{nid}: {kind} takes one input")
+            if kind in _INPUT_KINDS and not args:
+                raise TopologyError(f"{nid}: {kind} names no feature")
             in_width = self.widths[deps[0]] if deps else 0
             seed_rng = np.random.default_rng(derive_seed(hyper.seed, "fusion", nid))
             width = family_count
             if kind == "feature-input":
-                if node.args[0] not in feature_lengths:
-                    raise TopologyError(f"{nid}: no length for feature {node.args[0]!r}")
-                width = feature_lengths[node.args[0]]
+                if args[0] not in feature_lengths:
+                    raise TopologyError(f"{nid}: no length for feature {args[0]!r}")
+                width = feature_lengths[args[0]]
             elif kind == "component-output":
-                if components is None or node.args[0] not in components:
-                    raise FusionError(f"{nid}: no trained component for {node.args[0]!r}")
-                comp = components[node.args[0]]
+                if components is None or args[0] not in components:
+                    raise FusionError(f"{nid}: no trained component for {args[0]!r}")
+                comp = components[args[0]]
                 comp.set_trainable(False)
                 self.components[nid] = comp
             elif kind == "concat":
@@ -103,27 +127,43 @@ class FusionModel(S.Module):
                     raise TopologyError(f"{nid}: concat needs inputs")
                 width = sum(self.widths[d] for d in deps)
             elif kind == "dense-block":
-                width = int(node.args[0]) if node.args else dense_width
+                width = dense_width
                 self.modules[nid] = S.Dense(in_width, width, "relu", rng=seed_rng)
             elif kind == "softmax-head":
                 self.modules[nid] = S.Dense(in_width, family_count, "softmax", rng=seed_rng)
             elif kind == "pretrained-subclassifier":
                 self.modules[nid] = S.MLP(in_width, (dense_width,), family_count, rng=seed_rng)
             elif kind == "ovr-ensemble":
-                if node.args[0] not in ("fixed", "trainable"):
+                if not args:
+                    raise TopologyError(f"{nid}: ovr-ensemble names no mode")
+                if args[0] not in ("fixed", "trainable"):
                     raise TopologyError(f"{nid}: ensemble mode must be fixed or trainable")
+                if not deps:
+                    raise TopologyError(f"{nid}: ovr-ensemble needs inputs")
                 for d in deps:
                     if self.widths[d] != family_count:
                         raise TopologyError(f"{nid}: ensemble input {d!r} has width "
                                             f"{self.widths[d]}, expected {family_count}")
-                self.modules[nid] = _OvrEnsemble(len(deps), family_count, node.args[0],
+                for d in deps:
+                    if kinds[d] not in PROB_EMITTERS:
+                        raise TopologyError(f"{nid}: ensemble input {d!r} does not "
+                                            "emit probabilities")
+                self.modules[nid] = _OvrEnsemble(len(deps), family_count, args[0],
                                                  rng=seed_rng)
             else:
                 raise TopologyError(f"{nid}: unknown kind {kind!r}")
-            self.widths[nid] = width
+            self.widths[nid], kinds[nid] = width, kind
+        roots = [n for n in self.nodes if n.node_id not in depended]
+        if len(roots) != 1:
+            raise TopologyError(f"expected exactly one root, found "
+                                f"{[r.node_id for r in roots]}")
+        self.root = roots[0]
+        if self.root.kind not in PROB_EMITTERS:
+            raise TopologyError(f"root {self.root.node_id!r} of kind "
+                                f"{self.root.kind!r} does not emit probabilities")
 
     def required_features(self) -> list[str]:
-        return sorted(set(self.topology.feature_inputs()))
+        return _feature_names(self.nodes)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -140,11 +180,11 @@ class FusionModel(S.Module):
         """Every node's value, in topological order; ``known`` maps node ids
         to values taken as given."""
         values = {nid: S.Tensor(v) for nid, v in (known or {}).items()}
-        for node in self.topology.nodes:
+        for node in self.nodes:
             nid = node.node_id
             if nid in values:
                 continue
-            if node.kind in ("feature-input", "component-output"):
+            if node.kind in _INPUT_KINDS:
                 values[nid] = self._input_tensor(nid, node.args[0], inputs)
             elif node.kind == "concat":
                 values[nid] = S.concat([values[d] for d in node.deps], axis=-1)
@@ -159,7 +199,7 @@ class FusionModel(S.Module):
         return values
 
     def forward(self, inputs, train: bool = False) -> S.Tensor:
-        return self.eval_nodes(inputs, train)[self.topology.root.node_id]
+        return self.eval_nodes(inputs, train)[self.root.node_id]
 
     def predict_batch(self, features: dict[str, np.ndarray]) -> np.ndarray:
         with S.no_grad():
@@ -168,8 +208,7 @@ class FusionModel(S.Module):
     # -- persistence ---------------------------------------------------------------
 
     def config(self):
-        return {"topology": [[n.node_id, n.kind, n.args, n.deps]
-                             for n in self.topology.nodes],
+        return {"topology": [[n.node_id, n.kind, n.args, n.deps] for n in self.nodes],
                 "feature_lengths": self.feature_lengths,
                 "family_count": self.family_count,
                 "dense_width": self.dense_width,
@@ -181,9 +220,9 @@ class FusionModel(S.Module):
     def from_config(cls, config):
         components = {name: ComponentModel.from_config(c)
                       for name, c in config["components"].items()}
-        topology = FusionTopology([Node(node_id, kind, tuple(args), tuple(deps))
-                                   for node_id, kind, args, deps in config["topology"]])
-        return cls(topology, config["feature_lengths"],
+        nodes = [Node(node_id, kind, tuple(args), tuple(deps))
+                 for node_id, kind, args, deps in config["topology"]]
+        return cls(nodes, config["feature_lengths"],
                    config["family_count"], S.Hyperparams.from_dict(config["hyper"]),
                    components or None, config["dense_width"])
 
@@ -204,25 +243,25 @@ class _JointView(S.Module):
 
     def forward(self, inputs, train: bool = False) -> S.Tensor:
         known = dict(zip(self.frozen, inputs, strict=True))
-        return self.fusion.eval_nodes({}, train, known)[self.fusion.topology.root.node_id]
+        return self.fusion.eval_nodes({}, train, known)[self.fusion.root.node_id]
 
 
-def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
+def train_fusion(nodes: list[Node], features: dict[str, np.ndarray],
                  labels: np.ndarray, train_idx, val_idx, *,
                  components: dict[str, ComponentModel], hyper: S.Hyperparams,
                  family_count: int, dense_width: int,
                  ) -> tuple[FusionModel, list[S.TrainHistory]]:
-    """Train a fusion topology over precomputed feature matrices.
+    """Train a fusion model of ``nodes`` over precomputed feature matrices.
 
     ``features`` maps feature_name -> (n_samples, length) for the whole
     corpus; ``train_idx``/``val_idx`` select the rows used per phase.
     Returns one history per pretrained stage, then one for the joint phase
     if anything was left to train.
     """
-    missing = sorted(set(topology.feature_inputs()) - set(features))
+    missing = sorted(set(_feature_names(nodes)) - set(features))
     if missing:
         raise FusionError(f"missing feature matrices for {missing}")
-    fusion = FusionModel(topology, {name: mat.shape[1] for name, mat in features.items()},
+    fusion = FusionModel(nodes, {name: mat.shape[1] for name, mat in features.items()},
                          family_count, hyper, components, dense_width)
     labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
@@ -233,7 +272,7 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
     histories: list[S.TrainHistory] = []
 
     # phase A: train each pretrained stage on its frozen input, then freeze it
-    for node in topology.nodes:
+    for node in fusion.nodes:
         if node.kind == "pretrained-subclassifier":
             dep, stage = node.deps[0], fusion.modules[node.node_id]
             with S.no_grad():
@@ -245,7 +284,7 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
     # phase B: jointly train whatever is still trainable
     if fusion.trainable_parameters():
         frozen = []  # nodes no trainable parameter reaches, computed once
-        for node in topology.nodes:
+        for node in fusion.nodes:
             module = fusion.modules.get(node.node_id)
             if ((module is None or not module.trainable_parameters())
                     and all(d in frozen for d in node.deps)):
@@ -254,7 +293,7 @@ def train_fusion(topology: FusionTopology, features: dict[str, np.ndarray],
             train_known = fusion.eval_nodes(train_rows)
             val_known = fusion.eval_nodes(val_rows)
         loss = "cross_entropy"
-        if topology.root.kind == "ovr-ensemble" and topology.root.args[0] == "trainable":
+        if fusion.root.kind == "ovr-ensemble" and fusion.root.args[0] == "trainable":
             loss = "bce"
             y_train, y_val = np.eye(family_count)[y_train], np.eye(family_count)[y_val]
         histories.append(S.train(_JointView(fusion, frozen),

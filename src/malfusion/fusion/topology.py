@@ -1,17 +1,17 @@
-"""Fusion topology DAG and the eight preset structures.
+"""Fusion nodes and the eight preset structures.
 
-A topology lists its nodes in topological order. Kinds:
+A fusion structure is a list of nodes in topological order. Kinds:
 feature-input(feature_name), component-output(feature_name), concat,
-dense-block(width), softmax-head, pretrained-subclassifier, ovr-ensemble(mode).
+dense-block, softmax-head, pretrained-subclassifier, ovr-ensemble(mode).
 The root (the unique node nothing depends on) must emit a probability vector.
-A topology checks only its shape; each node's arity and width are checked
-when a ``FusionModel`` is built from it, in the pass that builds the node.
+Every dense block is its fusion model's ``dense_width`` wide. A node list
+is checked only when a ``FusionModel`` is built from it, in the pass that
+builds each node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from ..components import ComponentManifest
 from ..features import DYNAMIC_FEATURES, FEATURE_NAMES, STATIC_FEATURES
@@ -38,71 +38,28 @@ class Node:
     deps: tuple[str, ...] = ()
 
 
-@dataclass
-class FusionTopology:
-    nodes: list[Node] = field(default_factory=list)
-
-    def __post_init__(self):
-        self._check()
-
-    def _check(self) -> None:
-        seen: set[str] = set()
-        for node in self.nodes:
-            if node.node_id in seen:
-                raise TopologyError(f"duplicate node id {node.node_id!r}")
-            for dep in node.deps:
-                if dep not in seen:
-                    raise TopologyError(
-                        f"node {node.node_id!r} depends on {dep!r} which is not "
-                        "defined earlier (cycle or forward reference)")
-            seen.add(node.node_id)
-        roots = [n for n in self.nodes
-                 if not any(n.node_id in m.deps for m in self.nodes)]
-        if len(roots) != 1:
-            raise TopologyError(f"expected exactly one root, found "
-                                f"{[r.node_id for r in roots]}")
-        if roots[0].kind not in PROB_EMITTERS:
-            raise TopologyError(f"root {roots[0].node_id!r} of kind "
-                                f"{roots[0].kind!r} does not emit probabilities")
-
-    @property
-    def root(self) -> Node:
-        depended = {d for n in self.nodes for d in n.deps}
-        return next(n for n in self.nodes if n.node_id not in depended)
-
-    def feature_inputs(self) -> list[str]:
-        """Feature names consumed anywhere, via raw inputs or components."""
-        return [n.args[0] for n in self.nodes
-                if n.kind in ("feature-input", "component-output")]
-
-
 # preset construction -------------------------------------------------------------
 
 
-def _ordered(manifest: ComponentManifest, feature_names: Iterable[str]) -> list[str]:
-    return manifest.ascending(list(feature_names))
-
-
-def _cascade(items: list[tuple[str, Node]], stage_kind: str,
-             dense_width: int) -> list[Node]:
-    """Pairwise left-deep combine: stage_i = stage(concat(prev, item_i))."""
-    nodes = [node for _, node in items]
-    prev = items[0][0]
-    for i, (item_id, _) in enumerate(items[1:], start=1):
-        cat = Node(f"cat{i}", "concat", (), (prev, item_id))
-        nodes.append(cat)
-        if stage_kind == "dense-block":
-            stage = Node(f"stage{i}", "dense-block", (str(dense_width),),
-                         (f"cat{i}",))
-        else:
-            stage = Node(f"stage{i}", "pretrained-subclassifier", (), (f"cat{i}",))
-        nodes.append(stage)
-        prev = stage.node_id
+def _cascade(inputs: list[Node], stage_kind: str) -> list[Node]:
+    """Pairwise left-deep combine: stage_i = stage(concat(prev, input_i))."""
+    nodes, prev = list(inputs), inputs[0].node_id
+    for i, item in enumerate(inputs[1:], start=1):
+        nodes += [Node(f"cat{i}", "concat", (), (prev, item.node_id)),
+                  Node(f"stage{i}", stage_kind, (), (f"cat{i}",))]
+        prev = f"stage{i}"
     return nodes
 
 
-def preset(name: str, manifest: ComponentManifest, feature_set: str = "integrated",
-           *, dense_width: int) -> FusionTopology:
+def _dense_head(inputs: list[Node]) -> list[Node]:
+    """The inputs, concatenated, through one dense block to a softmax head."""
+    return [*inputs, Node("cat", "concat", (), tuple(n.node_id for n in inputs)),
+            Node("dense", "dense-block", (), ("cat",)),
+            Node("root", "softmax-head", (), ("dense",))]
+
+
+def preset(name: str, manifest: ComponentManifest,
+           feature_set: str = "integrated") -> list[Node]:
     """Build one of the eight preset structures over the given feature set.
 
     Cascade presets (EF2, LF1, IF2) wire stages in ascending validation
@@ -115,45 +72,27 @@ def preset(name: str, manifest: ComponentManifest, feature_set: str = "integrate
     if feature_set not in FEATURE_SETS:
         raise TopologyError(f"unknown feature set {feature_set!r}")
     features = list(FEATURE_SETS[feature_set])
-    order = _ordered(manifest, features)
+    order = manifest.ascending(features)
 
-    def feat(fname: str) -> Node:
-        return Node(f"f_{fname}", "feature-input", (fname,))
+    def feat(names: list[str]) -> list[Node]:
+        return [Node(f"f_{f}", "feature-input", (f,)) for f in names]
 
-    def comp(fname: str) -> Node:
-        return Node(f"c_{fname}", "component-output", (fname,))
+    def comp(names: list[str]) -> list[Node]:
+        return [Node(f"c_{f}", "component-output", (f,)) for f in names]
 
     if name == "EF1":
-        nodes = [feat(f) for f in features]
-        nodes.append(Node("cat", "concat", (), tuple(f"f_{f}" for f in features)))
-        nodes.append(Node("dense", "dense-block", (str(dense_width),), ("cat",)))
-        nodes.append(Node("root", "softmax-head", (), ("dense",)))
-        return FusionTopology(nodes)
-
-    if name == "EF2":
-        items = [(f"f_{f}", feat(f)) for f in order]
-        nodes = _cascade(items, "dense-block", dense_width)
-        nodes.append(Node("root", "softmax-head", (), (f"stage{len(order) - 1}",)))
-        return FusionTopology(nodes)
-
-    if name == "LF1":
-        items = [(f"c_{f}", comp(f)) for f in order]
-        return FusionTopology(_cascade(items, "pretrained-subclassifier", dense_width))
-
+        return _dense_head(feat(features))
     if name == "LF2":
-        nodes = [comp(f) for f in features]
-        nodes.append(Node("cat", "concat", (), tuple(f"c_{f}" for f in features)))
-        nodes.append(Node("dense", "dense-block", (str(dense_width),), ("cat",)))
-        nodes.append(Node("root", "softmax-head", (), ("dense",)))
-        return FusionTopology(nodes)
-
+        return _dense_head(comp(features))
+    if name == "EF2":
+        nodes = _cascade(feat(order), "dense-block")
+        return nodes + [Node("root", "softmax-head", (), (nodes[-1].node_id,))]
+    if name == "LF1":
+        return _cascade(comp(order), "pretrained-subclassifier")
     if name == "IF2" or (name == "IF1" and feature_set != "integrated"):
-        items = [(f"f_{f}", feat(f)) for f in order]
-        return FusionTopology(_cascade(items, "pretrained-subclassifier", dense_width))
-
+        return _cascade(feat(order), "pretrained-subclassifier")
     if name == "IF1":
-        nodes = [feat(f) for f in features]
-        nodes += [
+        return feat(features) + [
             Node("cat_left", "concat", (), ("f_cg_embedding", "f_cg_lowfreq")),
             Node("left", "pretrained-subclassifier", (), ("cat_left",)),
             Node("cat_left2", "concat", (), ("left", "f_pe_onehot")),
@@ -165,10 +104,6 @@ def preset(name: str, manifest: ComponentManifest, feature_set: str = "integrate
             Node("cat_root", "concat", (), ("left2", "right2", "f_pv_trace")),
             Node("root", "pretrained-subclassifier", (), ("cat_root",)),
         ]
-        return FusionTopology(nodes)
-
     mode = "fixed" if name == "ENS_FIXED" else "trainable"
-    nodes = [comp(f) for f in features]
-    nodes.append(Node("root", "ovr-ensemble", (mode,),
-                      tuple(f"c_{f}" for f in features)))
-    return FusionTopology(nodes)
+    nodes = comp(features)
+    return nodes + [Node("root", "ovr-ensemble", (mode,), tuple(n.node_id for n in nodes))]

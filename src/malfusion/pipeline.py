@@ -25,7 +25,15 @@ import numpy as np
 
 from . import substrate as S
 from .components import ComponentManifest, ComponentModel, train_component
-from .corpus import Corpus, CorpusError, CorpusSample, DatasetSplit, Vocabulary, build_vocabulary
+from .corpus import (
+    Corpus,
+    CorpusError,
+    CorpusSample,
+    DatasetSplit,
+    Vocabulary,
+    build_vocabulary,
+    read_json_object,
+)
 from .dynamic_features import (
     CoocCnnModel,
     PvModel,
@@ -217,10 +225,26 @@ def save_split(path, split) -> None:
 def load_split(path, n: int) -> DatasetSplit:
     """Read a saved holdout split of an ``n``-sample corpus. Its train,
     validation and test rows must each be non-empty and together partition
-    the indices ``0..n-1``; so must its folds, if it has any."""
-    payload = json.loads(Path(path).read_text())
-    split = DatasetSplit(train=payload["train"], validation=payload["validation"],
-                         test=payload["test"], folds=payload.get("folds", []))
+    the indices ``0..n-1``; so must its folds, if it has any. Any fault
+    raises ``CorpusError`` naming ``path``."""
+    payload = read_json_object(path, CorpusError)
+    missing = [key for key in ("train", "validation", "test") if key not in payload]
+    if missing:
+        raise CorpusError(f"{path}: missing keys {missing}")
+
+    def indices(rows, what: str) -> list[int]:
+        if not (isinstance(rows, list) and all(
+                isinstance(i, int) and not isinstance(i, bool) for i in rows)):
+            raise CorpusError(f"{path}: {what} is not a list of integer indices")
+        return rows
+
+    folds = payload.get("folds", [])
+    if not isinstance(folds, list):
+        raise CorpusError(f"{path}: folds is not a list")
+    split = DatasetSplit(train=indices(payload["train"], "train"),
+                         validation=indices(payload["validation"], "validation"),
+                         test=indices(payload["test"], "test"),
+                         folds=[indices(fold, f"fold {k}") for k, fold in enumerate(folds)])
     if not (split.train and split.validation and split.test):
         raise CorpusError(f"{path}: a holdout split needs train, validation and test rows")
     try:
@@ -344,13 +368,12 @@ def train_preset(preset_name: str, feature_set: str,
                  components: dict[str, ComponentModel],
                  manifest: ComponentManifest, config: PipelineConfig,
                  ) -> FusionModel:
-    topo = preset(preset_name, manifest, feature_set=feature_set,
-                  dense_width=config.dense_width)
+    nodes = preset(preset_name, manifest, feature_set=feature_set)
     hyper = S.Hyperparams(epochs=config.fusion_epochs,
                           batch_size=config.batch_size,
                           seed=derive_seed(config.seed, "fusion", preset_name,
                                            feature_set))
-    model, _ = train_fusion(topo, features, labels, train_idx, val_idx,
+    model, _ = train_fusion(nodes, features, labels, train_idx, val_idx,
                             components=components, hyper=hyper,
                             family_count=family_count,
                             dense_width=config.dense_width)

@@ -183,6 +183,41 @@ class TestExitCodes:
         assert (caplog.records[-1].getMessage()
                 == f"{manifest}: line {line}: " + message.format(sid=sid, prev=prev))
 
+    @pytest.mark.parametrize("file, damage, message", [
+        ("components/manifest.json",
+         lambda doc: doc["components"]["api_freq"].pop("accuracy") and doc,
+         "component 'api_freq' has no accuracy that is a finite number"),
+        ("components/manifest.json",
+         lambda doc: doc["components"]["api_freq"].update(accuracy="0.5") or doc,
+         "component 'api_freq' has no accuracy that is a finite number"),
+        ("components/manifest.json", lambda doc: [doc], "expected a JSON object, got list"),
+        ("components/manifest.json", None, "not JSON ("),
+        ("split.json", lambda doc: doc.pop("validation") and doc,
+         "missing keys ['validation']"),
+        ("split.json", lambda doc: doc["train"].insert(0, "7") or doc,
+         "train is not a list of integer indices"),
+        ("split.json", lambda doc: [doc], "expected a JSON object, got list"),
+        ("split.json", None, "not JSON ("),
+        ("config.json", lambda doc: doc.pop("pipeline_config") and doc,
+         "bad or missing pipeline_config (KeyError('pipeline_config'))"),
+    ], ids=["manifest-no-accuracy", "manifest-text-accuracy", "manifest-list",
+            "manifest-truncated", "split-no-validation", "split-text-index", "split-list",
+            "split-truncated", "config-no-pipeline-config"])
+    def test_damaged_run_file_is_named(self, corpus_dir, tiny_run, tmp_path, caplog,
+                                       file, damage, message):
+        """A damage rewrites the file's JSON document; None cuts the file in half."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        path = run_dir / file
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2] if damage is None
+                        else json.dumps(damage(json.loads(text))))
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["train-fusion", "--run", str(run_dir), "--corpus", str(corpus_dir),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert caplog.records[-1].getMessage().startswith(f"{path}: {message}")
+
     def test_missing_manifest_column_names_the_manifest(self, corpus_dir, tmp_path, caplog):
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_dir, corpus)
@@ -484,6 +519,19 @@ class TestChainedStages:
                     "--out", str(tmp_path / "out")]) == 0
         assert fit_calls == []
         assert _snapshot(tiny_run) == before
+
+    def test_train_fusion_needs_no_extractor(self, corpus_dir, tiny_run, tmp_path):
+        """The run's pipeline config comes from its config.json: without
+        models/, train-fusion writes the same model and report bytes."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        shutil.rmtree(run_dir / "models")
+        for name, source in (("full", tiny_run), ("bare", run_dir)):
+            assert run(["train-fusion", "--preset", "ef2", "--run", str(source),
+                        "--corpus", str(corpus_dir), "--out", str(tmp_path / name)]) == 0
+        for name in ("report.csv", "report.txt", "fusion-ef2-integrated.mfc"):
+            assert ((tmp_path / "full" / name).read_bytes()
+                    == (tmp_path / "bare" / name).read_bytes()), name
 
     @pytest.mark.parametrize("command", ["train-fusion", "explain"])
     @pytest.mark.parametrize("damage", ["no-components", "foreign-ids", "wrong-component"])

@@ -169,6 +169,33 @@ class TestGenerator:
         loaded = C.load_corpus(tmp_path)
         assert {s.callgraph.adjacency.shape for s in loaded.samples} == {(16, 16)}
 
+    def test_load_without_canonical_size_takes_the_default(self, tmp_path):
+        corpus = C.generate_corpus(C.CorpusSpec(family_count=2, samples_per_family=2, seed=1))
+        C.write_corpus(corpus, tmp_path)
+        assert "canonical_size" not in (tmp_path / "corpus.json").read_text()
+        loaded = C.load_corpus(tmp_path)
+        assert {s.callgraph.adjacency.shape for s in loaded.samples} == {
+            (C.CANONICAL_GRAPH_SIZE, C.CANONICAL_GRAPH_SIZE)}
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]\n", "expected a JSON object, got list"),
+        ('{"family_count": "three"}\n',
+         "family_count must be an integer of at least 1, got 'three'"),
+        ('{"family_count": true}\n', "family_count must be an integer of at least 1, got True"),
+        ('{"canonical_size": 16,\n', "not JSON (Expecting"),
+        ('{"canonical_size": 0}\n', "canonical_size must be an integer of at least 1, got 0"),
+        ('{"canonical_size": 2.5}\n',
+         "canonical_size must be an integer of at least 1, got 2.5"),
+    ], ids=["list", "family-count-text", "family-count-bool", "truncated", "size-zero",
+            "size-fraction"])
+    def test_malformed_corpus_json_names_the_file(self, tmp_path, text, message):
+        corpus = C.generate_corpus(C.CorpusSpec(family_count=2, samples_per_family=2, seed=1))
+        C.write_corpus(corpus, tmp_path)
+        (tmp_path / "corpus.json").write_text(text)
+        with pytest.raises(C.ParseError) as exc:
+            C.load_corpus(tmp_path)
+        assert str(exc.value).startswith(f"{tmp_path / 'corpus.json'}: {message}")
+
     # The loaded train_holdout-shape corpus (8 x 8 samples of 80-160
     # statements) held 0.62-0.63 MB live under tracemalloc over seeds 0-3 as
     # id arrays with bool adjacency; as ApiStatement objects with float64

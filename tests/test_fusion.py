@@ -1,4 +1,4 @@
-"""Fusion topology checks, the eight presets, the training/freeze contracts,
+"""Fusion structure checks, the eight presets, the training/freeze contracts,
 and the saved model's round trip."""
 
 import hashlib
@@ -83,85 +83,103 @@ class TestPresets:
     @pytest.mark.parametrize("feature_set", sorted(FU.FEATURE_SETS))
     def test_every_preset_builds_and_width_checks(self, untrained_components, name,
                                                   feature_set):
-        topo = FU.preset(name, _manifest(), feature_set, dense_width=128)
-        model = FU.FusionModel(topo, WIDE_LENGTHS, 80, S.Hyperparams(),
+        nodes = FU.preset(name, _manifest(), feature_set)
+        model = FU.FusionModel(nodes, WIDE_LENGTHS, 80, S.Hyperparams(),
                                untrained_components, 128)
-        assert model.widths[topo.root.node_id] == 80
+        assert model.widths[model.root.node_id] == 80
 
-    def test_reachable_features_match_declared_set(self):
+    def test_reachable_features_match_declared_set(self, untrained_components):
         for name in FU.PRESET_NAMES:
             for feature_set, expected in FU.FEATURE_SETS.items():
-                topo = FU.preset(name, _manifest(), feature_set, dense_width=128)
-                assert set(topo.feature_inputs()) == set(expected), (name, feature_set)
+                model = FU.FusionModel(FU.preset(name, _manifest(), feature_set),
+                                       WIDE_LENGTHS, 80, S.Hyperparams(),
+                                       untrained_components, 128)
+                assert set(model.required_features()) == set(expected), (name, feature_set)
 
     def test_lf2_concat_width_560_at_80_families(self, untrained_components):
-        topo = FU.preset("LF2", _manifest(), dense_width=128)
-        model = FU.FusionModel(topo, {}, 80, S.Hyperparams(), untrained_components, 128)
-        concat = next(n for n in topo.nodes if n.kind == "concat")
+        nodes = FU.preset("LF2", _manifest())
+        model = FU.FusionModel(nodes, {}, 80, S.Hyperparams(), untrained_components, 128)
+        concat = next(n for n in nodes if n.kind == "concat")
         assert model.widths[concat.node_id] == 7 * 80 == 560
 
     def test_cascade_order_is_ascending_accuracy(self):
         for preset_name in ("EF2", "LF1"):
-            topo = FU.preset(preset_name, _manifest(), dense_width=128)
-            inputs = [n.args[0] for n in topo.nodes
+            nodes = FU.preset(preset_name, _manifest())
+            inputs = [n.args[0] for n in nodes
                       if n.kind in ("feature-input", "component-output")]
             assert inputs == REFERENCE_ASCENDING, preset_name
 
     def test_cascade_order_recomputed_from_manifest(self):
         accs = dict(REFERENCE_ACCS, pv_trace=0.01)  # demote the best feature
-        topo = FU.preset("EF2", _manifest(accs), dense_width=128)
-        first = next(n.args[0] for n in topo.nodes if n.kind == "feature-input")
+        nodes = FU.preset("EF2", _manifest(accs))
+        first = next(n.args[0] for n in nodes if n.kind == "feature-input")
         assert first == "pv_trace"
 
-    def test_ens_gathers_all_components(self):
+    def test_ens_gathers_all_components(self, untrained_components):
         for mode, name in (("fixed", "ENS_FIXED"), ("trainable", "ENS_TRAIN")):
-            topo = FU.preset(name, _manifest(), dense_width=128)
-            root = topo.root
+            model = FU.FusionModel(FU.preset(name, _manifest()), WIDE_LENGTHS, 80,
+                                   S.Hyperparams(), untrained_components, 128)
+            root = model.root
             assert root.kind == "ovr-ensemble"
             assert root.args == (mode,)
             assert len(root.deps) == 7
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(FU.TopologyError):
-            FU.preset("EF9", _manifest(), dense_width=128)
+            FU.preset("EF9", _manifest())
 
     def test_missing_component_rejected(self):
         accs = dict(REFERENCE_ACCS)
         del accs["pv_trace"]
         with pytest.raises(CO.ComponentError, match="pv_trace"):
-            FU.preset("LF1", _manifest(accs), dense_width=128)
+            FU.preset("LF1", _manifest(accs))
 
 
-class TestTopologyChecks:
-    def test_cycle_rejected(self):
-        with pytest.raises(FU.TopologyError, match="forward reference"):
-            FU.FusionTopology([FU.Node("a", "dense-block", ("8",), ("b",)),
-                               FU.Node("b", "dense-block", ("8",), ("a",)),
-                               FU.Node("root", "softmax-head", (), ("b",))])
-
-    def test_two_roots_rejected(self):
-        with pytest.raises(FU.TopologyError, match="root"):
-            FU.FusionTopology([FU.Node("a", "component-output", ("pe_onehot",)),
-                               FU.Node("b", "component-output", ("api_freq",))])
-
-    def test_non_probability_root_rejected(self):
-        with pytest.raises(FU.TopologyError):
-            FU.FusionTopology([FU.Node("f", "feature-input", ("pe_onehot",)),
-                               FU.Node("d", "dense-block", ("8",), ("f",))])
-
-    def test_width_mismatch_rejected_before_training(self):
-        topo = FU.preset("EF1", _manifest(), "static", dense_width=128)
-        with pytest.raises(FU.TopologyError):  # two features missing
-            FU.FusionModel(topo, {"pe_onehot": 252}, 80, S.Hyperparams(), None, 128)
-
-
-def _build(nodes, family_count=4, dense_width=6):
+def _build(nodes, family_count=4, dense_width=6, components=None):
     """A fusion model over feature inputs a (width 4) and b (width 3)."""
-    return FU.FusionModel(FU.FusionTopology(nodes), {"a": 4, "b": 3}, family_count,
-                          S.Hyperparams(), None, dense_width)
+    return FU.FusionModel(nodes, {"a": 4, "b": 3}, family_count,
+                          S.Hyperparams(), components, dense_width)
 
 
 _A, _B = FU.Node("fa", "feature-input", ("a",)), FU.Node("fb", "feature-input", ("b",))
+
+
+class TestTopologyChecks:
+    """The shape of a node list, checked as the fusion model builds it."""
+
+    def test_cycle_rejected(self):
+        nodes = [_A, FU.Node("x", "dense-block", (), ("y",)),
+                 FU.Node("y", "dense-block", (), ("x",)),
+                 FU.Node("root", "softmax-head", (), ("y",))]
+        with pytest.raises(FU.TopologyError, match="forward reference") as exc:
+            _build(nodes)
+        assert str(exc.value) == ("node 'x' depends on 'y' which is not defined "
+                                  "earlier (cycle or forward reference)")
+
+    def test_duplicate_id_rejected(self):
+        nodes = [_A, FU.Node("fa", "feature-input", ("b",)),
+                 FU.Node("root", "softmax-head", (), ("fa",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "duplicate node id 'fa'"
+
+    def test_two_roots_rejected(self):
+        nodes = [_A, _B, FU.Node("ha", "softmax-head", (), ("fa",)),
+                 FU.Node("hb", "softmax-head", (), ("fb",))]
+        with pytest.raises(FU.TopologyError, match="root") as exc:
+            _build(nodes)
+        assert str(exc.value) == "expected exactly one root, found ['ha', 'hb']"
+
+    def test_non_probability_root_rejected(self):
+        nodes = [_A, FU.Node("d", "dense-block", (), ("fa",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "root 'd' of kind 'dense-block' does not emit probabilities"
+
+    def test_width_mismatch_rejected_before_training(self):
+        nodes = FU.preset("EF1", _manifest(), "static")
+        with pytest.raises(FU.TopologyError):  # two features missing
+            FU.FusionModel(nodes, {"pe_onehot": 252}, 80, S.Hyperparams(), None, 128)
 
 
 class TestBuildChecks:
@@ -196,6 +214,38 @@ class TestBuildChecks:
         model = _build(nodes, dense_width=6)
         assert model.widths == {"fa": 4, "fb": 3, "cat": 7, "d": 6, "root": 4}
         assert model.modules["d"].w.data.shape == (7, 6)
+
+    def test_dense_block_argument_is_ignored(self):
+        """Every dense block is the model's dense_width wide; files saved when a
+        dense block carried its width as an argument still load."""
+        nodes = [_A, FU.Node("d", "dense-block", ("128",), ("fa",)),
+                 FU.Node("root", "softmax-head", (), ("d",))]
+        assert _build(nodes, dense_width=6).widths["d"] == 6
+
+    @pytest.mark.parametrize("kind", ["feature-input", "component-output"])
+    def test_input_without_feature(self, kind):
+        nodes = [FU.Node("x", kind), FU.Node("root", "softmax-head", (), ("x",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes, components={})
+        assert str(exc.value) == f"x: {kind} names no feature"
+
+    def test_ensemble_without_mode(self):
+        nodes = [_A, FU.Node("root", "ovr-ensemble", (), ("fa",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "root: ovr-ensemble names no mode"
+
+    def test_ensemble_without_inputs(self):
+        with pytest.raises(FU.TopologyError) as exc:
+            _build([FU.Node("root", "ovr-ensemble", ("fixed",))])
+        assert str(exc.value) == "root: ovr-ensemble needs inputs"
+
+    def test_ensemble_input_that_is_no_probability(self):
+        """fa is as wide as the families, but its values are raw features."""
+        nodes = [_A, FU.Node("root", "ovr-ensemble", ("fixed",), ("fa",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            _build(nodes)
+        assert str(exc.value) == "root: ensemble input 'fa' does not emit probabilities"
 
     def test_bad_ensemble_mode(self):
         nodes = [_A, FU.Node("root", "ovr-ensemble", ("weighted",), ("fa",))]
@@ -232,9 +282,9 @@ class TestTraining:
     def _trained(preset_name, hyper=None, feature_set="static"):
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
-        topo = FU.preset(preset_name, manifest, feature_set, dense_width=128)
+        nodes = FU.preset(preset_name, manifest, feature_set)
         hyper = hyper or S.Hyperparams(epochs=12, batch_size=16, seed=5, patience=12)
-        model, hists = FU.train_fusion(topo, features, labels, tr, va,
+        model, hists = FU.train_fusion(nodes, features, labels, tr, va,
                                        components=components, hyper=hyper,
                                        family_count=4, dense_width=32)
         return model, hists, components, features, labels
@@ -266,18 +316,18 @@ class TestTraining:
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
         digests = {n: _weights_digest(m) for n, m in components.items()}
-        topo = FU.preset("LF2", manifest, "static", dense_width=128)
+        nodes = FU.preset("LF2", manifest, "static")
         hyper = S.Hyperparams(epochs=12, batch_size=16, seed=5, patience=12)
-        FU.train_fusion(topo, features, labels, tr, va, components=components,
+        FU.train_fusion(nodes, features, labels, tr, va, components=components,
                         hyper=hyper, family_count=4, dense_width=32)
         assert {n: _weights_digest(m) for n, m in components.items()} == digests
 
     def test_ef1_beats_best_component_on_separable_data(self):
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
-        topo = FU.preset("EF1", manifest, "static", dense_width=128)
+        nodes = FU.preset("EF1", manifest, "static")
         hyper = S.Hyperparams(epochs=25, batch_size=16, seed=5, patience=25)
-        model, hists = FU.train_fusion(topo, features, labels, tr, va,
+        model, hists = FU.train_fusion(nodes, features, labels, tr, va,
                                        components=components, hyper=hyper,
                                        family_count=4, dense_width=32)
         rows = {n: m[va] for n, m in features.items()}
@@ -306,14 +356,14 @@ class TestEveryPreset:
                                                       name, feature_set):
         features, labels, tr, va, components, manifest = trained_components
         digests = {n: _weights_digest(m) for n, m in components.items()}
-        topo = FU.preset(name, manifest, feature_set, dense_width=16)
+        nodes = FU.preset(name, manifest, feature_set)
         hyper = S.Hyperparams(epochs=3, batch_size=16, seed=5, patience=3)
-        model, hists = FU.train_fusion(topo, features, labels, tr, va,
+        model, hists = FU.train_fusion(nodes, features, labels, tr, va,
                                        components=components, hyper=hyper,
                                        family_count=4, dense_width=16)
         for row in model.predict_batch(features):
             CO.check_probability_vector(row)
-        stages = sum(n.kind == "pretrained-subclassifier" for n in topo.nodes)
+        stages = sum(n.kind == "pretrained-subclassifier" for n in nodes)
         # phase B leaves its parameters trainable, so any left means it ran
         assert len(hists) == stages + bool(model.trainable_parameters())
         assert {n: _weights_digest(m) for n, m in components.items()} == digests
@@ -324,9 +374,9 @@ class TestPredict:
     def _model():
         features, labels, tr, va = _toy_setup()
         components, manifest = _toy_components(features, labels, tr, va)
-        topo = FU.preset("LF2", manifest, "static", dense_width=128)
+        nodes = FU.preset("LF2", manifest, "static")
         hyper = S.Hyperparams(epochs=10, batch_size=16, seed=5, patience=10)
-        model, _ = FU.train_fusion(topo, features, labels, tr, va,
+        model, _ = FU.train_fusion(nodes, features, labels, tr, va,
                                    components=components, hyper=hyper,
                                    family_count=4, dense_width=32)
         return model, features
@@ -366,14 +416,14 @@ class TestPredict:
     def test_every_preset_reloads_identically(self, trained_components,
                                               tmp_path, name):
         features, labels, tr, va, components, manifest = trained_components
-        topo = FU.preset(name, manifest, dense_width=16)
+        nodes = FU.preset(name, manifest)
         hyper = S.Hyperparams(epochs=3, batch_size=16, seed=5, patience=3)
-        model, _ = FU.train_fusion(topo, features, labels, tr, va,
+        model, _ = FU.train_fusion(nodes, features, labels, tr, va,
                                    components=components, hyper=hyper,
                                    family_count=4, dense_width=16)
         path = tmp_path / f"fusion-{name}.mfc"
         model.save(path)
         back = FU.FusionModel.load(path)
-        assert back.topology.nodes == model.topology.nodes
+        assert back.nodes == model.nodes
         assert (back.predict_batch(features).tobytes()
                 == model.predict_batch(features).tobytes())

@@ -40,11 +40,11 @@ def _params(model):
 
 def _fusion(name, feature_set):
     """A four-family fusion model over untrained components of one hidden layer."""
-    topo = FU.preset(name, CO.ComponentManifest(ACCURACIES, {}), feature_set, dense_width=6)
+    nodes = FU.preset(name, CO.ComponentManifest(ACCURACIES, {}), feature_set)
     components = {n: CO.ComponentModel(n, WIDTHS[n], 4, S.Hyperparams(), hidden=(5,),
                                        rng=_rng())
                   for n in FU.FEATURE_SETS[feature_set]}
-    return FU.FusionModel(topo, WIDTHS, 4, S.Hyperparams(), components, 6)
+    return FU.FusionModel(nodes, WIDTHS, 4, S.Hyperparams(), components, 6)
 
 
 def _mlp(in_width, hidden, out=4):

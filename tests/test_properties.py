@@ -1,16 +1,17 @@
 """Property-based tests: file-format round trips, parser and container
-robustness, split invariants, the noise-table lookup; and a fusion model's
-damaged topology meta."""
+robustness, split invariants, the noise-table lookup; a fusion model's
+damaged topology meta, and fusion models built from random node lists."""
 
 import io
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import malfusion.components as CO  # noqa: E402
 import malfusion.corpus as C  # noqa: E402
@@ -216,6 +217,12 @@ def test_damaged_container_loads_or_raises_container_error(container, damage):
         pass
 
 
+def _clear_args(kind):
+    """Drop the arguments of each node of ``kind``."""
+    return lambda nodes: [[nid, k, [] if k == kind else args, deps]
+                          for nid, k, args, deps in nodes]
+
+
 # each rewrites a saved fusion model's topology meta, a list of
 # [node_id, kind, args, deps] entries
 _TOPOLOGY_DAMAGE = {
@@ -224,21 +231,106 @@ _TOPOLOGY_DAMAGE = {
     "two-field-entry": lambda nodes: [nodes[0][:2], *nodes[1:]],
     "forward-reference": lambda nodes: nodes[::-1],
     "dict": lambda nodes: {node[0]: node[1:] for node in nodes},
+    "feature-input-without-feature": _clear_args("feature-input"),
+    "component-output-without-feature": _clear_args("component-output"),
+    "ensemble-without-mode": _clear_args("ovr-ensemble"),
+    "ensemble-without-inputs": lambda nodes: [["root", "ovr-ensemble", ["fixed"], []]],
 }
 
 
 @pytest.mark.parametrize("damage", sorted(_TOPOLOGY_DAMAGE))
 def test_damaged_fusion_topology_is_a_container_error(tmp_path, damage):
     path = tmp_path / "fusion.mfc"
-    topology = FU.FusionTopology([FU.Node("f", "feature-input", ("api_freq",)),
-                                  FU.Node("d", "dense-block", ("4",), ("f",)),
-                                  FU.Node("root", "softmax-head", (), ("d",))])
-    FU.FusionModel(topology, {"api_freq": 3}, 2, S.Hyperparams(), None, 4).save(path)
+    nodes = [FU.Node("f", "feature-input", ("api_freq",)),
+             FU.Node("d", "dense-block", (), ("f",)),
+             FU.Node("h", "softmax-head", (), ("d",)),
+             FU.Node("c", "component-output", ("api_freq",)),
+             FU.Node("root", "ovr-ensemble", ("fixed",), ("h", "c"))]
+    component = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(), hidden=(4,),
+                                  rng=np.random.default_rng(0))
+    FU.FusionModel(nodes, {"api_freq": 3}, 2, S.Hyperparams(), {"api_freq": component},
+                   4).save(path)
     meta, arrays = S.load_container(path)
     meta["config"]["topology"] = _TOPOLOGY_DAMAGE[damage](meta["config"]["topology"])
     S.save_container(path, meta, arrays)
     with pytest.raises(S.ContainerError, match=f"^{re.escape(str(path))}: bad fusion config "):
         FU.FusionModel.load(path)
+
+
+# each kind's good arguments, and a bad one
+_NODE_ARGS = {"feature-input": (["api_freq", "pe_onehot"], "cg_lowfreq"),
+              "component-output": (["api_freq"], "pe_onehot"),
+              "ovr-ensemble": (["fixed", "trainable"], "weighted")}
+_INPUT_KINDS = ("feature-input", "component-output")
+_FUSION_KINDS = _INPUT_KINDS + ("concat", "dense-block", "softmax-head",
+                                "pretrained-subclassifier", "ovr-ensemble", "mystery")
+# inputs a node of each kind takes; any other kind takes one to three
+_ARITY = {"feature-input": 0, "component-output": 0, "dense-block": 1, "softmax-head": 1,
+          "pretrained-subclassifier": 1}
+_SOMETIMES = st.integers(0, 19).map(lambda k: k == 7)  # one in twenty
+
+
+@st.composite
+def _node_trees(draw, depth):
+    """A (kind, args, input trees) tree of random kinds and arguments; each
+    node mostly takes as many inputs as its kind does, and below ``depth``
+    there are only input kinds."""
+    kind = draw(st.sampled_from(_FUSION_KINDS if depth else _INPUT_KINDS))
+    good, bad = _NODE_ARGS.get(kind, (["8"], "8"))
+    args = () if draw(_SOMETIMES) else (bad if draw(_SOMETIMES) else draw(st.sampled_from(good)),)
+    count = draw(st.integers(0, 3)) if draw(_SOMETIMES) else _ARITY.get(kind)
+    if count is None:
+        count = draw(st.integers(1, 3))
+    return kind, args, [draw(_node_trees(depth - 1)) for _ in range(count if depth else 0)]
+
+
+@st.composite
+def _node_lists(draw):
+    """A random tree's nodes in topological order; now and then a second
+    root is added, a node also reads an earlier node or one never defined,
+    an id repeats, or the order is reversed."""
+    nodes = []
+
+    def add(tree):
+        kind, args, inputs = tree
+        deps = tuple(add(t) for t in inputs)
+        nodes.append(FU.Node(f"n{len(nodes)}", kind, args, deps))
+        return nodes[-1].node_id
+
+    add(draw(_node_trees(3)))
+    if draw(_SOMETIMES):
+        add(draw(_node_trees(1)))
+    i = draw(st.integers(0, len(nodes) - 1))
+    extra = [n.node_id for n in nodes[:i]] + ["ghost"]
+    if draw(_SOMETIMES):
+        nodes[i] = replace(nodes[i], deps=nodes[i].deps + (draw(st.sampled_from(extra)),))
+    if i and draw(_SOMETIMES):
+        nodes[i] = replace(nodes[i], node_id=nodes[0].node_id)
+    return nodes[::-1] if draw(_SOMETIMES) else nodes
+
+
+@settings(max_examples=500)
+@given(_node_lists(), st.integers(2, 3), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4))
+def test_any_node_list_builds_a_probability_model_or_is_rejected(
+        nodes, family_count, api_width, pe_width, dense_width):
+    """Over api_freq (with a component) and pe_onehot (without one), a node
+    list either builds a model whose every row is a probability vector, or
+    is rejected with a TopologyError or a FusionError."""
+    lengths = {"api_freq": api_width, "pe_onehot": pe_width}
+    component = CO.ComponentModel("api_freq", api_width, family_count, S.Hyperparams(),
+                                  hidden=(3,), rng=np.random.default_rng(0))
+    try:
+        model = FU.FusionModel(nodes, lengths, family_count, S.Hyperparams(),
+                               {"api_freq": component}, dense_width)
+    except (FU.TopologyError, FU.FusionError):
+        return
+    rng = np.random.default_rng(0)
+    rows = model.predict_batch({name: rng.normal(size=(3, lengths[name]))
+                                for name in model.required_features()})
+    assert rows.shape == (3, family_count)
+    for row in rows:
+        CO.check_probability_vector(row)
 
 
 # positive weights whose running sums stay strictly increasing: the smallest
