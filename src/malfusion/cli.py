@@ -1,11 +1,12 @@
 """Batch entry point wiring every module into reproducible experiment runs.
 
 Stages chain: ``gen`` writes a corpus; ``extract`` fits every stage below
-fusion and writes split.json, features/, models/ (the fitted extractors),
+fusion and writes split.json, features.mfc, models/ (the fitted extractors),
 components/, component-accuracy.csv and config.json; ``train-fusion`` and
 ``explain`` read that run (--run) and its corpus and fit only fusion models,
-under the pipeline config recorded in the run's config.json. ``eval`` is
-the one-shot run, holdout or k-fold.
+under the pipeline config recorded in the run's config.json, with the
+accuracies of the component files (components/manifest.json is only a
+record). ``eval`` is the one-shot run, holdout or k-fold.
 
 Each subcommand validates its arguments, runs, writes artifacts under --out
 together with a resolved config.json, and logs progress to standard error.
@@ -22,7 +23,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .components import ComponentManifest, ComponentModel
+from .components import ComponentManifest, ComponentModel, component_file
 from .corpus import (
     DEFAULT_HOLDOUT,
     CorpusError,
@@ -41,7 +42,7 @@ from .evaluate import (
     make_report,
     sweep,
 )
-from .features import FeatureTable, load_features, save_features
+from .features import FEATURE_NAMES, load_features, save_features
 from .fusion import PRESET_NAMES
 from .pipeline import (
     ConfigError,
@@ -114,12 +115,15 @@ def _fold_count(text: str) -> int:
 
 def _corpus_split(args, config: PipelineConfig):
     """The corpus and its split: --split, or the holdout split drawn at the
-    run's config seed, the seed every fit of the run also derives from."""
+    run's config seed, the seed every fit of the run also derives from.
+    Either has train, validation and test rows, or this fails before any fit."""
     corpus = load_corpus(args.corpus)
     if getattr(args, "split", None):
         split = load_split(args.split, len(corpus))
     else:
         split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=config.seed)
+        split.check_holdout(f"{len(corpus)} samples split by the holdout fractions "
+                            f"{DEFAULT_HOLDOUT}")
     return corpus, split
 
 
@@ -156,11 +160,8 @@ def _cmd_extract(args) -> int:
     components, manifest = train_components(features, corpus.labels(),
                                             split.train, split.validation,
                                             corpus.family_count, config)
-    feat_dir = out / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    ids = [s.sample_id for s in corpus.samples]
-    for name, matrix in features.items():
-        save_features(FeatureTable(name, ids, matrix), feat_dir / f"{name}.csv")
+    out.mkdir(parents=True, exist_ok=True)
+    save_features(out / "features.mfc", [s.sample_id for s in corpus.samples], features)
     save_extractors(out / "models", extractors)
     save_split(out / "split.json", split)
     comp_dir = out / "components"
@@ -181,20 +182,21 @@ def _load_run(args):
     """The corpus, and what ``extract`` wrote to --run: the split, the feature
     matrices, the components with their manifest, and the config it used."""
     corpus = load_corpus(args.corpus)
-    run_dir, comp_dir = Path(args.run), Path(args.run) / "components"
-    manifest = ComponentManifest.load(comp_dir / "manifest.json")
-    ids = [s.sample_id for s in corpus.samples]
-    features, components = {}, {}
-    for name, file in manifest.paths.items():
-        table = load_features(run_dir / "features" / f"{name}.csv")
-        if table.sample_ids != ids:
-            raise ValueError(f"{run_dir / 'features' / name}.csv: sample ids do "
-                             "not match the corpus sample order")
-        components[name] = ComponentModel.load(comp_dir / file)
+    run_dir = Path(args.run)
+    features_path = run_dir / "features.mfc"
+    ids, features = load_features(features_path)
+    if ids != [s.sample_id for s in corpus.samples]:
+        raise ValueError(f"{features_path}: sample ids do not match the corpus sample order")
+    missing = [name for name in FEATURE_NAMES if name not in features]
+    if missing:
+        raise ValueError(f"{features_path}: no matrices for {missing}")
+    components = {}
+    for name in FEATURE_NAMES:
+        path = run_dir / "components" / component_file(name)
+        components[name] = ComponentModel.load(path)
         if components[name].feature_name != name:
-            raise ValueError(f"{comp_dir / file}: holds the {components[name].feature_name}"
-                             f" component, where the manifest names {name}")
-        features[name] = table.matrix
+            raise ValueError(f"{path}: holds the {components[name].feature_name}"
+                             f" component, not the {name} one")
     split = load_split(run_dir / "split.json", len(corpus))
     try:
         config = PipelineConfig.from_dict(
@@ -202,6 +204,7 @@ def _load_run(args):
     except (KeyError, TypeError, ValueError) as e:  # a bad value is a damaged run, not usage
         raise ValueError(f"{run_dir / 'config.json'}: bad or missing pipeline_config "
                          f"({e!r})") from None
+    manifest = ComponentManifest.from_models(components)
     return corpus, split, features, components, manifest, config
 
 
@@ -226,8 +229,6 @@ def _cmd_train_fusion(args) -> int:
 def _cmd_eval(args) -> int:
     config = _config_from_args(args)
     preset_name = PRESET_FLAGS[args.preset]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.cv:
         report = cross_validate(config, load_corpus(args.corpus), k=args.cv,
                                 preset_name=preset_name, feature_set=args.features)
@@ -239,6 +240,8 @@ def _cmd_eval(args) -> int:
         report = make_report(result.test_probs, result.test_labels,
                              corpus.family_count)
         protocol = "fixed holdout split"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(f"protocol: {protocol}\n" + report.to_text())
     _write_resolved_config(out, args, config)

@@ -1,23 +1,21 @@
 """Per-feature family classifiers sharing one architecture, and the manifest
-that records their validation accuracies.
+of the validation accuracies they record.
 
 Every component is the same dense stack (hidden widths 256, 128, rectifier)
 ending in an F-way softmax; only the input width differs per feature. The
 manifest's accuracies drive the ascending-accuracy ordering used by the
-cascade fusion presets.
+cascade fusion presets; a run saves it as a record, and no command reads it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import substrate as S
-from .corpus import read_json_object
 from .features import FEATURE_NAMES
 from .seeding import derive_seed
 
@@ -44,6 +42,11 @@ class ComponentModel(S.Module):
                  rng: np.random.Generator):
         if feature_name not in FEATURE_NAMES:
             raise ComponentError(f"unknown feature name {feature_name!r}")
+        if val_accuracy is not None and (isinstance(val_accuracy, bool)
+                                         or not isinstance(val_accuracy, (int, float))
+                                         or not 0 <= val_accuracy <= 1):
+            raise ComponentError(f"{feature_name}: val_accuracy {val_accuracy!r} is "
+                                 "not a number in [0, 1]")
         self.feature_name = feature_name
         self.input_width = input_width
         self.family_count = family_count
@@ -91,6 +94,11 @@ def train_component(feature_name: str, features: np.ndarray, labels: np.ndarray,
 # component manifest -------------------------------------------------------------
 
 
+def component_file(feature_name: str) -> str:
+    """The file name a run saves ``feature_name``'s component under."""
+    return f"component-{feature_name}.mfc"
+
+
 @dataclass
 class ComponentManifest:
     """feature_name -> (validation accuracy, optional model path)."""
@@ -115,33 +123,11 @@ class ComponentManifest:
                               encoding="utf-8")
 
     @classmethod
-    def load(cls, path: str | Path) -> "ComponentManifest":
-        """Read a saved manifest; any fault raises ``ComponentError`` naming
-        ``path``."""
-        entries = read_json_object(path, ComponentError).get("components")
-        if not isinstance(entries, dict):
-            raise ComponentError(f"{path}: no components object")
-        accs, paths = {}, {}
-        for name, entry in entries.items():
-            accuracy = entry.get("accuracy") if isinstance(entry, dict) else None
-            if (isinstance(accuracy, bool) or not isinstance(accuracy, (int, float))
-                    or not math.isfinite(accuracy)):
-                raise ComponentError(f"{path}: component {name!r} has no accuracy "
-                                     f"that is a finite number")
-            accs[name] = float(accuracy)
-            if "path" in entry:
-                if not isinstance(entry["path"], str):
-                    raise ComponentError(f"{path}: component {name!r} has a path "
-                                         "that is not a string")
-                paths[name] = entry["path"]
-        return cls(accs, paths)
-
-    @classmethod
-    def from_models(cls, models: dict[str, ComponentModel],
-                    paths: dict[str, str] | None = None) -> "ComponentManifest":
+    def from_models(cls, models: dict[str, ComponentModel]) -> "ComponentManifest":
+        """The models' accuracies, each under its ``component_file`` name."""
         accs = {}
         for name, model in models.items():
             if model.val_accuracy is None:
                 raise ComponentError(f"component {name} has no recorded accuracy")
             accs[name] = model.val_accuracy
-        return cls(accs, paths or {})
+        return cls(accs, {name: component_file(name) for name in models})

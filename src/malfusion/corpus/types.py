@@ -357,6 +357,14 @@ class DatasetSplit:
             if sorted(flat) != list(range(n)):
                 raise CorpusError("holdout buckets do not partition the index set")
 
+    def check_holdout(self, where: str) -> None:
+        """Raise ``CorpusError`` naming ``where`` unless the train, validation
+        and test rows are each non-empty."""
+        if not (self.train and self.validation and self.test):
+            raise CorpusError(f"{where}: a holdout split needs train, validation and "
+                              f"test rows, got {len(self.train)}/{len(self.validation)}/"
+                              f"{len(self.test)}")
+
 
 @dataclass
 class CorpusSpec:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import substrate as S
 from .components import check_probability_vector
-from .corpus import Corpus, DatasetSplit, make_splits
+from .corpus import Corpus, CorpusError, DatasetSplit, make_splits
 from .dynamic_features import train_call_sequence_encoder
 from .features import FeatureVector
 from .fusion import FusionModel, predict_fusion
@@ -147,19 +147,25 @@ def cross_validate(config: PipelineConfig, corpus: Corpus, k: int = 10,
     """Per fold: rebuild vocabularies, feature models, components, and the
     fusion head from the training folds only, then score the held-out fold.
     ``config.seed`` seeds the folds and, through ``derive_seed``, each
-    fold's fits."""
+    fold's fits. Every fold's train, validation and test rows are checked
+    to be non-empty before the first fit."""
     if k < 2:
         raise EvaluationError("cross-validation needs k >= 2")
-    split = make_splits(corpus, k=k, seed=config.seed)
-    folds = [np.asarray(f, dtype=np.int64) for f in split.folds]
+    folds = make_splits(corpus, k=k, seed=config.seed).folds
+    fold_splits = []
+    for i in range(k):
+        val = (i + 1) % k
+        fold_splits.append(DatasetSplit(
+            train=[x for j in range(k) if j not in (i, val) for x in folds[j]],
+            validation=folds[val], test=folds[i]))
+        try:
+            fold_splits[-1].check_holdout(f"fold {i}")
+        except CorpusError as exc:
+            raise EvaluationError(f"{k}-fold cross-validation of {len(corpus)} "
+                                  f"samples: {exc}") from None
 
     outcomes = []
-    for i in range(k):
-        val = folds[(i + 1) % k]
-        train = np.concatenate([folds[j] for j in range(k)
-                                if j != i and j != (i + 1) % k])
-        fold_split = DatasetSplit(train=list(train), validation=list(val),
-                                  test=list(folds[i]))
+    for i, fold_split in enumerate(fold_splits):
         fold_config = config.replace(seed=derive_seed(config.seed, "cv", i))
         result = run_experiment(corpus, fold_split, fold_config,
                                 preset_name=preset_name, feature_set=feature_set)

@@ -3,7 +3,8 @@
 A fusion model is its node list (``nodes``, in topological order).
 ``FusionModel.__init__`` checks and builds the nodes in one pass: each
 node's id is new, its dependencies are defined earlier, its arity and
-arguments fit its kind; it computes the node's output width (``widths``)
+arguments fit its kind, and a component fits its feature's length and the
+model's family count; it computes the node's output width (``widths``)
 and builds its module. After the pass it checks that exactly one node,
 the ``root``, is depended on by none and that it emits probabilities. So
 a malformed structure raises ``TopologyError`` before any training.
@@ -107,19 +108,26 @@ class FusionModel(S.Module):
             if kind in ("dense-block", "softmax-head", "pretrained-subclassifier"):
                 if len(deps) != 1:
                     raise TopologyError(f"{nid}: {kind} takes one input")
-            if kind in _INPUT_KINDS and not args:
-                raise TopologyError(f"{nid}: {kind} names no feature")
+            if kind in _INPUT_KINDS:
+                if not args:
+                    raise TopologyError(f"{nid}: {kind} names no feature")
+                if args[0] not in feature_lengths:
+                    raise TopologyError(f"{nid}: no length for feature {args[0]!r}")
             in_width = self.widths[deps[0]] if deps else 0
             seed_rng = np.random.default_rng(derive_seed(hyper.seed, "fusion", nid))
             width = family_count
             if kind == "feature-input":
-                if args[0] not in feature_lengths:
-                    raise TopologyError(f"{nid}: no length for feature {args[0]!r}")
                 width = feature_lengths[args[0]]
             elif kind == "component-output":
                 if components is None or args[0] not in components:
                     raise FusionError(f"{nid}: no trained component for {args[0]!r}")
                 comp = components[args[0]]
+                if (comp.family_count, comp.input_width) != (family_count,
+                                                             feature_lengths[args[0]]):
+                    raise TopologyError(
+                        f"{nid}: the {args[0]} component maps width {comp.input_width} to "
+                        f"{comp.family_count} families, the model needs width "
+                        f"{feature_lengths[args[0]]} to {family_count}")
                 comp.set_trainable(False)
                 self.components[nid] = comp
             elif kind == "concat":

@@ -245,8 +245,7 @@ def load_split(path, n: int) -> DatasetSplit:
                          validation=indices(payload["validation"], "validation"),
                          test=indices(payload["test"], "test"),
                          folds=[indices(fold, f"fold {k}") for k, fold in enumerate(folds)])
-    if not (split.train and split.validation and split.test):
-        raise CorpusError(f"{path}: a holdout split needs train, validation and test rows")
+    split.check_holdout(str(path))
     try:
         split.check_partition(n)
     except CorpusError as exc:
@@ -357,9 +356,7 @@ def train_components(features: dict[str, np.ndarray], labels: np.ndarray,
                                   seed=derive_seed(config.seed, f"component/{name}"))
             models[name], _ = train_component(name, features[name], labels, train_idx,
                                               val_idx, family_count, hyper=hyper)
-    manifest = ComponentManifest.from_models(
-        models, {name: f"component-{name}.mfc" for name in models})
-    return models, manifest
+    return models, ComponentManifest.from_models(models)
 
 
 def train_preset(preset_name: str, feature_set: str,

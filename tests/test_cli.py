@@ -8,9 +8,11 @@ import pytest
 
 import malfusion.cli as cli
 import malfusion.pipeline as P
+import malfusion.substrate as S
 from malfusion.cli import run
 from malfusion.corpus import DEFAULT_HOLDOUT, load_corpus, make_splits
 from malfusion.dynamic_features import PvModel
+from malfusion.features import FEATURE_NAMES, load_features
 from malfusion.pipeline import load_split, save_split
 
 MICRO_OVERRIDES = {
@@ -52,6 +54,22 @@ def tiny_config_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.json"
     path.write_text(json.dumps(TINY_OVERRIDES))
     return path
+
+
+@pytest.fixture(scope="module")
+def small_corpus_dir(tmp_path_factory):
+    """Six samples: the default holdout fractions leave no test row."""
+    out = tmp_path_factory.mktemp("small")
+    assert run(["gen", "--families", "2", "--samples-per-family", "3",
+                "--out", str(out)]) == 0
+    return out
+
+
+def _damage_container(path, damage):
+    """Rewrite the container at ``path`` through ``damage(meta, arrays)``."""
+    meta, arrays = S.load_container(path)
+    damage(meta, arrays)
+    S.save_container(path, meta, arrays)
 
 
 @pytest.fixture(scope="module")
@@ -184,14 +202,6 @@ class TestExitCodes:
                 == f"{manifest}: line {line}: " + message.format(sid=sid, prev=prev))
 
     @pytest.mark.parametrize("file, damage, message", [
-        ("components/manifest.json",
-         lambda doc: doc["components"]["api_freq"].pop("accuracy") and doc,
-         "component 'api_freq' has no accuracy that is a finite number"),
-        ("components/manifest.json",
-         lambda doc: doc["components"]["api_freq"].update(accuracy="0.5") or doc,
-         "component 'api_freq' has no accuracy that is a finite number"),
-        ("components/manifest.json", lambda doc: [doc], "expected a JSON object, got list"),
-        ("components/manifest.json", None, "not JSON ("),
         ("split.json", lambda doc: doc.pop("validation") and doc,
          "missing keys ['validation']"),
         ("split.json", lambda doc: doc["train"].insert(0, "7") or doc,
@@ -200,9 +210,8 @@ class TestExitCodes:
         ("split.json", None, "not JSON ("),
         ("config.json", lambda doc: doc.pop("pipeline_config") and doc,
          "bad or missing pipeline_config (KeyError('pipeline_config'))"),
-    ], ids=["manifest-no-accuracy", "manifest-text-accuracy", "manifest-list",
-            "manifest-truncated", "split-no-validation", "split-text-index", "split-list",
-            "split-truncated", "config-no-pipeline-config"])
+    ], ids=["split-no-validation", "split-text-index", "split-list", "split-truncated",
+            "config-no-pipeline-config"])
     def test_damaged_run_file_is_named(self, corpus_dir, tiny_run, tmp_path, caplog,
                                        file, damage, message):
         """A damage rewrites the file's JSON document; None cuts the file in half."""
@@ -217,6 +226,61 @@ class TestExitCodes:
                         "--out", str(tmp_path / "out")])
         assert code == 1
         assert caplog.records[-1].getMessage().startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("file, damage, message", [
+        ("features.mfc", lambda meta, arrays: arrays.pop("api_freq"),
+         "no matrices for ['api_freq']"),
+        ("features.mfc", lambda meta, arrays: arrays.update(api_freq=arrays["api_freq"][1:]),
+         "api_freq is float64(59, 21), expected float64 rows for 60 samples"),
+        ("components/component-api_freq.mfc",
+         lambda meta, arrays: meta["config"].update(val_accuracy="0.5"),
+         "bad component config"),
+    ], ids=["features-missing-matrix", "features-row-count", "component-text-accuracy"])
+    def test_damaged_run_container_is_named(self, corpus_dir, tiny_run, tmp_path, caplog,
+                                            file, damage, message):
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        path = run_dir / file
+        _damage_container(path, damage)
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["train-fusion", "--run", str(run_dir), "--corpus", str(corpus_dir),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert caplog.records[-1].getMessage().startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("argv", [["extract"], ["eval"], ["eval", "--cv", "10"]],
+                             ids=["extract", "eval", "eval-cv"])
+    def test_corpus_too_small_for_the_split_fails_before_any_fit(
+            self, small_corpus_dir, tmp_path, caplog, fit_calls, argv):
+        """Six samples leave the holdout split without test rows, and ten folds
+        with empty ones: the command names the corpus size and fits nothing."""
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run([*argv, "--corpus", str(small_corpus_dir), "--out", str(out)])
+        assert code == 1
+        assert fit_calls == []
+        assert not out.exists()
+        message = caplog.records[-1].getMessage()
+        if "--cv" in argv:
+            assert message == ("10-fold cross-validation of 6 samples: fold 3: a holdout "
+                               "split needs train, validation and test rows, got 5/0/1")
+        else:
+            assert message == ("6 samples split by the holdout fractions (0.81, 0.09, 0.1): "
+                               "a holdout split needs train, validation and test rows, "
+                               "got 5/1/0")
+
+    def test_two_folds_leave_no_training_rows(self, corpus_dir, tmp_path, caplog,
+                                              fit_calls):
+        """With two folds, each fold's test and validation folds are the whole
+        corpus."""
+        with caplog.at_level(logging.ERROR, logger="malfusion"):
+            code = run(["eval", "--cv", "2", "--corpus", str(corpus_dir),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert fit_calls == []
+        assert caplog.records[-1].getMessage() == (
+            "2-fold cross-validation of 60 samples: fold 0: a holdout split needs "
+            "train, validation and test rows, got 0/30/30")
 
     def test_missing_manifest_column_names_the_manifest(self, corpus_dir, tmp_path, caplog):
         corpus = tmp_path / "corpus"
@@ -322,22 +386,20 @@ class TestExitCodes:
 
 
 class TestPipelineCommands:
-    def test_extract_then_train_components(self, tiny_run):
+    def test_extract_then_train_components(self, corpus_dir, tiny_run):
         """One extract run holds the features, the extractors, the split and
         the trained components."""
         run_dir = tiny_run
-        feature_files = sorted(p.name for p in (run_dir / "features").iterdir())
-        assert feature_files == [
-            "api_freq.csv", "cg_embedding.csv", "cg_lowfreq.csv",
-            "cooc_feat.csv", "pe_onehot.csv", "pv_trace.csv",
-            "stmt_embed.csv"]
+        ids, features = load_features(run_dir / "features.mfc")
+        assert ids == [s.sample_id for s in load_corpus(corpus_dir).samples]
+        assert list(features) == list(FEATURE_NAMES)
         assert (run_dir / "split.json").exists()
         assert (run_dir / "models" / "extractors.json").exists()
         resolved = json.loads((run_dir / "config.json").read_text())
         assert resolved["pipeline_config"]["zigzag_len"] == TINY_OVERRIDES["zigzag_len"]
         models = sorted(p.name for p in (run_dir / "components").iterdir()
                         if p.suffix == ".mfc")
-        assert models == [f"component-{name[:-4]}.mfc" for name in feature_files]
+        assert models == sorted(f"component-{name}.mfc" for name in FEATURE_NAMES)
         assert (run_dir / "components" / "manifest.json").exists()
         accuracy = (run_dir / "component-accuracy.csv").read_text()
         assert accuracy.startswith("feature,validation_accuracy\n")
@@ -480,17 +542,17 @@ class TestPipelineCommands:
         shutil.copytree(tiny_run, run_dir)
         corpus = load_corpus(corpus_dir)
         split = load_split(run_dir / "split.json", len(corpus))
-        sample_id = corpus.samples[getattr(split, bucket)[0]].sample_id
-        table = run_dir / "features" / "api_freq.csv"
-        lines = table.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith(sample_id + ","))
-        lines[row] = f"{sample_id},{cell}," + lines[row].split(",", 2)[2]
-        table.write_text("\n".join(lines) + "\n")
+        row = getattr(split, bucket)[0]
+        sample_id = corpus.samples[row].sample_id
+        path = run_dir / "features.mfc"
+        _damage_container(path, lambda meta, arrays: arrays["api_freq"].__setitem__(
+            (row, 0), float(cell)))
         with caplog.at_level(logging.ERROR, logger="malfusion"):
             code = run(["train-fusion", "--corpus", str(corpus_dir),
                         "--run", str(run_dir), "--out", str(tmp_path / "fusion")])
         assert code == 1
-        assert f"api_freq.csv: row for {sample_id!r} has non-finite values" in caplog.text
+        assert (caplog.records[-1].getMessage()
+                == f"{path}: api_freq row for {sample_id!r} has non-finite values")
 
 
 class TestChainedStages:
@@ -533,6 +595,20 @@ class TestChainedStages:
             assert ((tmp_path / "full" / name).read_bytes()
                     == (tmp_path / "bare" / name).read_bytes()), name
 
+    def test_train_fusion_reads_no_manifest(self, corpus_dir, tiny_run, tmp_path):
+        """The accuracies come from the component files: without
+        components/manifest.json, train-fusion writes the same model, report
+        and manifest bytes."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        (run_dir / "components" / "manifest.json").unlink()
+        for name, source in (("full", tiny_run), ("bare", run_dir)):
+            assert run(["train-fusion", "--preset", "ef2", "--run", str(source),
+                        "--corpus", str(corpus_dir), "--out", str(tmp_path / name)]) == 0
+        for name in ("report.csv", "report.txt", "fusion-ef2-integrated.mfc", "manifest.json"):
+            assert ((tmp_path / "full" / name).read_bytes()
+                    == (tmp_path / "bare" / name).read_bytes()), name
+
     @pytest.mark.parametrize("command", ["train-fusion", "explain"])
     @pytest.mark.parametrize("damage", ["no-components", "foreign-ids", "wrong-component"])
     def test_damaged_run_fails_before_any_fusion_fit(self, corpus_dir, tiny_run, tmp_path,
@@ -542,12 +618,11 @@ class TestChainedStages:
         comp_dir = run_dir / "components"
         if damage == "no-components":
             shutil.rmtree(comp_dir)
-            named = comp_dir / "manifest.json"
+            named = comp_dir / "component-pe_onehot.mfc"
         elif damage == "foreign-ids":
-            named = run_dir / "features" / "api_freq.csv"
-            lines = named.read_text().splitlines()
-            lines[1] = "stranger," + lines[1].split(",", 1)[1]
-            named.write_text("\n".join(lines) + "\n")
+            named = run_dir / "features.mfc"
+            _damage_container(named, lambda meta, arrays: meta["sample_ids"].__setitem__(
+                0, "stranger"))
         else:
             named = comp_dir / "component-api_freq.mfc"
             shutil.copyfile(comp_dir / "component-pe_onehot.mfc", named)
@@ -607,8 +682,7 @@ class TestSplitOption:
         split = load_split(runs[1] / "split.json", 60)
         assert split.test == make_splits(load_corpus(corpus_dir), holdout=DEFAULT_HOLDOUT,
                                          seed=5).test
-        tables = [f"features/{p.name}" for p in (runs[0] / "features").iterdir()]
-        for rel in ["split.json", *tables]:
+        for rel in ["split.json", "features.mfc"]:
             assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
 
     def test_eval_rejects_cv_with_split(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Per-feature classifiers and their manifest."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -131,14 +133,18 @@ class TestManifest:
         m2 = CO.ComponentManifest(swapped, paths)
         assert m2.ascending()[0] == "pe_onehot"
 
-    def test_round_trip(self, tmp_path):
-        paths = {n: f"component-{n}.mfc" for n in self.ACCS}
-        m = CO.ComponentManifest(dict(self.ACCS), paths)
+    def test_from_models_names_each_file(self, tmp_path):
+        """The manifest takes each component's accuracy and file name; its
+        saved record lists both, by feature."""
+        models = {name: CO.ComponentModel(name, 3, 2, S.Hyperparams(), hidden=(4,),
+                                          val_accuracy=acc, rng=np.random.default_rng(0))
+                  for name, acc in self.ACCS.items()}
+        m = CO.ComponentManifest.from_models(models)
+        assert m.accuracies == self.ACCS
+        assert m.paths == {n: f"component-{n}.mfc" for n in self.ACCS}
         m.save(tmp_path / "manifest.json")
-        back = CO.ComponentManifest.load(tmp_path / "manifest.json")
-        assert back.accuracies == m.accuracies
-        assert back.paths == m.paths
-        assert back.ascending() == m.ascending()
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {"components": {
+            n: {"accuracy": acc, "path": f"component-{n}.mfc"} for n, acc in self.ACCS.items()}}
 
 
 class TestModelContainer:
@@ -178,6 +184,28 @@ class TestModelContainer:
         S.save_container(path, meta, arrays)
         with pytest.raises(S.ContainerError, match="batchnorm"):
             CO.ComponentModel.load(path)
+
+    @pytest.mark.parametrize("accuracy", ["0.5", float("nan"), 1.5, -0.1, True, [0.5]])
+    def test_bad_accuracy_rejected(self, tmp_path, accuracy):
+        """A recorded accuracy is None or a number in [0, 1]; the file that
+        holds any other is named."""
+        model = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(), hidden=(4,),
+                                  val_accuracy=0.5, rng=np.random.default_rng(8))
+        path = tmp_path / "component.mfc"
+        model.save(path)
+        meta, arrays = S.load_container(path)
+        meta["config"]["val_accuracy"] = accuracy
+        S.save_container(path, meta, arrays)
+        with pytest.raises(S.ContainerError) as err:
+            CO.ComponentModel.load(path)
+        assert str(err.value).startswith(f"{path}: bad component config ")
+        assert f"api_freq: val_accuracy {accuracy!r} is not a number in [0, 1]" in str(err.value)
+
+    @pytest.mark.parametrize("accuracy", [None, 0, 1, 0.25])
+    def test_accuracy_in_range_accepted(self, accuracy):
+        model = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(), hidden=(4,),
+                                  val_accuracy=accuracy, rng=np.random.default_rng(8))
+        assert model.val_accuracy == accuracy
 
     def test_zero_input_width_rejected(self, tmp_path):
         model = CO.ComponentModel("api_freq", 3, 2, S.Hyperparams(), hidden=(4,),

@@ -98,7 +98,7 @@ class TestPresets:
 
     def test_lf2_concat_width_560_at_80_families(self, untrained_components):
         nodes = FU.preset("LF2", _manifest())
-        model = FU.FusionModel(nodes, {}, 80, S.Hyperparams(), untrained_components, 128)
+        model = FU.FusionModel(nodes, WIDE_LENGTHS, 80, S.Hyperparams(), untrained_components, 128)
         concat = next(n for n in nodes if n.kind == "concat")
         assert model.widths[concat.node_id] == 7 * 80 == 560
 
@@ -200,6 +200,22 @@ class TestBuildChecks:
         with pytest.raises(FU.TopologyError) as exc:
             _build(nodes)
         assert str(exc.value) == "fz: no length for feature 'z'"
+
+    @pytest.mark.parametrize("width, families, lengths, message", [
+        (5, 4, {"api_freq": 7}, "c: the api_freq component maps width 5 to 4 families, "
+                                "the model needs width 7 to 4"),
+        (7, 3, {"api_freq": 7}, "c: the api_freq component maps width 7 to 3 families, "
+                                "the model needs width 7 to 4"),
+        (7, 4, {}, "c: no length for feature 'api_freq'"),
+    ], ids=["width", "families", "no-length"])
+    def test_component_that_does_not_fit(self, width, families, lengths, message):
+        component = CO.ComponentModel("api_freq", width, families, S.Hyperparams(),
+                                      hidden=(3,), rng=np.random.default_rng(0))
+        nodes = [FU.Node("c", "component-output", ("api_freq",)),
+                 FU.Node("root", "softmax-head", (), ("c",))]
+        with pytest.raises(FU.TopologyError) as exc:
+            FU.FusionModel(nodes, lengths, 4, S.Hyperparams(), {"api_freq": component}, 6)
+        assert str(exc.value) == message
 
     def test_concat_without_inputs(self):
         nodes = [FU.Node("cat", "concat"), FU.Node("root", "softmax-head", (), ("cat",))]

@@ -20,8 +20,7 @@ import malfusion.substrate as S  # noqa: E402
 from malfusion.corpus.io import normalize_param  # noqa: E402
 from malfusion.corpus.splits import _bucket_targets  # noqa: E402
 from malfusion.dynamic_features.pv import _noise_index  # noqa: E402
-from malfusion.features import (FEATURE_NAMES, FeatureTable, load_features,  # noqa: E402
-                                save_features)
+from malfusion.features import FEATURE_NAMES, load_features, save_features  # noqa: E402
 
 GRAPH_SIZE = 8
 
@@ -217,24 +216,32 @@ def test_damaged_container_loads_or_raises_container_error(container, damage):
         pass
 
 
+def _topology(damage):
+    """Rewrite a fusion config's topology, a list of [node_id, kind, args,
+    deps] entries, with ``damage``."""
+    return lambda config: config | {"topology": damage(config["topology"])}
+
+
 def _clear_args(kind):
     """Drop the arguments of each node of ``kind``."""
-    return lambda nodes: [[nid, k, [] if k == kind else args, deps]
-                          for nid, k, args, deps in nodes]
+    return _topology(lambda nodes: [[nid, k, [] if k == kind else args, deps]
+                                    for nid, k, args, deps in nodes])
 
 
-# each rewrites a saved fusion model's topology meta, a list of
-# [node_id, kind, args, deps] entries
+# each rewrites a saved fusion model's config
 _TOPOLOGY_DAMAGE = {
-    "text": lambda nodes: "f feature-input api_freq\nd dense-block 4 <- f\n"
-                          "root softmax-head <- d\n",
-    "two-field-entry": lambda nodes: [nodes[0][:2], *nodes[1:]],
-    "forward-reference": lambda nodes: nodes[::-1],
-    "dict": lambda nodes: {node[0]: node[1:] for node in nodes},
+    "text": _topology(lambda nodes: "f feature-input api_freq\nd dense-block 4 <- f\n"
+                                    "root softmax-head <- d\n"),
+    "two-field-entry": _topology(lambda nodes: [nodes[0][:2], *nodes[1:]]),
+    "forward-reference": _topology(lambda nodes: nodes[::-1]),
+    "dict": _topology(lambda nodes: {node[0]: node[1:] for node in nodes}),
     "feature-input-without-feature": _clear_args("feature-input"),
     "component-output-without-feature": _clear_args("component-output"),
     "ensemble-without-mode": _clear_args("ovr-ensemble"),
-    "ensemble-without-inputs": lambda nodes: [["root", "ovr-ensemble", ["fixed"], []]],
+    "ensemble-without-inputs": _topology(lambda nodes: [["root", "ovr-ensemble",
+                                                         ["fixed"], []]]),
+    # the component keeps its own family count
+    "family-count-raised": lambda config: config | {"family_count": config["family_count"] + 1},
 }
 
 
@@ -251,7 +258,7 @@ def test_damaged_fusion_topology_is_a_container_error(tmp_path, damage):
     FU.FusionModel(nodes, {"api_freq": 3}, 2, S.Hyperparams(), {"api_freq": component},
                    4).save(path)
     meta, arrays = S.load_container(path)
-    meta["config"]["topology"] = _TOPOLOGY_DAMAGE[damage](meta["config"]["topology"])
+    meta["config"] = _TOPOLOGY_DAMAGE[damage](meta["config"])
     S.save_container(path, meta, arrays)
     with pytest.raises(S.ContainerError, match=f"^{re.escape(str(path))}: bad fusion config "):
         FU.FusionModel.load(path)
@@ -350,29 +357,34 @@ def test_noise_lookup_equals_binary_search(noise_cum, fractions):
     assert np.array_equal(_noise_index(noise_cum, draws), np.searchsorted(noise_cum, draws))
 
 
-# ids the writer accepts: no comma and no line break of any kind
-_sample_ids = st.text().filter(lambda s: "," not in s and "".join(s.splitlines()) == s)
 _cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1e-310])
 
 
 @st.composite
-def _feature_tables(draw):
-    width = draw(st.integers(1, 4))
-    ids = draw(st.lists(_sample_ids, max_size=5))
-    cells = draw(st.lists(_cells, min_size=width * len(ids), max_size=width * len(ids)))
-    matrix = np.array(cells, dtype=np.float64).reshape(len(ids), width)
-    return FeatureTable(draw(st.sampled_from(FEATURE_NAMES)), ids, matrix)
+def _feature_sets(draw):
+    """Any sample ids (commas and line breaks included), and finite matrices
+    of one row per id for some of the features."""
+    ids = draw(st.lists(st.text(), max_size=5))
+    features = {}
+    for name in draw(st.lists(st.sampled_from(FEATURE_NAMES), unique=True, max_size=3)):
+        width = draw(st.integers(1, 4))
+        cells = draw(st.lists(_cells, min_size=width * len(ids), max_size=width * len(ids)))
+        features[name] = np.array(cells, dtype=np.float64).reshape(len(ids), width)
+    return ids, features
 
 
 @pytest.fixture(scope="module")
 def feature_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("features") / "table.csv"
+    return tmp_path_factory.mktemp("features") / "features.mfc"
 
 
-@given(_feature_tables())
-def test_feature_table_round_trip(feature_path, table):
-    save_features(table, feature_path)
-    back = load_features(feature_path)
-    assert (back.feature_name, back.sample_ids) == (table.feature_name, table.sample_ids)
-    assert back.matrix.shape == table.matrix.shape
-    assert back.matrix.tobytes() == table.matrix.tobytes()
+@given(_feature_sets())
+def test_feature_table_round_trip(feature_path, feature_set):
+    ids, features = feature_set
+    save_features(feature_path, ids, features)
+    back_ids, back = load_features(feature_path)
+    assert back_ids == ids
+    assert list(back) == list(features)
+    for name, matrix in features.items():
+        assert back[name].shape == matrix.shape
+        assert back[name].tobytes() == matrix.tobytes()
