@@ -1,12 +1,13 @@
 """Batch entry point wiring every module into reproducible experiment runs.
 
 Stages chain: ``gen`` writes a corpus; ``extract`` fits every stage below
-fusion and writes split.json, features.mfc, models/ (the fitted extractors),
-components/, component-accuracy.csv and config.json; ``train-fusion`` and
-``explain`` read that run (--run) and its corpus and fit only fusion models,
-under the pipeline config recorded in the run's config.json, with the
-accuracies of the component files (components/manifest.json is only a
-record). ``eval`` is the one-shot run, holdout or k-fold.
+fusion and writes a ``pipeline.Run`` (split.json, features.mfc, components/,
+component-accuracy.csv and config.json), with the fitted extractors under
+models/; ``train-fusion`` and ``explain`` load that run (--run) with its
+corpus and fit only fusion models, under the pipeline config recorded in the
+run's config.json, with the accuracies of the component files. No command
+writes or reads a components manifest.json; runs that hold one still load.
+``eval`` is the one-shot run, holdout or k-fold: each fits a run and scores it.
 
 Each subcommand validates its arguments, runs, writes artifacts under --out
 together with a resolved config.json, and logs progress to standard error.
@@ -23,7 +24,6 @@ import logging
 import sys
 from pathlib import Path
 
-from .components import ComponentManifest, ComponentModel, component_file
 from .corpus import (
     DEFAULT_HOLDOUT,
     CorpusError,
@@ -38,24 +38,11 @@ from .evaluate import (
     case_report,
     compare_encoders,
     cross_validate,
-    csv_number,
     make_report,
     sweep,
 )
-from .features import FEATURE_NAMES, load_features, save_features
 from .fusion import PRESET_NAMES
-from .pipeline import (
-    ConfigError,
-    PipelineConfig,
-    extract_features,
-    load_split,
-    run_experiment,
-    save_extractors,
-    save_split,
-    score_preset,
-    train_components,
-    train_preset,
-)
+from .pipeline import ConfigError, PipelineConfig, Run, load_split, save_extractors
 
 log = logging.getLogger("malfusion")
 
@@ -107,9 +94,10 @@ def _int_list(text: str) -> str:
 
 
 def _fold_count(text: str) -> int:
-    """0 (the fixed holdout split) or a fold count of at least 2."""
-    if not text.isdecimal() or int(text) == 1:
-        raise argparse.ArgumentTypeError(f"expected 0 or at least 2 folds, got {text!r}")
+    """0 (the fixed holdout split) or a fold count of at least 3: each fold's
+    test and validation folds are two of them, and training needs the rest."""
+    if not text.isdecimal() or int(text) in (1, 2):
+        raise argparse.ArgumentTypeError(f"expected 0 or at least 3 folds, got {text!r}")
     return int(text)
 
 
@@ -155,72 +143,26 @@ def _cmd_extract(args) -> int:
     config = _config_from_args(args)
     corpus, split = _corpus_split(args, config)
     out = Path(args.out)
-    features, extractors = extract_features(corpus, split.train,
-                                            split.validation, config)
-    components, manifest = train_components(features, corpus.labels(),
-                                            split.train, split.validation,
-                                            corpus.family_count, config)
-    out.mkdir(parents=True, exist_ok=True)
-    save_features(out / "features.mfc", [s.sample_id for s in corpus.samples], features)
+    run, extractors = Run.fit(corpus, split, config)
+    run.save(out)
     save_extractors(out / "models", extractors)
-    save_split(out / "split.json", split)
-    comp_dir = out / "components"
-    comp_dir.mkdir(exist_ok=True)
-    for name, model in components.items():
-        model.save(comp_dir / manifest.paths[name])
-    manifest.save(comp_dir / "manifest.json")
-    lines = ["feature,validation_accuracy"]
-    lines += [f"{n},{csv_number(manifest.accuracies[n])}" for n in manifest.ascending()]
-    (out / "component-accuracy.csv").write_text("\n".join(lines) + "\n")
     _write_resolved_config(out, args, config)
     log.info("extracted %d features and trained %d components on %d samples "
-             "to %s", len(features), len(components), len(corpus), out)
+             "to %s", len(run.features), len(run.components), len(corpus), out)
     return 0
 
 
-def _load_run(args):
-    """The corpus, and what ``extract`` wrote to --run: the split, the feature
-    matrices, the components with their manifest, and the config it used."""
-    corpus = load_corpus(args.corpus)
-    run_dir = Path(args.run)
-    features_path = run_dir / "features.mfc"
-    ids, features = load_features(features_path)
-    if ids != [s.sample_id for s in corpus.samples]:
-        raise ValueError(f"{features_path}: sample ids do not match the corpus sample order")
-    missing = [name for name in FEATURE_NAMES if name not in features]
-    if missing:
-        raise ValueError(f"{features_path}: no matrices for {missing}")
-    components = {}
-    for name in FEATURE_NAMES:
-        path = run_dir / "components" / component_file(name)
-        components[name] = ComponentModel.load(path)
-        if components[name].feature_name != name:
-            raise ValueError(f"{path}: holds the {components[name].feature_name}"
-                             f" component, not the {name} one")
-    split = load_split(run_dir / "split.json", len(corpus))
-    try:
-        config = PipelineConfig.from_dict(
-            json.loads((run_dir / "config.json").read_text())["pipeline_config"])
-    except (KeyError, TypeError, ValueError) as e:  # a bad value is a damaged run, not usage
-        raise ValueError(f"{run_dir / 'config.json'}: bad or missing pipeline_config "
-                         f"({e!r})") from None
-    manifest = ComponentManifest.from_models(components)
-    return corpus, split, features, components, manifest, config
-
-
 def _cmd_train_fusion(args) -> int:
-    corpus, split, features, components, manifest, config = _load_run(args)
+    run = Run.load(args.run, load_corpus(args.corpus))
     out = Path(args.out)
-    result = score_preset(PRESET_FLAGS[args.preset], args.features, corpus, split,
-                          features, components, manifest, config)
+    result = run.score(PRESET_FLAGS[args.preset], args.features)
     report = make_report(result.test_probs, result.test_labels,
-                         corpus.family_count)
+                         run.corpus.family_count)
     out.mkdir(parents=True, exist_ok=True)
     result.fusion.save(out / f"fusion-{args.preset}-{args.features}.mfc")
-    manifest.save(out / "manifest.json")
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.to_text())
-    _write_resolved_config(out, args, config)
+    _write_resolved_config(out, args, run.config)
     log.info("%s/%s test accuracy %.4f", args.preset, args.features,
              report.accuracy)
     return 0
@@ -235,8 +177,7 @@ def _cmd_eval(args) -> int:
         protocol = f"{args.cv}-fold cross-validation"
     else:
         corpus, split = _corpus_split(args, config)
-        result = run_experiment(corpus, split, config, preset_name=preset_name,
-                                feature_set=args.features)
+        result = Run.fit(corpus, split, config)[0].score(preset_name, args.features)
         report = make_report(result.test_probs, result.test_labels,
                              corpus.family_count)
         protocol = "fixed holdout split"
@@ -279,26 +220,24 @@ def _cmd_compare_encoders(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    corpus, split, features, components, manifest, config = _load_run(args)
+    run = Run.load(args.run, load_corpus(args.corpus))
+    corpus = run.corpus
     index = {s.sample_id: i for i, s in enumerate(corpus.samples)}
     if args.sample:
         if args.sample not in index:
             raise ValueError(f"no sample {args.sample!r} in corpus")
         targets = [index[args.sample]]
     else:
-        targets = [int(i) for i in split.test]
+        targets = [int(i) for i in run.split.test]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    labels = corpus.labels()
-    fusions = {fset: train_preset("EF1", fset, features, labels, split.train,
-                                  split.validation, corpus.family_count,
-                                  components, manifest, config)
+    fusions = {fset: run.score("EF1", fset).fusion
                for fset in ("static", "dynamic", "integrated")}
     summary = ["sample_id,true_family,static_pred,dynamic_pred,"
                "integrated_pred,category"]
     for i in targets:
         sample = corpus.samples[i]
-        row = {name: matrix[i] for name, matrix in features.items()}
+        row = {name: matrix[i] for name, matrix in run.features.items()}
         case = case_report(row, sample.family, sample.sample_id,
                            fusions["static"], fusions["dynamic"],
                            fusions["integrated"])
@@ -307,7 +246,7 @@ def _cmd_explain(args) -> int:
         summary.append(f"{sample.sample_id},{sample.family},{s},{d},{it},"
                        f"{case.category}")
     (out / "cases-summary.csv").write_text("\n".join(summary) + "\n")
-    _write_resolved_config(out, args, config)
+    _write_resolved_config(out, args, run.config)
     log.info("wrote %d case reports to %s", len(targets), out)
     return 0
 
@@ -378,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="integrated")
     protocol = p.add_mutually_exclusive_group()  # CV builds its own folds
     protocol.add_argument("--cv", type=_fold_count, default=0,
-                          help="fold count; 0 uses the fixed holdout split")
+                          help="fold count of at least 3; 0 uses the fixed holdout split")
     protocol.add_argument("--split", help=SPLIT_HELP)
     _add_common(p, split=False)
     p.set_defaults(func=_cmd_eval)

@@ -4,7 +4,9 @@ of the validation accuracies they record.
 Every component is the same dense stack (hidden widths 256, 128, rectifier)
 ending in an F-way softmax; only the input width differs per feature. The
 manifest's accuracies drive the ascending-accuracy ordering used by the
-cascade fusion presets; a run saves it as a record, and no command reads it.
+cascade fusion presets. No command saves or reads a manifest file: a run keeps
+each accuracy in its component's file, and only the benchmark still writes
+``manifest.json``.
 """
 
 from __future__ import annotations

@@ -305,6 +305,8 @@ class Vocabulary:
     @classmethod
     def from_names(cls, names: list[str]) -> "Vocabulary":
         """Inverse of ``names()``."""
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise TypeError("vocabulary names must be a list of strings")
         return cls({name: i for i, name in enumerate(names)})
 
 

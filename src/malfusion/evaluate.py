@@ -18,19 +18,13 @@ from .corpus import Corpus, CorpusError, DatasetSplit, make_splits
 from .dynamic_features import train_call_sequence_encoder
 from .features import FeatureVector
 from .fusion import FusionModel, predict_fusion
-from .pipeline import (PipelineConfig, extract_features, fit_feature, fit_vocabularies,
-                       run_experiment)
+from .pipeline import (PipelineConfig, Run, csv_number, extract_features, fit_feature,
+                       fit_vocabularies)
 from .seeding import derive_seed
 
 
 class EvaluationError(ValueError):
     pass
-
-
-def csv_number(x) -> str:
-    """One numeric CSV cell: the shortest text that reads back as the same
-    float (a numpy scalar's own repr is ``np.float64(...)`` under numpy 2)."""
-    return repr(float(x))
 
 
 # -- metrics -----------------------------------------------------------------
@@ -167,8 +161,7 @@ def cross_validate(config: PipelineConfig, corpus: Corpus, k: int = 10,
     outcomes = []
     for i, fold_split in enumerate(fold_splits):
         fold_config = config.replace(seed=derive_seed(config.seed, "cv", i))
-        result = run_experiment(corpus, fold_split, fold_config,
-                                preset_name=preset_name, feature_set=feature_set)
+        result = Run.fit(corpus, fold_split, fold_config)[0].score(preset_name, feature_set)
         outcomes.append((result.test_probs, result.test_labels))
     all_probs = np.concatenate([p for p, _ in outcomes])
     all_labels = np.concatenate([l for _, l in outcomes])

@@ -9,6 +9,22 @@ fusion stages) validates on the split's validation rows, never on a slice
 of its own training rows; test rows are never touched before final scoring.
 All stage seeds derive from the one config seed, so a full run is
 reproducible bit for bit.
+
+A fitted run is one ``Run``: the pipeline config, the corpus, its split, the
+seven feature matrices (rows in corpus order) and the seven components.
+``Run.fit`` fits it, ``Run.score`` trains a fusion preset on it and scores the
+split's test rows, and ``Run.save``/``Run.load`` keep it in a directory::
+
+    split.json                          the split's row indices
+    features.mfc                        the sample ids and the feature matrices
+    components/component-<feature>.mfc  one component per feature
+    component-accuracy.csv              the components' validation accuracies,
+                                        ascending; a report, never read back
+    config.json                         written by the command that made the
+                                        run; ``load`` reads its pipeline_config
+
+The fitted extractors are not part of a run, since scoring needs only the
+matrices: ``save_extractors`` keeps them apart, for featurizing unseen samples.
 """
 
 from __future__ import annotations
@@ -24,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import substrate as S
-from .components import ComponentManifest, ComponentModel, train_component
+from .components import ComponentManifest, ComponentModel, component_file, train_component
 from .corpus import (
     Corpus,
     CorpusError,
@@ -47,7 +63,7 @@ from .dynamic_features import (
     train_pv,
     train_statement_encoder,
 )
-from .features import FEATURE_NAMES, FeatureVector
+from .features import FEATURE_NAMES, FeatureVector, load_features, save_features
 from .fusion import FusionModel, preset, train_fusion
 from .seeding import derive_seed
 from .static_features import (
@@ -61,6 +77,12 @@ from .static_features import (
 
 class ConfigError(ValueError):
     """A ``PipelineConfig`` field holds a value no stage can run with."""
+
+
+def csv_number(x) -> str:
+    """One numeric CSV cell: the shortest text that reads back as the same
+    float (a numpy scalar's own repr is ``np.float64(...)`` under numpy 2)."""
+    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -204,14 +226,27 @@ def save_extractors(directory, extractors: FeatureExtractors) -> None:
 
 
 def load_extractors(directory) -> FeatureExtractors:
+    """The extractors ``save_extractors`` wrote. A fault in extractors.json
+    raises ``ValueError`` naming it, and a damaged model raises
+    ``ContainerError`` naming its file."""
     d = Path(directory)
-    meta = json.loads((d / "extractors.json").read_text())
+    path = d / "extractors.json"
+    meta = read_json_object(path, ValueError)
     return FeatureExtractors(
-        config=PipelineConfig.from_dict(meta["config"]),
-        import_vocab=Vocabulary.from_names(meta["import_vocab"]),
-        api_vocab=Vocabulary.from_names(meta["api_vocab"]),
+        config=_read_field(path, meta, "config", PipelineConfig.from_dict),
+        import_vocab=_read_field(path, meta, "import_vocab", Vocabulary.from_names),
+        api_vocab=_read_field(path, meta, "api_vocab", Vocabulary.from_names),
         models={name: cls.load(d / f"{stage}.mfc")
                 for name, (stage, cls) in LEARNED_FEATURES.items()})
+
+
+def _read_field(path, doc: dict, key: str, build):
+    """``build(doc[key])``, where ``doc`` is the JSON object in ``path``; a
+    ``ValueError`` naming both if the key is missing or its value is bad."""
+    try:
+        return build(doc[key])
+    except (KeyError, TypeError, ValueError, CorpusError) as e:  # a damaged file, not usage
+        raise ValueError(f"{path}: bad or missing {key} ({e!r})") from None
 
 
 def save_split(path, split) -> None:
@@ -384,31 +419,77 @@ class ExperimentResult:
     test_labels: np.ndarray
 
 
-def score_preset(preset_name: str, feature_set: str, corpus: Corpus,
-                 split: DatasetSplit, features: dict[str, np.ndarray],
-                 components: dict[str, ComponentModel],
-                 manifest: ComponentManifest, config: PipelineConfig,
-                 ) -> ExperimentResult:
-    """Train one preset on fitted features and components, then score the
-    split's test rows."""
-    labels = corpus.labels()
-    fusion = train_preset(preset_name, feature_set, features, labels,
-                          split.train, split.validation, corpus.family_count,
-                          components, manifest, config)
-    test_idx = np.asarray(split.test, dtype=np.int64)
-    test_batch = {name: mat[test_idx] for name, mat in features.items()
-                  if name in fusion.required_features()}
-    test_probs = fusion.predict_batch(test_batch)
-    return ExperimentResult(fusion, test_probs, labels[test_idx])
+@dataclass
+class Run:
+    """Features and components fitted on one corpus and split under one
+    config; the module docstring gives the layout ``save`` writes."""
 
+    config: PipelineConfig
+    corpus: Corpus
+    split: DatasetSplit
+    features: dict[str, np.ndarray]
+    components: dict[str, ComponentModel]
 
-def run_experiment(corpus: Corpus, split, config: PipelineConfig,
-                   preset_name: str = "EF1", feature_set: str = "integrated",
-                   ) -> ExperimentResult:
-    """Full train/evaluate pass for one preset on a prepared split."""
-    features, _ = extract_features(corpus, split.train, split.validation, config)
-    components, manifest = train_components(features, corpus.labels(), split.train,
-                                            split.validation, corpus.family_count,
-                                            config)
-    return score_preset(preset_name, feature_set, corpus, split, features,
-                        components, manifest, config)
+    @classmethod
+    def fit(cls, corpus: Corpus, split: DatasetSplit, config: PipelineConfig,
+            ) -> tuple["Run", FeatureExtractors]:
+        """Fit the extractors and components on the split's training rows,
+        validated on its validation rows; returns the run and its extractors."""
+        features, extractors = extract_features(corpus, split.train,
+                                                split.validation, config)
+        components, _ = train_components(features, corpus.labels(), split.train,
+                                         split.validation, corpus.family_count, config)
+        return cls(config, corpus, split, features, components), extractors
+
+    def save(self, directory) -> None:
+        """Write every file of the run but config.json to ``directory``."""
+        d = Path(directory)
+        (d / "components").mkdir(parents=True, exist_ok=True)
+        save_split(d / "split.json", self.split)
+        save_features(d / "features.mfc", [s.sample_id for s in self.corpus.samples],
+                      self.features)
+        for name, model in self.components.items():
+            model.save(d / "components" / component_file(name))
+        manifest = ComponentManifest.from_models(self.components)
+        lines = ["feature,validation_accuracy"]
+        lines += [f"{n},{csv_number(manifest.accuracies[n])}" for n in manifest.ascending()]
+        (d / "component-accuracy.csv").write_text("\n".join(lines) + "\n")
+
+    @classmethod
+    def load(cls, directory, corpus: Corpus) -> "Run":
+        """The run saved in ``directory`` for ``corpus``, under the pipeline
+        config in its config.json; a file that is missing, damaged or made
+        for another corpus or feature fails naming it."""
+        d = Path(directory)
+        features_path = d / "features.mfc"
+        ids, features = load_features(features_path)
+        if ids != [s.sample_id for s in corpus.samples]:
+            raise ValueError(f"{features_path}: sample ids do not match the corpus "
+                             "sample order")
+        missing = [name for name in FEATURE_NAMES if name not in features]
+        if missing:
+            raise ValueError(f"{features_path}: no matrices for {missing}")
+        components = {}
+        for name in FEATURE_NAMES:
+            path = d / "components" / component_file(name)
+            components[name] = ComponentModel.load(path)
+            if components[name].feature_name != name:
+                raise ValueError(f"{path}: holds the {components[name].feature_name}"
+                                 f" component, not the {name} one")
+        split = load_split(d / "split.json", len(corpus))
+        config_path = d / "config.json"
+        config = _read_field(config_path, read_json_object(config_path, ValueError),
+                             "pipeline_config", PipelineConfig.from_dict)
+        return cls(config, corpus, split, features, components)
+
+    def score(self, preset_name: str, feature_set: str) -> ExperimentResult:
+        """Train one fusion preset on the run, then score the split's test rows."""
+        labels = self.corpus.labels()
+        fusion = train_preset(preset_name, feature_set, self.features, labels,
+                              self.split.train, self.split.validation,
+                              self.corpus.family_count, self.components,
+                              ComponentManifest.from_models(self.components), self.config)
+        test_idx = np.asarray(self.split.test, dtype=np.int64)
+        test_batch = {name: mat[test_idx] for name, mat in self.features.items()
+                      if name in fusion.required_features()}
+        return ExperimentResult(fusion, fusion.predict_batch(test_batch), labels[test_idx])

@@ -116,7 +116,7 @@ def test_every_fit_validates_on_the_split_validation_rows(monkeypatch):
         return _train(model, train_data, val_data, *args, **kwargs)
 
     monkeypatch.setattr(S, "train", counted)
-    P.run_experiment(corpus, split, TINY)
+    P.Run.fit(corpus, split, TINY)[0].score("EF1", "integrated")
     # CAFC, co-occurrence CNN, statement encoder, seven components, EF1's head
     assert val_rows == [len(split.validation)] * 11
 

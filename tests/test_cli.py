@@ -6,7 +6,6 @@ import shutil
 
 import pytest
 
-import malfusion.cli as cli
 import malfusion.pipeline as P
 import malfusion.substrate as S
 from malfusion.cli import run
@@ -84,14 +83,13 @@ def tiny_run(tmp_path_factory, corpus_dir, tiny_config_file):
 
 @pytest.fixture
 def fit_calls(monkeypatch):
-    """Names of the stage fits called, through the CLI or the pipeline."""
+    """Names of the stage fits called; every command fits through the pipeline."""
     calls = []
-    for module in (cli, P):
-        for name in ("extract_features", "train_components"):
-            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+    for name in ("extract_features", "train_components"):
+        def counted(*args, _name=name, _fn=getattr(P, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(P, name, counted)
     return calls
 
 
@@ -269,18 +267,16 @@ class TestExitCodes:
                                "a holdout split needs train, validation and test rows, "
                                "got 5/1/0")
 
-    def test_two_folds_leave_no_training_rows(self, corpus_dir, tmp_path, caplog,
-                                              fit_calls):
+    def test_two_folds_leave_no_training_rows(self, tmp_path, capsys, fit_calls):
         """With two folds, each fold's test and validation folds are the whole
-        corpus."""
-        with caplog.at_level(logging.ERROR, logger="malfusion"):
-            code = run(["eval", "--cv", "2", "--corpus", str(corpus_dir),
-                        "--out", str(tmp_path / "out")])
-        assert code == 1
+        corpus: the parser refuses them before the corpus is read."""
+        out = tmp_path / "out"
+        code = run(["eval", "--cv", "2", "--corpus", str(tmp_path / "no-corpus"),
+                    "--out", str(out)])
+        assert code == 2
         assert fit_calls == []
-        assert caplog.records[-1].getMessage() == (
-            "2-fold cross-validation of 60 samples: fold 0: a holdout split needs "
-            "train, validation and test rows, got 0/30/30")
+        assert "argument --cv: expected 0 or at least 3 folds, got '2'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_column_names_the_manifest(self, corpus_dir, tmp_path, caplog):
         corpus = tmp_path / "corpus"
@@ -363,19 +359,19 @@ class TestExitCodes:
         assert caplog.records[-1].getMessage().startswith(f"{config}: {message}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("folds", ["1", "-3", "x"])
+    @pytest.mark.parametrize("folds", ["1", "2", "-3", "x"])
     def test_bad_fold_count_is_usage_error(self, corpus_dir, tmp_path, capsys, folds):
         out = tmp_path / "out"
         code = run(["eval", "--cv", folds, "--corpus", str(corpus_dir), "--out", str(out)])
         assert code == 2
-        assert (f"argument --cv: expected 0 or at least 2 folds, got {folds!r}"
+        assert (f"argument --cv: expected 0 or at least 3 folds, got {folds!r}"
                 in capsys.readouterr().err)
         assert not out.exists()
 
     def test_explain_unknown_sample_fails_before_any_fit(self, corpus_dir, tiny_run, tmp_path,
                                                          caplog, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "train_preset", lambda *args, **kwargs: calls.append(1))
+        monkeypatch.setattr(P, "train_preset", lambda *args, **kwargs: calls.append(1))
         with caplog.at_level(logging.ERROR, logger="malfusion"):
             code = run(["explain", "--sample", "nope", "--run", str(tiny_run),
                         "--corpus", str(corpus_dir), "--out", str(tmp_path / "cases")])
@@ -400,7 +396,7 @@ class TestPipelineCommands:
         models = sorted(p.name for p in (run_dir / "components").iterdir()
                         if p.suffix == ".mfc")
         assert models == sorted(f"component-{name}.mfc" for name in FEATURE_NAMES)
-        assert (run_dir / "components" / "manifest.json").exists()
+        assert not (run_dir / "components" / "manifest.json").exists()
         accuracy = (run_dir / "component-accuracy.csv").read_text()
         assert accuracy.startswith("feature,validation_accuracy\n")
         assert len(accuracy.strip().splitlines()) == 8
@@ -447,10 +443,8 @@ class TestPipelineCommands:
                     "--preset", "lf2", "--features", "static", "--out", str(out)])
         assert code == 0
         assert (out / "fusion-lf2-static.mfc").exists()
-        assert (out / "manifest.json").exists()
+        assert not (out / "manifest.json").exists()
         assert (out / "report.csv").read_text().startswith("metric,value\n")
-        assert ((out / "manifest.json").read_bytes()
-                == (tiny_run / "components" / "manifest.json").read_bytes())
         resolved = json.loads((out / "config.json").read_text())
         assert resolved["pipeline_config"] == json.loads(
             (tiny_run / "config.json").read_text())["pipeline_config"]
@@ -596,18 +590,22 @@ class TestChainedStages:
                     == (tmp_path / "bare" / name).read_bytes()), name
 
     def test_train_fusion_reads_no_manifest(self, corpus_dir, tiny_run, tmp_path):
-        """The accuracies come from the component files: without
-        components/manifest.json, train-fusion writes the same model, report
-        and manifest bytes."""
+        """The accuracies come from the component files: a run made when
+        extract still wrote components/manifest.json, here one whose manifest
+        holds other accuracies, gives the same model and report bytes, and
+        no manifest is written."""
         run_dir = tmp_path / "run"
         shutil.copytree(tiny_run, run_dir)
-        (run_dir / "components" / "manifest.json").unlink()
-        for name, source in (("full", tiny_run), ("bare", run_dir)):
+        (run_dir / "components" / "manifest.json").write_text(json.dumps(
+            {"components": {name: {"accuracy": 0.5, "path": f"component-{name}.mfc"}
+                            for name in FEATURE_NAMES}}))
+        for name, source in (("bare", tiny_run), ("old", run_dir)):
             assert run(["train-fusion", "--preset", "ef2", "--run", str(source),
                         "--corpus", str(corpus_dir), "--out", str(tmp_path / name)]) == 0
-        for name in ("report.csv", "report.txt", "fusion-ef2-integrated.mfc", "manifest.json"):
-            assert ((tmp_path / "full" / name).read_bytes()
-                    == (tmp_path / "bare" / name).read_bytes()), name
+            assert not (tmp_path / name / "manifest.json").exists()
+        for name in ("report.csv", "report.txt", "fusion-ef2-integrated.mfc"):
+            assert ((tmp_path / "bare" / name).read_bytes()
+                    == (tmp_path / "old" / name).read_bytes()), name
 
     @pytest.mark.parametrize("command", ["train-fusion", "explain"])
     @pytest.mark.parametrize("damage", ["no-components", "foreign-ids", "wrong-component"])

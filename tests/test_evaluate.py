@@ -156,6 +156,16 @@ class TestCrossValidate:
         with pytest.raises(E.EvaluationError):
             E.cross_validate(_micro_config(), _micro_corpus(), k=1)
 
+    def test_two_folds_leave_no_training_rows(self, monkeypatch):
+        """Each fold's test and validation folds are the whole corpus: the
+        check fails before any fit."""
+        monkeypatch.setattr(P, "extract_features", lambda *args, **kwargs: pytest.fail())
+        with pytest.raises(E.EvaluationError) as err:
+            E.cross_validate(_micro_config(), _micro_corpus(), k=2)
+        assert str(err.value) == (
+            "2-fold cross-validation of 60 samples: fold 0: a holdout split needs "
+            "train, validation and test rows, got 0/30/30")
+
     def test_fold_structure_and_signal(self):
         rep = _micro_cv_report()
         assert len(rep.fold_accuracies) == 3

@@ -1,8 +1,11 @@
-"""The full profile's reference settings, and FeatureExtractors.featurize on
-degenerate input: the policy its docstring states, one test per case, on a
-tiny fitted bundle."""
+"""The full profile's reference settings, FeatureExtractors.featurize on
+degenerate input (the policy its docstring states, one test per case, on a
+tiny fitted bundle), saved extractors, and a run's round trip through its
+directory."""
 
 import dataclasses
+import json
+import shutil
 
 import numpy as np
 import pytest
@@ -105,3 +108,76 @@ def test_degenerate_cases_reach_the_fallbacks(bundle):
     assert np.flatnonzero(onehot["pe_onehot"].values).tolist() == [unknown]
     freq = extractors.featurize(_unseen_apis(sample), names=("api_freq",))
     assert np.flatnonzero(freq["api_freq"].values).tolist() == [extractors.api_vocab.unknown_index]
+
+
+@pytest.fixture(scope="module")
+def saved_extractors(bundle, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("extractors")
+    P.save_extractors(directory, bundle[0])
+    return directory
+
+
+def test_saved_extractors_featurize_as_the_fitted_ones(bundle, saved_extractors):
+    extractors, sample = bundle
+    loaded = P.load_extractors(saved_extractors)
+    assert loaded.config == extractors.config
+    got, want = loaded.featurize(sample), extractors.featurize(sample)
+    for name in want:
+        assert got[name].values.tobytes() == want[name].values.tobytes(), name
+
+
+@pytest.mark.parametrize("damage, message", [
+    (None, "not JSON ("),
+    (lambda doc: [doc], "expected a JSON object, got list"),
+    (lambda doc: doc.pop("config") and doc, "bad or missing config (KeyError('config'))"),
+    (lambda doc: doc["config"].update(pv_dim=0) or doc,
+     "bad or missing config (ConfigError('pv_dim must be a positive integer, got 0'))"),
+    (lambda doc: doc["config"].update(unknown=1) or doc, "bad or missing config (TypeError("),
+    (lambda doc: doc.pop("import_vocab") and doc,
+     "bad or missing import_vocab (KeyError('import_vocab'))"),
+    (lambda doc: doc.pop("api_vocab") and doc, "bad or missing api_vocab (KeyError('api_vocab'))"),
+    (lambda doc: doc.update(api_vocab="UNKNOWN") or doc,
+     "bad or missing api_vocab (TypeError('vocabulary names must be a list of strings'))"),
+    (lambda doc: doc["import_vocab"].pop() and doc,
+     "bad or missing import_vocab (CorpusError('vocabulary must reserve an UNKNOWN slot'))"),
+], ids=["truncated", "list", "no-config", "bad-config", "unknown-config-field",
+        "no-import-vocab", "no-api-vocab", "text-api-vocab", "vocab-without-unknown"])
+def test_damaged_extractors_file_is_named(saved_extractors, tmp_path, damage, message):
+    """A damage rewrites extractors.json's document; None cuts the file in half."""
+    directory = tmp_path / "models"
+    shutil.copytree(saved_extractors, directory)
+    path = directory / "extractors.json"
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2] if damage is None
+                    else json.dumps(damage(json.loads(text))))
+    with pytest.raises(ValueError) as err:
+        P.load_extractors(directory)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_run_round_trips_through_its_directory(tmp_path):
+    """A saved run loads back to the same config, split and matrices; saving
+    the loaded run rewrites each file byte for byte; and the fitted and the
+    loaded run score a preset to the same bytes."""
+    corpus = C.generate_corpus(C.CorpusSpec(family_count=3, samples_per_family=6, seed=4))
+    split = C.make_splits(corpus, holdout=(0.6, 0.2, 0.2), seed=4)
+    config = CONFIG.replace(component_epochs=2, fusion_epochs=2)
+    fitted, _ = P.Run.fit(corpus, split, config)
+    first, second = tmp_path / "first", tmp_path / "second"
+    fitted.save(first)
+    # the command that makes a run records its config in config.json
+    (first / "config.json").write_text(json.dumps({"pipeline_config": config.to_dict()}))
+    loaded = P.Run.load(first, corpus)
+    assert loaded.config == config
+    assert loaded.split == split
+    assert list(loaded.features) == list(fitted.features)
+    for name, matrix in fitted.features.items():
+        assert np.array_equal(loaded.features[name], matrix), name
+    loaded.save(second)
+    files = sorted(str(p.relative_to(second)) for p in second.rglob("*") if p.is_file())
+    assert files == sorted(["split.json", "features.mfc", "component-accuracy.csv",
+                            *(f"components/component-{name}.mfc" for name in fitted.features)])
+    for name in files:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert (fitted.score("EF2", "integrated").test_probs.tobytes()
+            == loaded.score("EF2", "integrated").test_probs.tobytes())
