@@ -2,13 +2,14 @@
 checkouts can be compared byte for byte.
 
 Usage:
-    python scripts/identity.py --corpus DIR --work DIR --out FILE
+    python scripts/identity.py --corpus DIR --work DIR --out FILE [--config FILE]
 
 Runs, each in its own process at OPENBLAS_NUM_THREADS=1 with this checkout's
 src/ first on the path: ``extract``; ``train-fusion`` on that run for every
-preset and feature set; ``eval``; ``sweep --parameter cooc_pool``;
-``compare-encoders``; and ``explain`` on the run. Each command writes under
---work, which must be new or empty.
+preset and feature set; ``eval``; ``eval --cv 3``; ``sweep --parameter
+cooc_pool``; ``compare-encoders``; and ``explain`` on the run. Each command
+writes under --work, which must be new or empty. --config passes a JSON file
+of config overrides to every command that fits.
 
 Then writes to --out the numpy and BLAS versions, which the bytes depend on,
 and one ``sha256  path`` line per file under --work, path relative to it, in
@@ -34,15 +35,16 @@ import numpy as np  # noqa: E402
 from malfusion.cli import FEATURE_SET_FLAGS, PRESET_FLAGS  # noqa: E402
 
 
-def commands(corpus: Path, work: Path) -> list[list[str]]:
+def commands(corpus: Path, work: Path, config: Path | None) -> list[list[str]]:
     """The argument lists of every command, in the order they run."""
-    fit = ["--corpus", str(corpus)]
+    fit = ["--corpus", str(corpus), *(["--config", str(config)] if config else [])]
     run = ["--run", str(work / "extract"), "--corpus", str(corpus)]
     argvs = [["extract", *fit, "--out", str(work / "extract")]]
     argvs += [["train-fusion", "--preset", preset, "--features", fset, *run,
                "--out", str(work / "train-fusion" / f"{preset}-{fset}")]
               for preset in sorted(PRESET_FLAGS) for fset in FEATURE_SET_FLAGS]
     argvs += [["eval", *fit, "--out", str(work / "eval")],
+              ["eval", "--cv", "3", *fit, "--out", str(work / "eval-cv3")],
               ["sweep", "--parameter", "cooc_pool", *fit, "--out", str(work / "sweep")],
               ["compare-encoders", *fit, "--out", str(work / "compare-encoders")],
               ["explain", *run, "--out", str(work / "explain")]]
@@ -66,13 +68,16 @@ def main(argv=None) -> int:
     parser.add_argument("--work", required=True, type=Path,
                         help="new or empty directory for the commands' output")
     parser.add_argument("--out", required=True, type=Path, help="digest file to write")
+    parser.add_argument("--config", type=Path,
+                        help="JSON file of config overrides for every command that fits")
     args = parser.parse_args(argv)
     if args.work.exists() and any(args.work.iterdir()):
         parser.error(f"--work {args.work} is not empty")
     env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
                         "PYTHONPATH": os.pathsep.join(
                             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    for argv_ in commands(args.corpus.resolve(), args.work.resolve()):
+    config = args.config.resolve() if args.config else None
+    for argv_ in commands(args.corpus.resolve(), args.work.resolve(), config):
         print("malfusion", " ".join(argv_), file=sys.stderr, flush=True)
         done = subprocess.run([sys.executable, "-m", "malfusion.cli", *argv_], env=env,
                               stderr=subprocess.PIPE, text=True)

@@ -110,8 +110,8 @@ def _corpus_split(args, config: PipelineConfig):
         split = load_split(args.split, len(corpus))
     else:
         split = make_splits(corpus, holdout=DEFAULT_HOLDOUT, seed=config.seed)
-        split.check_holdout(f"{len(corpus)} samples split by the holdout fractions "
-                            f"{DEFAULT_HOLDOUT}")
+        split.check(f"{len(corpus)} samples split by the holdout fractions "
+                    f"{DEFAULT_HOLDOUT}", len(corpus))
     return corpus, split
 
 

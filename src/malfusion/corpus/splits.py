@@ -1,4 +1,5 @@
-"""Stratified holdout and k-fold split construction."""
+"""Stratified splits, each a train/validation/test ``DatasetSplit``: one
+holdout (``make_splits``) or one per cross-validation fold (``fold_splits``)."""
 
 from __future__ import annotations
 
@@ -84,27 +85,34 @@ def _folds(labels: np.ndarray, k: int, seed: int) -> list[list[int]]:
     return folds
 
 
-def make_splits(corpus: Corpus | np.ndarray, *, k: int | None = None,
-                holdout: tuple[float, float, float] | None = None,
-                seed: int = 0) -> DatasetSplit:
-    """Build stratified folds and/or a stratified train/val/test holdout.
+def _labels(corpus: Corpus | np.ndarray) -> np.ndarray:
+    return corpus.labels() if isinstance(corpus, Corpus) else np.asarray(corpus, dtype=np.int64)
+
+
+def make_splits(corpus: Corpus | np.ndarray, *, holdout: tuple[float, float, float],
+                seed: int) -> DatasetSplit:
+    """A stratified train/validation/test holdout of ``corpus``.
 
     ``corpus`` may be a Corpus or a bare label array (splits depend only on
-    labels). Holdout bucket totals follow floor-then-distribute rounding so
-    the global counts are exact for the declared fractions.
+    labels). Bucket totals follow floor-then-distribute rounding so the
+    global counts are exact for the declared fractions.
     """
-    labels = corpus.labels() if isinstance(corpus, Corpus) else np.asarray(corpus, dtype=np.int64)
-    if k is None and holdout is None:
-        raise CorpusError("request folds (k) and/or a holdout split")
-    split = DatasetSplit()
-    if holdout is not None:
-        if len(holdout) != 3:
-            raise CorpusError("holdout needs (train, val, test) fractions")
-        if abs(sum(holdout) - 1.0) > 1e-9:
-            raise CorpusError(f"holdout fractions sum to {sum(holdout)}, expected 1")
-        split.train, split.validation, split.test = _holdout(labels, tuple(holdout), seed)
-    if k is not None:
-        if k < 2:
-            raise CorpusError("k must be at least 2")
-        split.folds = _folds(labels, k, seed)
-    return split
+    if len(holdout) != 3:
+        raise CorpusError("holdout needs (train, val, test) fractions")
+    if abs(sum(holdout) - 1.0) > 1e-9:
+        raise CorpusError(f"holdout fractions sum to {sum(holdout)}, expected 1")
+    return DatasetSplit(*_holdout(_labels(corpus), tuple(holdout), seed))
+
+
+def fold_splits(corpus: Corpus | np.ndarray, k: int, seed: int) -> list[DatasetSplit]:
+    """``k`` stratified folds of ``corpus`` as ``k`` holdouts: split i tests
+    on fold i, validates on fold i+1 (mod k) and trains on the other folds,
+    in fold order. A split may have empty buckets when folds are small;
+    ``DatasetSplit.check`` says so before anything fits on it."""
+    if k < 2:
+        raise CorpusError("k must be at least 2")
+    folds = _folds(_labels(corpus), k, seed)
+    return [DatasetSplit(train=[x for j in range(k) if j not in (i, (i + 1) % k)
+                                for x in folds[j]],
+                         validation=folds[(i + 1) % k], test=folds[i])
+            for i in range(k)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import itemgetter
 
@@ -29,8 +29,9 @@ UNKNOWN_TOKEN = "UNKNOWN"
 SIGNAL_CHANNELS = ("static_only", "dynamic_only", "both", "params_only")
 
 
-class CorpusError(Exception):
-    """Base for data-model violations."""
+class CorpusError(ValueError):
+    """Base for data-model violations: a bad value, so a caller that names
+    the file it read (``load_model``) catches it as one."""
 
 
 class ParseError(CorpusError):
@@ -342,30 +343,21 @@ class Corpus:
 
 @dataclass
 class DatasetSplit:
-    """Holdout index lists and/or stratified folds over one corpus."""
+    """Train, validation and test row indices over one corpus."""
 
-    train: list[int] = field(default_factory=list)
-    validation: list[int] = field(default_factory=list)
-    test: list[int] = field(default_factory=list)
-    folds: list[list[int]] = field(default_factory=list)
+    train: list[int]
+    validation: list[int]
+    test: list[int]
 
-    def check_partition(self, n: int) -> None:
-        if self.folds:
-            flat = [i for fold in self.folds for i in fold]
-            if sorted(flat) != list(range(n)):
-                raise CorpusError("folds do not partition the index set")
-        if self.train or self.validation or self.test:
-            flat = self.train + self.validation + self.test
-            if sorted(flat) != list(range(n)):
-                raise CorpusError("holdout buckets do not partition the index set")
-
-    def check_holdout(self, where: str) -> None:
+    def check(self, where: str, n: int) -> None:
         """Raise ``CorpusError`` naming ``where`` unless the train, validation
-        and test rows are each non-empty."""
+        and test rows are each non-empty and together partition ``0..n-1``."""
         if not (self.train and self.validation and self.test):
             raise CorpusError(f"{where}: a holdout split needs train, validation and "
                               f"test rows, got {len(self.train)}/{len(self.validation)}/"
                               f"{len(self.test)}")
+        if sorted(self.train + self.validation + self.test) != list(range(n)):
+            raise CorpusError(f"{where}: holdout buckets do not partition the index set")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import substrate as S
 from .components import check_probability_vector
-from .corpus import Corpus, CorpusError, DatasetSplit, make_splits
+from .corpus import Corpus, CorpusError, DatasetSplit, fold_splits
 from .dynamic_features import train_call_sequence_encoder
 from .features import FeatureVector
 from .fusion import FusionModel, predict_fusion
@@ -140,28 +140,21 @@ def cross_validate(config: PipelineConfig, corpus: Corpus, k: int = 10,
                    feature_set: str = "integrated") -> EvalReport:
     """Per fold: rebuild vocabularies, feature models, components, and the
     fusion head from the training folds only, then score the held-out fold.
-    ``config.seed`` seeds the folds and, through ``derive_seed``, each
-    fold's fits. Every fold's train, validation and test rows are checked
-    to be non-empty before the first fit."""
-    if k < 2:
-        raise EvaluationError("cross-validation needs k >= 2")
-    folds = make_splits(corpus, k=k, seed=config.seed).folds
-    fold_splits = []
-    for i in range(k):
-        val = (i + 1) % k
-        fold_splits.append(DatasetSplit(
-            train=[x for j in range(k) if j not in (i, val) for x in folds[j]],
-            validation=folds[val], test=folds[i]))
-        try:
-            fold_splits[-1].check_holdout(f"fold {i}")
-        except CorpusError as exc:
-            raise EvaluationError(f"{k}-fold cross-validation of {len(corpus)} "
-                                  f"samples: {exc}") from None
+    ``config.seed`` seeds the folds (``fold_splits``) and, through
+    ``derive_seed``, each fold's fits. Every fold's split is checked before
+    the first fit."""
+    try:
+        splits = fold_splits(corpus, k, config.seed)
+        for i, split in enumerate(splits):
+            split.check(f"fold {i}", len(corpus))
+    except CorpusError as exc:
+        raise EvaluationError(f"{k}-fold cross-validation of {len(corpus)} "
+                              f"samples: {exc}") from None
 
     outcomes = []
-    for i, fold_split in enumerate(fold_splits):
+    for i, split in enumerate(splits):
         fold_config = config.replace(seed=derive_seed(config.seed, "cv", i))
-        result = Run.fit(corpus, fold_split, fold_config)[0].score(preset_name, feature_set)
+        result = Run.fit(corpus, split, fold_config)[0].score(preset_name, feature_set)
         outcomes.append((result.test_probs, result.test_labels))
     all_probs = np.concatenate([p for p, _ in outcomes])
     all_labels = np.concatenate([l for _, l in outcomes])

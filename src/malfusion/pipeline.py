@@ -15,13 +15,15 @@ seven feature matrices (rows in corpus order) and the seven components.
 ``Run.fit`` fits it, ``Run.score`` trains a fusion preset on it and scores the
 split's test rows, and ``Run.save``/``Run.load`` keep it in a directory::
 
-    split.json                          the split's row indices
+    split.json                          the split's train, validation and
+                                        test row indices
     features.mfc                        the sample ids and the feature matrices
     components/component-<feature>.mfc  one component per feature
     component-accuracy.csv              the components' validation accuracies,
                                         ascending; a report, never read back
-    config.json                         written by the command that made the
-                                        run; ``load`` reads its pipeline_config
+    config.json                         ``{"pipeline_config": ...}``, which
+                                        ``load`` reads; a command that makes a
+                                        run rewrites it with its arguments too
 
 The fitted extractors are not part of a run, since scoring needs only the
 matrices: ``save_extractors`` keeps them apart, for featurizing unseen samples.
@@ -245,46 +247,32 @@ def _read_field(path, doc: dict, key: str, build):
     ``ValueError`` naming both if the key is missing or its value is bad."""
     try:
         return build(doc[key])
-    except (KeyError, TypeError, ValueError, CorpusError) as e:  # a damaged file, not usage
+    except (KeyError, TypeError, ValueError) as e:  # a damaged file, not usage
         raise ValueError(f"{path}: bad or missing {key} ({e!r})") from None
 
 
-def save_split(path, split) -> None:
+def save_split(path, split: DatasetSplit) -> None:
     payload = {"train": [int(i) for i in split.train],
                "validation": [int(i) for i in split.validation],
-               "test": [int(i) for i in split.test],
-               "folds": [[int(i) for i in fold] for fold in split.folds]}
+               "test": [int(i) for i in split.test]}
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
 def load_split(path, n: int) -> DatasetSplit:
     """Read a saved holdout split of an ``n``-sample corpus. Its train,
     validation and test rows must each be non-empty and together partition
-    the indices ``0..n-1``; so must its folds, if it has any. Any fault
-    raises ``CorpusError`` naming ``path``."""
+    the indices ``0..n-1``; any other key is ignored. Any fault raises
+    ``CorpusError`` naming ``path``."""
     payload = read_json_object(path, CorpusError)
     missing = [key for key in ("train", "validation", "test") if key not in payload]
     if missing:
         raise CorpusError(f"{path}: missing keys {missing}")
-
-    def indices(rows, what: str) -> list[int]:
-        if not (isinstance(rows, list) and all(
-                isinstance(i, int) and not isinstance(i, bool) for i in rows)):
-            raise CorpusError(f"{path}: {what} is not a list of integer indices")
-        return rows
-
-    folds = payload.get("folds", [])
-    if not isinstance(folds, list):
-        raise CorpusError(f"{path}: folds is not a list")
-    split = DatasetSplit(train=indices(payload["train"], "train"),
-                         validation=indices(payload["validation"], "validation"),
-                         test=indices(payload["test"], "test"),
-                         folds=[indices(fold, f"fold {k}") for k, fold in enumerate(folds)])
-    split.check_holdout(str(path))
-    try:
-        split.check_partition(n)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+    for key in ("train", "validation", "test"):
+        if not (isinstance(payload[key], list) and all(
+                isinstance(i, int) and not isinstance(i, bool) for i in payload[key])):
+            raise CorpusError(f"{path}: {key} is not a list of integer indices")
+    split = DatasetSplit(payload["train"], payload["validation"], payload["test"])
+    split.check(str(path), n)
     return split
 
 
@@ -442,9 +430,11 @@ class Run:
         return cls(config, corpus, split, features, components), extractors
 
     def save(self, directory) -> None:
-        """Write every file of the run but config.json to ``directory``."""
+        """Write every file of the run to ``directory``."""
         d = Path(directory)
         (d / "components").mkdir(parents=True, exist_ok=True)
+        (d / "config.json").write_text(json.dumps(
+            {"pipeline_config": self.config.to_dict()}, indent=2, sort_keys=True))
         save_split(d / "split.json", self.split)
         save_features(d / "features.mfc", [s.sample_id for s in self.corpus.samples],
                       self.features)

@@ -3,6 +3,9 @@
 import json
 import logging
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -516,7 +519,8 @@ class TestPipelineCommands:
         assert code == 0
         assert calls == []
         summary = (out / "cases-summary.csv").read_text().strip().splitlines()
-        assert len(summary) - 1 == len(make_splits(corpus, holdout=DEFAULT_HOLDOUT).test)
+        assert len(summary) - 1 == len(make_splits(corpus, holdout=DEFAULT_HOLDOUT,
+                                                    seed=0).test)
 
     def test_api_vocab_caps_the_paragraph_vector(self, corpus_dir, tiny_run):
         """With ``api_vocab`` below the training rows' distinct API names, the
@@ -647,22 +651,47 @@ class TestSplitOption:
         confusion = lines[lines.index("confusion_true,confusion_pred,count") + 1:]
         assert sum(int(line.split(",")[2]) for line in confusion) == len(split.test) == 15
 
-    @pytest.mark.parametrize("holdout, k, message", [
-        ((0.5, 0.25, 0.25), None, "holdout buckets do not partition the index set"),
-        (None, 3, "a holdout split needs train, validation and test rows"),
+    @pytest.mark.parametrize("rows, message", [
+        (lambda split: {**split, "test": split["train"][:5]},  # rows training would see
+         "holdout buckets do not partition the index set"),
+        # a split.json holding only folds: every holdout bucket is empty
+        (lambda split: {"train": [], "validation": [], "test": [],
+                        "folds": [list(range(j, 60, 3)) for j in range(3)]},
+         "a holdout split needs train, validation and test rows"),
     ], ids=["overlapping", "folds-only"])
     def test_bad_split_rejected(self, corpus_dir, config_file, tmp_path, caplog,
-                                holdout, k, message):
-        split = make_splits(load_corpus(corpus_dir), holdout=holdout, k=k, seed=5)
-        if holdout:
-            split.test = split.train[:5]  # test rows that training would see
-        save_split(tmp_path / "split.json", split)
+                                rows, message):
+        split = make_splits(load_corpus(corpus_dir), holdout=(0.5, 0.25, 0.25), seed=5)
+        (tmp_path / "split.json").write_text(json.dumps(rows(
+            {"train": split.train, "validation": split.validation, "test": split.test})))
         with caplog.at_level(logging.ERROR, logger="malfusion"):
             code = run(["eval", "--corpus", str(corpus_dir), "--split",
                         str(tmp_path / "split.json"), "--config", str(config_file),
                         "--out", str(tmp_path / "eval")])
         assert code == 1
         assert f"split.json: {message}" in caplog.text
+
+    def test_split_saved_with_empty_folds_still_loads(self, corpus_dir, tiny_config_file,
+                                                      tiny_run, tmp_path):
+        """Runs made before splits lost their folds saved ``"folds": []`` in
+        split.json; ``--split`` and ``Run.load`` read such a file as its
+        three row lists."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        path = run_dir / "split.json"
+        split = json.loads(path.read_text())
+        assert sorted(split) == ["test", "train", "validation"]
+        path.write_text(json.dumps({**split, "folds": []}, sort_keys=True))
+        corpus = load_corpus(corpus_dir)
+        loaded = P.Run.load(run_dir, corpus).split
+        assert (loaded.train, loaded.validation, loaded.test) == (
+            split["train"], split["validation"], split["test"])
+        out = tmp_path / "eval"
+        assert run(["eval", "--corpus", str(corpus_dir), "--split", str(path),
+                    "--config", str(tiny_config_file), "--out", str(out)]) == 0
+        lines = (out / "report.csv").read_text().splitlines()
+        confusion = lines[lines.index("confusion_true,confusion_pred,count") + 1:]
+        assert sum(int(line.split(",")[2]) for line in confusion) == len(split["test"])
 
     def test_config_seed_sets_the_split(self, corpus_dir, tmp_path):
         """``--seed 5`` and a config file's ``"seed": 5`` are one run: the
@@ -703,3 +732,46 @@ class TestSplitOption:
                     "--corpus", str(tmp_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "invalid choice: 'train-components'" in capsys.readouterr().err
+
+
+# -- byte identity ----------------------------------------------------------------
+
+IDENTITY_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "identity.py"
+# scripts/identity.py's digest of the micro corpus below under MICRO_OVERRIDES
+IDENTITY_DIGEST = Path(__file__).resolve().parent / "data" / "identity-micro.txt"
+
+
+def _read_digest(path):
+    """A digest file's version header lines, and its artifact path -> sha256."""
+    lines = path.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    artifacts = {name: sha for sha, name in (line.split("  ", 1) for line in lines
+                                             if not line.startswith("#"))}
+    return header, artifacts
+
+
+def test_micro_run_artifacts_match_the_committed_digest(tmp_path):
+    """Every artifact scripts/identity.py makes from a 4x24 corpus under
+    MICRO_OVERRIDES hashes as committed. A change that moves one rewrites
+    the digest file and bounds the move in CHANGES.md."""
+    corpus = tmp_path / "corpus"
+    assert run(["gen", "--families", "4", "--samples-per-family", "24", "--seed", "2",
+                "--out", str(corpus)]) == 0
+    config = tmp_path / "micro.json"
+    config.write_text(json.dumps(MICRO_OVERRIDES))
+    digest = tmp_path / "digest.txt"
+    done = subprocess.run([sys.executable, str(IDENTITY_SCRIPT), "--corpus", str(corpus),
+                           "--work", str(tmp_path / "work"), "--out", str(digest),
+                           "--config", str(config)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    want_header, want = _read_digest(IDENTITY_DIGEST)
+    got_header, got = _read_digest(digest)
+    problems = [f"differs: {name}" for name in sorted(want.keys() & got.keys())
+                if want[name] != got[name]]
+    problems += [f"missing: {name}" for name in sorted(want.keys() - got.keys())]
+    problems += [f"extra: {name}" for name in sorted(got.keys() - want.keys())]
+    if problems:
+        problems.append("numpy/BLAS header lines " + (
+            "match" if got_header == want_header
+            else f"differ: committed {want_header}, here {got_header}"))
+    assert not problems, "\n".join(problems)

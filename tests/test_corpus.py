@@ -283,11 +283,13 @@ class TestGenerator:
 class TestSplits:
     def test_ten_folds_partition(self):
         labels = np.repeat(np.arange(10), 10)  # 100 samples, 10 families
-        split = C.make_splits(labels, k=10, seed=0)
-        assert len(split.folds) == 10
-        assert all(len(f) == 10 for f in split.folds)
-        flat = sorted(i for f in split.folds for i in f)
+        splits = C.fold_splits(labels, 10, seed=0)
+        assert len(splits) == 10
+        assert all(len(split.test) == 10 for split in splits)
+        flat = sorted(i for split in splits for i in split.test)
         assert flat == list(range(100))
+        for i, split in enumerate(splits):
+            split.check(f"fold {i}", 100)
 
     def test_default_holdout_sizes(self):
         rng = np.random.default_rng(0)
@@ -298,23 +300,22 @@ class TestSplits:
     def test_holdout_partitions(self):
         labels = np.repeat(np.arange(5), 20)
         split = C.make_splits(labels, holdout=(0.6, 0.2, 0.2), seed=4)
-        split.check_partition(100)
+        split.check("holdout", 100)
         assert sorted(split.train + split.validation + split.test) == list(range(100))
 
     def test_fold_stratification_within_one(self):
         labels = np.repeat(np.arange(4), 30)  # every family size 30 >= k
-        split = C.make_splits(labels, k=5, seed=2)
-        for fold in split.folds:
-            counts = np.bincount(labels[fold], minlength=4)
+        for split in C.fold_splits(labels, 5, seed=2):
+            counts = np.bincount(labels[split.test], minlength=4)
             assert np.all(np.abs(counts - 6) <= 1)
 
     def test_small_family_round_robin_warns(self, caplog):
         labels = np.array([0] * 30 + [1] * 2)  # family 1 smaller than k
         with caplog.at_level(logging.WARNING):
-            split = C.make_splits(labels, k=5, seed=0)
+            splits = C.fold_splits(labels, 5, seed=0)
         assert any("round-robin" in r.message or "fewer than" in r.message
                    for r in caplog.records)
-        flat = sorted(i for f in split.folds for i in f)
+        flat = sorted(i for split in splits for i in split.test)
         assert flat == list(range(32))
 
     def test_deterministic_under_seed(self):
@@ -322,7 +323,8 @@ class TestSplits:
         a = C.make_splits(labels, holdout=(0.7, 0.15, 0.15), seed=9)
         b = C.make_splits(labels, holdout=(0.7, 0.15, 0.15), seed=9)
         assert (a.train, a.validation, a.test) == (b.train, b.validation, b.test)
+        assert C.fold_splits(labels, 4, seed=9) == C.fold_splits(labels, 4, seed=9)
 
-    def test_requires_k_or_holdout(self):
-        with pytest.raises(C.CorpusError):
-            C.make_splits(np.zeros(10, dtype=int), seed=0)
+    def test_fold_splits_need_at_least_two_folds(self):
+        with pytest.raises(C.CorpusError, match="^k must be at least 2$"):
+            C.fold_splits(np.zeros(10, dtype=int), 1, seed=0)

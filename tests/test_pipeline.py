@@ -12,6 +12,7 @@ import pytest
 
 import malfusion.corpus as C
 import malfusion.pipeline as P
+import malfusion.substrate as S
 
 CONFIG = P.PipelineConfig.desk(
     seed=0, cafc_epochs=1, cg_embed_dim=4, zigzag_len=10, pv_dim=8, pv_epochs=1,
@@ -155,6 +156,22 @@ def test_damaged_extractors_file_is_named(saved_extractors, tmp_path, damage, me
     assert str(err.value).startswith(f"{path}: {message}")
 
 
+@pytest.mark.parametrize("stage", ["pv", "stmt"])
+def test_model_vocabulary_without_unknown_is_named(saved_extractors, tmp_path, stage):
+    """A learned model whose saved vocabulary lost its UNKNOWN slot fails
+    loading as a ``ContainerError`` that names its file."""
+    directory = tmp_path / "models"
+    shutil.copytree(saved_extractors, directory)
+    path = directory / f"{stage}.mfc"
+    meta, arrays = S.load_container(path)
+    assert meta["config"]["vocab"].pop() == C.UNKNOWN_TOKEN
+    S.save_container(path, meta, arrays)
+    with pytest.raises(S.ContainerError) as err:
+        P.load_extractors(directory)
+    assert str(err.value).startswith(f"{path}: bad {meta['kind']} config (CorpusError("
+                                     "'vocabulary must reserve an UNKNOWN slot'))")
+
+
 def test_run_round_trips_through_its_directory(tmp_path):
     """A saved run loads back to the same config, split and matrices; saving
     the loaded run rewrites each file byte for byte; and the fitted and the
@@ -165,8 +182,6 @@ def test_run_round_trips_through_its_directory(tmp_path):
     fitted, _ = P.Run.fit(corpus, split, config)
     first, second = tmp_path / "first", tmp_path / "second"
     fitted.save(first)
-    # the command that makes a run records its config in config.json
-    (first / "config.json").write_text(json.dumps({"pipeline_config": config.to_dict()}))
     loaded = P.Run.load(first, corpus)
     assert loaded.config == config
     assert loaded.split == split
@@ -175,7 +190,8 @@ def test_run_round_trips_through_its_directory(tmp_path):
         assert np.array_equal(loaded.features[name], matrix), name
     loaded.save(second)
     files = sorted(str(p.relative_to(second)) for p in second.rglob("*") if p.is_file())
-    assert files == sorted(["split.json", "features.mfc", "component-accuracy.csv",
+    assert files == sorted(["config.json", "split.json", "features.mfc",
+                            "component-accuracy.csv",
                             *(f"components/component-{name}.mfc" for name in fitted.features)])
     for name in files:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -177,11 +177,24 @@ def test_holdout_buckets_partition_with_target_sizes(labels, weights, seed):
 
 @given(_labels, st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_folds_partition_and_balance_each_family(labels, k, seed):
-    folds = C.make_splits(np.array(labels), k=k, seed=seed).folds
+    """Split i tests on fold i, validates on the fold split i+1 tests on and
+    trains on the other folds in order; its buckets always partition the
+    rows, so it passes ``check`` exactly when each bucket has rows."""
+    splits = C.fold_splits(np.array(labels), k, seed)
+    folds = [split.test for split in splits]
     assert sorted(i for fold in folds for i in fold) == list(range(len(labels)))
     for family in set(labels):
         counts = [sum(labels[i] == family for i in fold) for fold in folds]
         assert max(counts) - min(counts) <= 1
+    for i, split in enumerate(splits):
+        later = (i + 1) % k
+        assert split.validation == folds[later]
+        assert split.train == [x for j in range(k) if j not in (i, later) for x in folds[j]]
+        if split.train and split.validation and split.test:
+            split.check(f"fold {i}", len(labels))
+        else:
+            with pytest.raises(C.CorpusError, match="needs train, validation and test rows"):
+                split.check(f"fold {i}", len(labels))
 
 
 @pytest.fixture(scope="module")
